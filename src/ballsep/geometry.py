@@ -112,7 +112,7 @@ class Hyperplane:
 class SeparationInstance:
     """Validated pair of strictly disjoint balls plus the bias half range.
 
-    Construction enforces |c - x| = r + p + gap with gap > 0 and
+    Construction enforces |c - x| = r + p + gap with gap > 0 and a finite
     bias_half_range >= max(|c|, |x|) > 0.  Derived geometry (gap, axis
     direction, tangent-cone vertex and half angle, q value) is exposed as
     read-only properties.  The axis direction is oriented from the first
@@ -135,6 +135,8 @@ class SeparationInstance:
         if dist <= a.radius + b.radius:
             raise BallsOverlapOrTouch("balls overlap or touch (delta <= 0)")
         k = float(self.bias_half_range)
+        if not math.isfinite(k):
+            raise ArgumentOutOfRange(f"bias half range must be finite, got {k!r}")
         k_min = max(float(np.linalg.norm(a.center)), float(np.linalg.norm(b.center)))
         if not k >= k_min:
             raise KInsufficient(
@@ -187,6 +189,23 @@ class SeparationInstance:
     def q_value(self) -> float:
         """q = 1 - sin^2(phi) = cos^2(phi), in (0, 1)."""
         return 1.0 - self.sin_phi * self.sin_phi
+
+
+def projected_instance(inst: SeparationInstance, center_a, center_b) -> SeparationInstance:
+    """`inst` with its centers given in the coordinates of a subspace.
+
+    The new centers are the coordinates of the old ones in an orthonormal
+    basis of a subspace that holds both, so every distance and norm the
+    predicates see is kept and the radii and bias half range carry over.
+    The result is not validated again: rounding can move a norm an ulp
+    past k or close a gap of a few ulps, and that must not reject an
+    instance that was already accepted.
+    """
+    core = object.__new__(SeparationInstance)
+    object.__setattr__(core, "ball_a", Ball(center_a, inst.ball_a.radius))
+    object.__setattr__(core, "ball_b", Ball(center_b, inst.ball_b.radius))
+    object.__setattr__(core, "bias_half_range", inst.bias_half_range)
+    return core
 
 
 def make_instance(ball_a: Ball, ball_b: Ball, k: float) -> SeparationInstance:
@@ -244,8 +263,10 @@ def separates(h: Hyperplane, inst: SeparationInstance) -> bool:
 def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationInstance) -> np.ndarray:
     """Vectorized separation predicate.
 
-    weights: array of shape (m, n) whose rows are unit weights; biases:
-    shape (m,).  Returns a boolean array of shape (m,).
+    weights: array of shape (m, n) whose rows are unit weights, or their
+    coordinates in a subspace holding both centers (see
+    `projected_instance`); biases: shape (m,).  Returns a boolean array of
+    shape (m,).
     """
     weights = np.asarray(weights, dtype=float)
     biases = np.asarray(biases, dtype=float)
@@ -258,10 +279,14 @@ def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationIns
             f"biases shape {biases.shape} does not match {weights.shape[0]} weights"
         )
     a, b = inst.ball_a, inst.ball_b
-    proj_a = weights @ a.center - biases
-    proj_b = weights @ b.center - biases
-    return ((proj_a > a.radius) & (proj_b < -b.radius)) | (
-        (proj_a < -a.radius) & (proj_b > b.radius)
+    return separates_offsets(weights @ a.center - biases, weights @ b.center - biases, inst)
+
+
+def separates_offsets(off_a, off_b, inst: SeparationInstance) -> np.ndarray:
+    """The separation predicate on the offsets (w|c) - b and (w|x) - b."""
+    a, b = inst.ball_a, inst.ball_b
+    return ((off_a > a.radius) & (off_b < -b.radius)) | (
+        (off_a < -a.radius) & (off_b > b.radius)
     )
 
 
@@ -288,7 +313,11 @@ def exists_separating_bias(weight, inst: SeparationInstance) -> bool:
 
 
 def exists_separating_bias_batch(weights: np.ndarray, inst: SeparationInstance) -> np.ndarray:
-    """Vectorized form of `exists_separating_bias` for (m, n) unit weights."""
+    """Vectorized form of `exists_separating_bias` for (m, n) weights.
+
+    As in `separates_batch`, rows may be unit weights or their coordinates
+    in a subspace holding both centers.
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != inst.dimension:
         raise DimensionMismatch(

@@ -3,18 +3,26 @@
 Samples are organized into fixed logical blocks of 65536.  Block i of a
 run with seed s draws from Philox keyed by splitmix64 mixing of (s, i),
 never from a shared stream, so the estimate for a given (instance,
-samples, seed) triple is byte-identical no matter how many chunks the
-blocks are dealt out to.  Within every block the draw order is weights
-first, then biases; estimators that need only one kind still consume
-from the same positions, which keeps the fully random estimate coupled
-below the random-weight estimate sample by sample on a shared seed.
+samples, seed) triple is byte-identical whatever the chunk count.
+Within every block the draw order is weights first, then biases;
+estimators that need only one kind still consume from the same
+positions, which keeps the fully random estimate coupled below the
+random-weight estimate sample by sample on a shared seed.
+
+The estimators see a weight only through its projections onto the ball
+centers, so they sample in the planar core of an instance: the span of
+its centers, of dimension d <= 2 for one pair.  The first d coordinates
+of a uniform unit vector in R^n are g / sqrt(|g|^2 + t), with g standard
+normal in R^d and t chi-square with n - d degrees of freedom, the law
+behind the closed forms' I(q; (n-1)/2, 1/2); a row costs d normals and
+one chi-square draw instead of n normals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +31,9 @@ from .geometry import (
     SeparationInstance,
     bias_gap_interval,
     exists_separating_bias_batch,
+    projected_instance,
     separates_batch,
+    separates_offsets,
 )
 
 DEFAULT_SEED = 42
@@ -52,7 +62,8 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
 class McConfig:
     """Sample count, seed, and chunk count for one estimation run.
 
-    `chunks` only partitions the work; it never changes the result.
+    `chunks` is validated but changes neither the result nor the
+    concurrency: blocks always run one after another.
     """
 
     samples: int
@@ -87,7 +98,7 @@ def sample_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
     """One point uniform on the unit sphere in R^n."""
     if n < 2:
         raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
-    return _sphere_block(rng, 1, n)[0]
+    return _sphere_block(rng, 1, n, n)[0]
 
 
 def sample_bias(k: float, rng: np.random.Generator) -> float:
@@ -97,19 +108,73 @@ def sample_bias(k: float, rng: np.random.Generator) -> float:
     return float(rng.uniform(-k, k))
 
 
-def _sphere_block(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """m uniform unit vectors in R^n, rows of an (m, n) array."""
-    draws = rng.standard_normal((m, n))
-    norms = np.linalg.norm(draws, axis=1)
+def _full_norms(rng: np.random.Generator, draws: np.ndarray, n: int) -> np.ndarray:
+    """Norms in R^n of Gaussian vectors whose first coordinates are the rows.
+
+    The other n - d squared coordinates sum to a chi-square(n - d) draw.
+    """
+    tail = n - draws.shape[1]
+    if tail == 0:
+        return np.linalg.norm(draws, axis=1)
+    sq = np.einsum("ij,ij->i", draws, draws)
+    if tail == 1:
+        # numpy's chisquare(1) is slower than squaring one normal
+        sq += np.square(rng.standard_normal(draws.shape[0]))
+    else:
+        sq += rng.chisquare(tail, draws.shape[0])
+    return np.sqrt(sq, out=sq)
+
+
+def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int) -> np.ndarray:
+    """First d coordinates of m uniform unit vectors in R^n, an (m, d) array.
+
+    At d = n the rows are the unit vectors themselves.
+    """
+    draws = rng.standard_normal((m, d))
+    norms = _full_norms(rng, draws, n)
     # a near-zero Gaussian vector has no usable direction; redraw it
     while True:
         bad = norms < _NORM_FLOOR
         if not bad.any():
             break
-        redraw = rng.standard_normal((int(bad.sum()), n))
+        redraw = rng.standard_normal((int(bad.sum()), d))
         draws[bad] = redraw
-        norms[bad] = np.linalg.norm(redraw, axis=1)
-    return draws / norms[:, None]
+        norms[bad] = _full_norms(rng, redraw, n)
+    draws /= norms[:, None]
+    return draws
+
+
+def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInstance]:
+    """The instances in coordinates of an orthonormal basis of their centers' span.
+
+    The core has d = min(n, max(2, rank)) dimensions.  The basis comes
+    from Gram-Schmidt with one reorthogonalization, taking the centers in
+    order and dropping residuals at rounding level, so centers on the
+    coordinate axes map to exact coordinates.  When d = n the instances
+    are returned as they are.
+    """
+    n = instances[0].dimension
+    centers = np.array([ball.center for inst in instances for ball in (inst.ball_a, inst.ball_b)])
+    scale = float(np.max(np.linalg.norm(centers, axis=1)))
+    floor = max(centers.shape) * np.finfo(float).eps * scale
+    basis = np.empty((0, n))
+    for center in centers:
+        if len(basis) == n:
+            break
+        residual = center - basis.T @ (basis @ center)
+        residual -= basis.T @ (basis @ residual)
+        norm = float(np.linalg.norm(residual))
+        if norm > floor:
+            basis = np.vstack([basis, residual / norm])
+    d = min(n, max(2, len(basis)))
+    if d == n:
+        return list(instances)
+    coords = np.zeros((len(centers), d))
+    coords[:, : len(basis)] = centers @ basis.T
+    return [
+        projected_instance(inst, coords[2 * i], coords[2 * i + 1])
+        for i, inst in enumerate(instances)
+    ]
 
 
 def bernoulli_estimate(
@@ -119,52 +184,56 @@ def bernoulli_estimate(
 ) -> Estimate:
     """Run `block_hits` over every logical block and average the hits.
 
-    Blocks are dealt to chunks round robin and each chunk's hits are
-    accumulated as exact integers, so the final mean depends only on the
-    per-block results, not on the chunk count.
+    Hits are summed as exact integers, so the mean depends only on the
+    per-block results.
     """
     n_blocks = -(-cfg.samples // block)
     total = 0
-    for chunk in range(min(cfg.chunks, n_blocks)):
-        for index in range(chunk, n_blocks, cfg.chunks):
-            count = min(block, cfg.samples - index * block)
-            total += int(block_hits(_block_rng(cfg.seed, index), count))
+    for index in range(n_blocks):
+        count = min(block, cfg.samples - index * block)
+        total += int(block_hits(_block_rng(cfg.seed, index), count))
     return Estimate(mean=total / cfg.samples, samples=cfg.samples)
 
 
-def _canonical_axis(inst: SeparationInstance) -> np.ndarray:
-    """Axis direction with its first nonzero component made positive.
+def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
+    """(axis|c) and (axis|x) along the axis direction, its first nonzero
+    component made positive.
 
     Fixing the sign convention makes the random-bias estimate invariant
-    under swapping the two balls, which flips `axis_dir`.
+    under swapping the two balls, which flips `axis_dir` and so only
+    swaps the two projections.
     """
     axis = inst.axis_dir
     for value in axis:
         if value != 0.0:
-            return axis if value > 0.0 else -axis
+            if value < 0.0:
+                axis = -axis
+            return float(axis @ inst.ball_a.center), float(axis @ inst.ball_b.center)
     raise InternalConsistencyError("axis direction is the zero vector")
 
 
 def estimate_p_full(inst: SeparationInstance, cfg: McConfig) -> Estimate:
     """Monte Carlo estimate for independent uniform weight and bias."""
-    n = inst.dimension
+    (core,) = _planar_core([inst])
+    d, n = core.dimension, inst.dimension
     k = inst.bias_half_range
 
     def hits(rng: np.random.Generator, m: int) -> int:
-        weights = _sphere_block(rng, m, n)
+        weights = _sphere_block(rng, m, d, n)
         biases = rng.uniform(-k, k, m)
-        return int(separates_batch(weights, biases, inst).sum())
+        return int(separates_batch(weights, biases, core).sum())
 
     return bernoulli_estimate(cfg, hits)
 
 
 def estimate_p_weight(inst: SeparationInstance, cfg: McConfig) -> Estimate:
     """Monte Carlo estimate for a uniform weight with best-case bias."""
-    n = inst.dimension
+    (core,) = _planar_core([inst])
+    d, n = core.dimension, inst.dimension
 
     def hits(rng: np.random.Generator, m: int) -> int:
-        weights = _sphere_block(rng, m, n)
-        return int(exists_separating_bias_batch(weights, inst).sum())
+        weights = _sphere_block(rng, m, d, n)
+        return int(exists_separating_bias_batch(weights, core).sum())
 
     return bernoulli_estimate(cfg, hits)
 
@@ -176,12 +245,11 @@ def estimate_p_bias(inst: SeparationInstance, cfg: McConfig) -> Estimate:
         raise InternalConsistencyError(
             "separating-bias interval length disagrees with the instance gap"
         )
-    weight = _canonical_axis(inst)
+    proj_a, proj_b = _axis_projections(inst)
     k = inst.bias_half_range
 
     def hits(rng: np.random.Generator, m: int) -> int:
         biases = rng.uniform(-k, k, m)
-        weights = np.broadcast_to(weight, (m, weight.size))
-        return int(separates_batch(weights, biases, inst).sum())
+        return int(separates_offsets(proj_a - biases, proj_b - biases, inst).sum())
 
     return bernoulli_estimate(cfg, hits)

@@ -31,8 +31,17 @@ from .geometry import (
     exists_separating_bias_batch,
     separates,
     separates_batch,
+    separates_offsets,
 )
-from .montecarlo import _BLOCK, _canonical_axis, _sphere_block, Estimate, McConfig, bernoulli_estimate
+from .montecarlo import (
+    _BLOCK,
+    _axis_projections,
+    _planar_core,
+    _sphere_block,
+    Estimate,
+    McConfig,
+    bernoulli_estimate,
+)
 
 MODES = ("fully-random", "random-weight", "random-bias")
 
@@ -98,24 +107,25 @@ def estimate_all_pairs(
     if mode not in MODES:
         raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
     k_draw = max(inst.bias_half_range for inst in instances)
-    axes = [_canonical_axis(inst) for inst in instances]
+    cores = _planar_core(instances)
+    d = cores[0].dimension
+    axes = [_axis_projections(inst) for inst in instances]
 
     def hits(rng: np.random.Generator, m: int) -> int:
         total = m * width
         weights = biases = None
         if mode != "random-bias":
-            weights = _sphere_block(rng, total, n)
+            weights = _sphere_block(rng, total, d, n)
         if mode != "random-weight":
             biases = rng.uniform(-k_draw, k_draw, total)
         joint = np.ones(m, dtype=bool)
-        for inst, axis in zip(instances, axes):
+        for inst, core, (proj_a, proj_b) in zip(instances, cores, axes):
             if mode == "fully-random":
-                per_plane = separates_batch(weights, biases, inst)
+                per_plane = separates_batch(weights, biases, core)
             elif mode == "random-weight":
-                per_plane = exists_separating_bias_batch(weights, inst)
+                per_plane = exists_separating_bias_batch(weights, core)
             else:
-                fixed = np.broadcast_to(axis, (total, n))
-                per_plane = separates_batch(fixed, biases, inst)
+                per_plane = separates_offsets(proj_a - biases, proj_b - biases, inst)
             joint &= per_plane.reshape(m, width).any(axis=1)
         return int(joint.sum())
 
@@ -167,15 +177,19 @@ class WidthPlan:
             )
         if not isinstance(self.width, int) or self.width < 1:
             raise ArgumentOutOfRange(f"width must be a positive int, got {self.width!r}")
-        if self.width * math.log1p(-self.per_pair_probability) > math.log1p(
-            -self.target_confidence
-        ):
+        if self.width * self._log_miss > math.log1p(-self.target_confidence):
             raise InternalConsistencyError("planned width misses the target confidence")
+
+    @property
+    def _log_miss(self) -> float:
+        """log(1 - p); -inf at p = 1, where one plane always separates."""
+        p = self.per_pair_probability
+        return -math.inf if p == 1.0 else math.log1p(-p)
 
     @property
     def achieved_confidence(self) -> float:
         """1 - (1 - p)^width for the planned width."""
-        return -math.expm1(self.width * math.log1p(-self.per_pair_probability))
+        return -math.expm1(self.width * self._log_miss)
 
 
 def plan_width(per_pair_p: float, target: float, mode: str = "fully-random") -> WidthPlan:

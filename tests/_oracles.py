@@ -2,8 +2,10 @@
 
 Nothing here shares code with the package's own evaluators: the
 incomplete beta oracle integrates the defining integral with endpoint-
-weighted adaptive quadrature, and the bias oracle counts separating
-hyperplanes over a deterministic grid of offsets.
+weighted adaptive quadrature, the bias oracle counts separating
+hyperplanes over a deterministic grid of offsets, and the sphere oracle
+samples weights in the full space R^n and applies the separation test
+written out from its definition.
 """
 
 import math
@@ -58,3 +60,42 @@ def bias_scan_fraction(inst, weight, points: int = 20001) -> float:
         if separates(Hyperplane(weight, float(b)), inst):
             hits += 1
     return hits / points
+
+
+def full_sphere_block(rng, m: int, n: int) -> np.ndarray:
+    """m uniform unit vectors in R^n: n normals per row over their norm."""
+    draws = rng.standard_normal((m, n))
+    return draws / np.linalg.norm(draws, axis=1)[:, None]
+
+
+def full_space_rates(instances, width: int, samples: int, seed: int) -> tuple[float, float]:
+    """Fully random and random-weight all-pairs rates from full-space weights.
+
+    Each trial draws `width` uniform unit weights in R^n and as many biases
+    uniform on the widest bias range; a mode hits when every instance is
+    separated by at least one of its planes.  Fully random uses the drawn
+    biases, random weight asks only that the centers' projections be more
+    than r + p apart.  One pair at width 1 gives p_full and p_weight.
+    """
+    n = instances[0].dimension
+    k = max(inst.bias_half_range for inst in instances)
+    rng = np.random.default_rng(seed)
+    per_draw = max(1, (1 << 20) // (n * width))
+    full = weight = 0
+    for start in range(0, samples, per_draw):
+        m = min(per_draw, samples - start)
+        w = full_sphere_block(rng, m * width, n)
+        b = rng.uniform(-k, k, m * width)
+        all_full = np.ones(m, dtype=bool)
+        all_weight = np.ones(m, dtype=bool)
+        for inst in instances:
+            ra, rb = inst.ball_a.radius, inst.ball_b.radius
+            pa = w @ inst.ball_a.center
+            pb = w @ inst.ball_b.center
+            split = ((pa - b > ra) & (pb - b < -rb)) | ((pa - b < -ra) & (pb - b > rb))
+            apart = np.abs(pa - pb) > ra + rb
+            all_full &= split.reshape(m, width).any(axis=1)
+            all_weight &= apart.reshape(m, width).any(axis=1)
+        full += int(all_full.sum())
+        weight += int(all_weight.sum())
+    return full / samples, weight / samples

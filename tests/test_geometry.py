@@ -149,6 +149,11 @@ class TestInstanceValidation:
         with pytest.raises(KInsufficient):
             make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), 1.9)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_nonfinite_k_rejected(self, k):
+        with pytest.raises(ArgumentOutOfRange, match=r"must be finite"):
+            make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), k)
+
     def test_swap_symmetry(self):
         inst = canonical_plane()
         swapped = make_instance(inst.ball_b, inst.ball_a, inst.bias_half_range)

@@ -11,6 +11,7 @@ from ballsep.montecarlo import (
     Estimate,
     McConfig,
     _block_rng,
+    _planar_core,
     _sphere_block,
     estimate_p_bias,
     estimate_p_full,
@@ -19,10 +20,34 @@ from ballsep.montecarlo import (
     sample_unit_sphere,
 )
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
+from ballsep.tessellation import estimate_all_pairs
+
+from _oracles import full_space_rates
 
 
 def canonical_plane():
     return make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), 2.0)
+
+
+def general_pose(rng, n, sin_phi):
+    """Pair with random radii, axis and offset at the given sin(phi); its
+    centers span a plane (rank 2)."""
+    r, p = rng.uniform(0.5, 2.0, size=2)
+    axis = rng.standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    c = rng.standard_normal(n) * (r + p) / (sin_phi * math.sqrt(n))
+    x = c + (r + p) / sin_phi * axis
+    k = max(np.linalg.norm(c), np.linalg.norm(x)) * rng.uniform(1.0, 2.0)
+    return make_instance(Ball(c, float(r)), Ball(x, float(p)), float(k))
+
+
+def collinear_pose(rng, n, sin_phi):
+    """Pair whose centers lie on one line through the origin (rank 1)."""
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    dist = 2.5 / sin_phi
+    c = -0.3 * dist * u
+    return make_instance(Ball(c, 1.0), Ball(c + dist * u, 1.5), 0.7 * dist * 1.2)
 
 
 class TestConfig:
@@ -51,19 +76,65 @@ class TestConfig:
         assert Estimate(mean=0.0, samples=10).std_error == 0.0
 
 
+class _ZerosFirst:
+    """Generator stand-in whose first two rows of normals and of the
+    chi-square tail come out exactly zero."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.fresh = {"standard_normal", "chisquare"}
+
+    def _first_rows_zero(self, name, out):
+        if name in self.fresh:
+            self.fresh.discard(name)
+            out[:2] = 0.0
+        return out
+
+    def standard_normal(self, size):
+        return self._first_rows_zero("standard_normal", self.rng.standard_normal(size))
+
+    def chisquare(self, df, size):
+        return self._first_rows_zero("chisquare", self.rng.chisquare(df, size))
+
+
 class TestSampling:
     def test_sphere_samples_are_unit(self):
         rng = _block_rng(DEFAULT_SEED, 0)
-        block = _sphere_block(rng, 4096, 7)
+        block = _sphere_block(rng, 4096, 7, 7)
         assert block.shape == (4096, 7)
         assert_allclose(np.linalg.norm(block, axis=1), 1.0, rtol=1e-12)
 
     def test_sphere_coordinates_centered(self):
-        rng = _block_rng(DEFAULT_SEED, 1)
-        block = _sphere_block(rng, 65536, 3)
-        # each coordinate has variance 1/n on the sphere
-        bound = 4.0 / math.sqrt(3.0 * 65536)
-        assert np.all(np.abs(block.mean(axis=0)) < bound)
+        for d, n in ((3, 3), (2, 3), (2, 50)):
+            rng = _block_rng(DEFAULT_SEED, 1)
+            block = _sphere_block(rng, 65536, d, n)
+            assert block.shape == (65536, d)
+            # each coordinate has variance 1/n on the sphere
+            bound = 4.0 / math.sqrt(n * 65536)
+            assert np.all(np.abs(block.mean(axis=0)) < bound)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 200), (6, 50)])
+    def test_core_rows_are_unit_in_full_space(self, d, n):
+        rows = _sphere_block(_block_rng(5, 0), 4096, d, n)
+        # replay the block's stream: d normals per row, then the tail
+        replay = _block_rng(5, 0)
+        g = replay.standard_normal((4096, d))
+        if n - d == 1:
+            t = np.square(replay.standard_normal(4096))
+        else:
+            t = replay.chisquare(n - d, 4096)
+        sq_norm = np.sum(g * g, axis=1) + t
+        assert_allclose(rows * np.sqrt(sq_norm)[:, None], g, rtol=1e-14, atol=0)
+        # the full vector (g, rest) / norm has unit length in R^n
+        assert_allclose(np.sum(rows * rows, axis=1) + t / sq_norm, 1.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("d, n", [(4, 4), (2, 5)])
+    def test_zero_rows_are_redrawn(self, d, n):
+        block = _sphere_block(_ZerosFirst(), 16, d, n)
+        assert np.all(np.isfinite(block))
+        assert np.all(np.any(block[:2] != 0.0, axis=1))
+        if d == n:
+            assert_allclose(np.linalg.norm(block, axis=1), 1.0, rtol=1e-12)
 
     def test_single_draw_helpers(self):
         rng = _block_rng(9, 0)
@@ -156,3 +227,110 @@ class TestAgreement:
                 exact = closed(inst)
                 scatter = math.sqrt(exact * (1.0 - exact) / cfg.samples)
                 assert abs(run(inst, cfg).mean - exact) <= 4.0 * scatter + 1e-12
+
+
+class TestPlanarCore:
+    def test_collinear_centers_map_to_exact_plane_coordinates(self):
+        inst = symmetric_instance(50, 0.4, k_factor=1.0)
+        (core,) = _planar_core([inst])
+        assert core.dimension == 2
+        half = inst.bias_half_range
+        assert core.ball_a.center.tolist() == [half, 0.0]
+        assert core.ball_b.center.tolist() == [-half, 0.0]
+        assert core.bias_half_range == inst.bias_half_range
+        assert core.ball_a.radius == inst.ball_a.radius
+
+    def test_core_keeps_norms_and_distances(self):
+        rng = np.random.default_rng(8)
+        pairs = [general_pose(rng, 50, 0.3) for _ in range(3)]
+        cores = _planar_core(pairs)
+        assert {core.dimension for core in cores} == {6}
+        for inst, core in zip(pairs, cores):
+            for ball, image in ((inst.ball_a, core.ball_a), (inst.ball_b, core.ball_b)):
+                assert_allclose(np.linalg.norm(image.center), np.linalg.norm(ball.center), rtol=1e-13)
+            assert_allclose(core.center_distance, inst.center_distance, rtol=1e-13)
+
+    def test_full_rank_span_is_the_instance_itself(self):
+        rng = np.random.default_rng(9)
+        pairs = [general_pose(rng, 3, 0.5) for _ in range(2)]
+        cores = _planar_core(pairs)
+        assert all(core is inst for core, inst in zip(cores, pairs))
+        plane = canonical_plane()
+        assert _planar_core([plane])[0] is plane
+
+
+class TestParentStreams:
+    def test_planar_estimates_keep_their_values(self):
+        # in the plane the core is the instance itself and draws no tail,
+        # so these values are the ones the full-space sampler gave
+        inst = make_instance(Ball([-2.0, 0.5], 1.0), Ball([1.5, 2.0], 0.5), 3.0)
+        other = make_instance(Ball([0.0, -2.0], 1.0), Ball([0.5, 2.5], 1.0), 3.0)
+        cfg = McConfig(samples=70000, seed=13)
+        assert estimate_p_full(inst, cfg).mean == 0.18544285714285713
+        assert estimate_p_weight(inst, cfg).mean == 0.7411571428571428
+        assert estimate_p_bias(inst, cfg).mean == 0.3852285714285714
+        pinned = {"fully-random": 0.23527142857142858, "random-weight": 0.9579142857142857}
+        for mode, mean in pinned.items():
+            assert estimate_all_pairs([inst, other], 3, mode, cfg).mean == mean
+
+
+def _two_sample_z(a, n_a, b, n_b):
+    pooled = (a * n_a + b * n_b) / (n_a + n_b)
+    var = pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b)
+    if var == 0.0:
+        return 0.0 if a == b else math.inf
+    return (a - b) / math.sqrt(var)
+
+
+class TestCoreAgainstOracle:
+    """Core sampling against full-space weights from an independent stream."""
+
+    CORE_SAMPLES = 1 << 17
+
+    @pytest.mark.parametrize(
+        "n, rank, sin_phi, oracle_samples",
+        [
+            (2, 2, 0.5, 1 << 15),
+            (3, 2, 0.5, 1 << 15),
+            (3, 1, 0.5, 1 << 15),
+            (4, 2, 0.5, 1 << 15),
+            (50, 2, 0.15, 1 << 15),
+            (200, 2, 0.07, 1 << 15),
+            (200, 1, 0.07, 1 << 15),
+            (10**4, 2, 0.01, 4096),
+        ],
+    )
+    def test_single_pair(self, n, rank, sin_phi, oracle_samples):
+        rng = np.random.default_rng([n, rank])
+        pose = general_pose if rank == 2 else collinear_pose
+        inst = pose(rng, n, sin_phi)
+        assert _planar_core([inst])[0].dimension == 2
+        cfg = McConfig(samples=self.CORE_SAMPLES, seed=1000 + n)
+        full, weight = full_space_rates([inst], 1, oracle_samples, seed=n)
+        for core_mean, oracle_mean in (
+            (estimate_p_full(inst, cfg).mean, full),
+            (estimate_p_weight(inst, cfg).mean, weight),
+        ):
+            z = _two_sample_z(core_mean, self.CORE_SAMPLES, oracle_mean, oracle_samples)
+            assert abs(z) <= 4.0, (core_mean, oracle_mean, z)
+
+    @pytest.mark.parametrize(
+        "n, pairs, mode, width",
+        [
+            (3, 2, "fully-random", 4),
+            (3, 2, "random-weight", 1),
+            (50, 3, "fully-random", 64),
+            (50, 3, "random-weight", 2),
+        ],
+    )
+    def test_all_pairs(self, n, pairs, mode, width):
+        rng = np.random.default_rng([n, pairs])
+        instances = [general_pose(rng, n, 0.3 if n == 3 else 0.07) for _ in range(pairs)]
+        assert _planar_core(instances)[0].dimension == min(n, 2 * pairs)
+        samples = 1 << 14
+        core_mean = estimate_all_pairs(instances, width, mode, McConfig(samples=samples, seed=77)).mean
+        full, weight = full_space_rates(instances, width, samples, seed=78)
+        oracle_mean = full if mode == "fully-random" else weight
+        assert 0.05 < oracle_mean < 0.95
+        z = _two_sample_z(core_mean, samples, oracle_mean, samples)
+        assert abs(z) <= 4.0, (core_mean, oracle_mean, z)

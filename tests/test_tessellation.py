@@ -127,6 +127,19 @@ class TestEstimateAllPairs:
             tess = estimate_all_pairs([inst], 1, mode, cfg)
             assert tess.mean == single[mode](inst, cfg).mean
 
+    def test_width_one_matches_single_estimators_in_general_pose(self):
+        # n = 50 pair off the axes: both paths sample in the same planar core
+        rng = np.random.default_rng(50)
+        c = rng.standard_normal(50)
+        x = c + 6.0 * rng.standard_normal(50) / math.sqrt(50)
+        k = 1.5 * max(np.linalg.norm(c), np.linalg.norm(x))
+        inst = make_instance(Ball(c, 0.3), Ball(x, 0.2), float(k))
+        cfg = McConfig(samples=70000, seed=13)
+        for mode, single in (("fully-random", estimate_p_full), ("random-weight", estimate_p_weight)):
+            tess = estimate_all_pairs([inst], 1, mode, cfg)
+            assert 0.0 < tess.mean < 1.0
+            assert tess.mean == single(inst, cfg).mean
+
     def test_wider_tessellations_separate_more(self):
         inst = canonical_plane()
         cfg = McConfig(samples=10000, seed=3)
@@ -225,6 +238,10 @@ class TestWidthPlanning:
         assert plan.width == 4
         assert plan.mode == "random-bias"
         assert plan.achieved_confidence >= 0.9 - 1e-12
+
+    def test_plan_at_certain_separation(self):
+        plan = WidthPlan(1.0, 1, 0.99, "fully-random")
+        assert plan.achieved_confidence == 1.0
 
     def test_plan_rejects_inconsistent_width(self):
         with pytest.raises(InternalConsistencyError):
