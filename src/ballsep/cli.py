@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import selfcheck
-from .errors import ArgumentOutOfRange, BallsepError
+from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
 from .montecarlo import (
     DEFAULT_SEED,
@@ -33,6 +33,7 @@ from .montecarlo import (
     estimate_p_weight,
 )
 from .probability import (
+    _report,
     asymptotic_envelope,
     p_fully_random,
     p_random_bias,
@@ -78,16 +79,6 @@ def _merge_vector_flags(argv: list) -> list:
     return merged
 
 
-def _parse_vector(text: str, name: str) -> list:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ArgumentOutOfRange(f"could not parse {name} vector from {text!r}")
-    if not values:
-        raise ArgumentOutOfRange(f"{name} vector is empty")
-    return values
-
-
 def _parse_int_list(text: str, name: str) -> list:
     out = []
     for part in text.split(","):
@@ -130,8 +121,8 @@ def _instance_from_args(args) -> SeparationInstance:
             raise ArgumentOutOfRange("explicit instances need both --c and --x")
         if args.k is None:
             raise ArgumentOutOfRange("explicit instances need --k")
-        ball_a = Ball(_parse_vector(args.c, "--c"), args.r)
-        ball_b = Ball(_parse_vector(args.x, "--x"), args.p)
+        ball_a = Ball(_parse_float_list(args.c, "--c"), args.r)
+        ball_b = Ball(_parse_float_list(args.x, "--x"), args.p)
         return make_instance(ball_a, ball_b, args.k)
     if args.dim is None or args.sinphi is None:
         raise ArgumentOutOfRange(
@@ -186,10 +177,9 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _exact_record(inst: SeparationInstance) -> dict:
-    report = separation_report(inst)
+def _exact_record(inst: SeparationInstance, report) -> dict:
     return {
-        "n": inst.dimension,
+        "n": report.dimension,
         "delta": inst.gap,
         "r": inst.ball_a.radius,
         "p": inst.ball_b.radius,
@@ -203,7 +193,8 @@ def _exact_record(inst: SeparationInstance) -> dict:
 
 
 def cmd_exact(args) -> int:
-    record = _exact_record(_instance_from_args(args))
+    inst = _instance_from_args(args)
+    record = _exact_record(inst, separation_report(inst))
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
@@ -264,21 +255,27 @@ def cmd_sweep(args) -> int:
     deltas = sorted(set(_parse_float_list(args.delta, "--delta")))
     if not args.k_factor >= 1.0:
         raise ArgumentOutOfRange(f"--k-factor must be >= 1, got {args.k_factor!r}")
+    # the closed forms see the dimension only through the incomplete beta's
+    # shape, and |c - x|, |c|, |x| of a center on the first axis are the same
+    # in R^2 as in R^n, so each gap is validated once as a planar instance
+    planar = []
+    for delta in deltas:
+        if not delta > 0.0:
+            raise ArgumentOutOfRange(f"--delta entries must be positive, got {delta!r}")
+        if dims[0] < 2:
+            raise DimensionTooSmall(f"balls need dimension >= 2, got {dims[0]}")
+        distance = args.r + args.p + delta
+        k = args.k if args.k is not None else args.k_factor * 0.5 * distance
+        ball_a = Ball([-0.5 * distance, 0.0], args.r)
+        planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
     records = []
     for n in dims:
-        for delta in deltas:
-            if not delta > 0.0:
-                raise ArgumentOutOfRange(f"--delta entries must be positive, got {delta!r}")
-            distance = args.r + args.p + delta
-            c = [0.0] * n
-            c[0] = -0.5 * distance
-            x = [0.0] * n
-            x[0] = 0.5 * distance
-            k = args.k if args.k is not None else args.k_factor * 0.5 * distance
-            inst = make_instance(Ball(c, args.r), Ball(x, args.p), k)
-            record = _exact_record(inst)
-            record["envelope"] = asymptotic_envelope(n)
-            records.append(record)
+        envelope = asymptotic_envelope(n)
+        for inst in planar:
+            report = _report(
+                n, inst.q_value, inst.sin_phi, inst.center_distance, inst.gap, inst.bias_half_range
+            )
+            records.append({**_exact_record(inst, report), "envelope": envelope})
     if args.format == "json":
         text = _json_lines(records)
     else:
@@ -419,8 +416,5 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BallsepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

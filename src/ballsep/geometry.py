@@ -131,13 +131,19 @@ class SeparationInstance:
             raise DimensionMismatch(
                 f"balls have different dimensions {a.dimension} and {b.dimension}"
             )
-        dist = float(np.linalg.norm(a.center - b.center))
+        with np.errstate(over="ignore"):
+            # what np.linalg.norm computes for a real vector, without its dispatch
+            norms = [math.sqrt(v.dot(v)) for v in (a.center - b.center, a.center, b.center)]
+        for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
+            if norm == math.inf:
+                raise ArgumentOutOfRange(f"{label} overflows double precision")
+        dist, norm_c, norm_x = norms
         if dist <= a.radius + b.radius:
             raise BallsOverlapOrTouch("balls overlap or touch (delta <= 0)")
         k = float(self.bias_half_range)
         if not math.isfinite(k):
             raise ArgumentOutOfRange(f"bias half range must be finite, got {k!r}")
-        k_min = max(float(np.linalg.norm(a.center)), float(np.linalg.norm(b.center)))
+        k_min = max(norm_c, norm_x)
         if not k >= k_min:
             raise KInsufficient(
                 f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}"

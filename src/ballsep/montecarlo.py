@@ -1,7 +1,7 @@
 """Monte Carlo estimators with a chunk-invariant, per-block RNG layout.
 
 Samples are organized into fixed logical blocks of 65536.  Block i of a
-run with seed s draws from Philox keyed by splitmix64 mixing of (s, i),
+run with seed s draws from Philox keyed by (splitmix64(s), splitmix64(i)),
 never from a shared stream, so the estimate for a given (instance,
 samples, seed) triple is byte-identical whatever the chunk count.
 Within every block the draw order is weights first, then biases;
@@ -52,10 +52,8 @@ def _mix64(z: int) -> int:
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one logical block of one run."""
-    k0 = _mix64(seed ^ index)
-    k1 = _mix64(k0)
-    return np.random.Generator(np.random.Philox(key=k0 | (k1 << 64)))
+    """Independent generator for block `index` of run `seed`, each keying one Philox word."""
+    return np.random.Generator(np.random.Philox(key=_mix64(seed) | (_mix64(index) << 64)))
 
 
 @dataclass(frozen=True)

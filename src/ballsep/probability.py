@@ -49,9 +49,11 @@ def p_random_bias(inst: SeparationInstance) -> float:
     biases form an interval of length equal to the gap, entirely inside
     [-k, k], so the probability is gap / (2 k).
     """
-    return _check_unit_interval(
-        inst.gap / (2.0 * inst.bias_half_range), "random-bias probability"
-    )
+    return _bias_probability(inst.gap, inst.bias_half_range)
+
+
+def _bias_probability(gap: float, k: float) -> float:
+    return _check_unit_interval(gap / (2.0 * k), "random-bias probability")
 
 
 def p_random_weight(inst: SeparationInstance) -> float:
@@ -62,8 +64,7 @@ def p_random_weight(inst: SeparationInstance) -> float:
     in magnitude.  The spherical cap measure reduces to the regularized
     incomplete beta function I(q; (n-1)/2, 1/2) with q = cos^2(phi).
     """
-    n = inst.dimension
-    return reg_inc_beta(BetaArgs(inst.q_value, 0.5 * (n - 1), 0.5))
+    return separation_report(inst).p_random_weight
 
 
 def _first_term(q: float, n: int) -> float:
@@ -82,13 +83,7 @@ def p_fully_random(inst: SeparationInstance) -> float:
 
     with a = (n - 1)/2 and q = cos^2(phi).
     """
-    n = inst.dimension
-    a = 0.5 * (n - 1)
-    q = inst.q_value
-    incomplete = reg_inc_beta(BetaArgs(q, a, 0.5))
-    bracket = _first_term(q, n) - inst.sin_phi * incomplete
-    value = inst.center_distance / (2.0 * inst.bias_half_range) * bracket
-    return _check_unit_interval(value, "fully random probability")
+    return separation_report(inst).p_fully_random
 
 
 def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
@@ -159,11 +154,16 @@ class SeparationReport:
 
 def separation_report(inst: SeparationInstance) -> SeparationReport:
     """Evaluate all three closed forms for one validated instance."""
-    return SeparationReport(
-        p_random_bias=p_random_bias(inst),
-        p_random_weight=p_random_weight(inst),
-        p_fully_random=p_fully_random(inst),
-        q_value=inst.q_value,
-        sin_phi=inst.sin_phi,
-        dimension=inst.dimension,
-    )
+    geometry = (inst.q_value, inst.sin_phi, inst.center_distance, inst.gap, inst.bias_half_range)
+    return _report(inst.dimension, *geometry)
+
+
+def _report(
+    n: int, q: float, sin_phi: float, distance: float, gap: float, k: float
+) -> SeparationReport:
+    """All three closed forms from the scalars they read, with one incomplete beta."""
+    p_bias = _bias_probability(gap, k)
+    p_weight = reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5))
+    bracket = _first_term(q, n) - sin_phi * p_weight
+    p_full = _check_unit_interval(distance / (2.0 * k) * bracket, "fully random probability")
+    return SeparationReport(p_bias, p_weight, p_full, q, sin_phi, n)

@@ -1,12 +1,17 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsep import probability
+from ballsep import cli, probability
 from ballsep.cli import main
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
@@ -95,6 +100,27 @@ class TestExact:
         assert abs(p_random_bias(inst) - record["p_bias"]) < 1e-12
         assert abs(p_random_weight(inst) - record["p_weight"]) < 1e-12
         assert abs(p_fully_random(inst) - record["p_full"]) < 1e-12
+
+    def test_overflowing_norm_is_bad_input_without_warning(self):
+        # run under -W error: a RuntimeWarning from the norm would abort
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["exact", "--c", "-1e155,0", "--x", "1e155,0", "--k", "1e156"]
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ballsep", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: |c - x| overflows double precision\n"
+
+    def test_internal_value_error_is_not_bad_input(self, monkeypatch):
+        def broken(inst):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(cli, "separation_report", broken)
+        with pytest.raises(ValueError, match="math domain error"):
+            main(["exact", *CANONICAL])
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, out, _ = run(capsys, ["exact", *CANONICAL, "--format", "csv"])
@@ -212,6 +238,60 @@ class TestSweep:
     def test_bad_k_factor_exits_two(self, capsys):
         code, _, _ = run(capsys, ["sweep", "--dim", "2", "--delta", "1", "--k-factor", "0.2"])
         assert code == 2
+
+    @pytest.mark.parametrize("dims", ["0,2", "-3,2"])
+    def test_dimension_below_two_exits_two(self, capsys, dims):
+        code, out, err = run(capsys, ["sweep", f"--dim={dims}", "--delta", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: balls need dimension >= 2, got {dims.split(',')[0]}\n"
+
+    def test_builds_only_planar_balls(self, capsys, monkeypatch):
+        sizes = []
+        validate = Ball.__post_init__
+
+        def recorded(ball):
+            validate(ball)
+            sizes.append(ball.center.size)
+
+        monkeypatch.setattr(Ball, "__post_init__", recorded)
+        code, out, _ = run(capsys, ["sweep", "--dim", "10000", "--delta", "1"])
+        assert code == 0
+        assert parse_csv(out)[0]["n"] == "10000"
+        assert sizes == [2, 2]
+
+    # (exit code, SHA-1 of stdout, stderr) of each argument set, recorded
+    # from the sweep that built and validated an n-dimensional instance per cell
+    PINNED = {
+        ("--dim", "2..5000", "--delta", "0.5,2"): (
+            0, "0b17b2bd405bf34573850b35b57ee38c8d3078b7", ""),
+        ("--dim", "2..300", "--delta", "0.5,1,2", "--format", "json"): (
+            0, "417e01bbf1053865c8d31245f4317b10e49e920d", ""),
+        ("--dim", "2,3,7,50,1000", "--delta", "0.25,3", "--r", "0.5", "--p", "2",
+         "--k-factor", "1.5"): (0, "fb06792427c52d939de15d7f7864b22e9eb7af7b", ""),
+        ("--dim", "2..5", "--delta", "0.5,1,2", "--k", "6"): (
+            0, "59fc4b762b828ed9c0c25a8339b0d8722b03c5e1", ""),
+        ("--dim", "2..5", "--delta", "0.5,1,2", "--k", "1.5"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: bias half range 1.5 is below max(|c|, |x|) = 2.0\n"),
+        ("--dim", "2,10000,19990..20000", "--delta", "0.1,1,7"): (
+            0, "105afb9b8dc2c6296f80f264be96aa889a620d9d", ""),
+        ("--dim", "5,3,3,2", "--delta", "2,0.5,2"): (
+            0, "404043331cbb53d1665995b66f649555b762fe00", ""),
+        ("--dim", "2,3", "--delta", "1,-1"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: --delta entries must be positive, got -1.0\n"),
+        ("--dim", "1,2", "--delta", "1"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: balls need dimension >= 2, got 1\n"),
+        ("--dim", "1,2", "--delta", "0,1"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: --delta entries must be positive, got 0.0\n"),
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv))
+    def test_output_pinned(self, capsys, argv):
+        code, out, err = run(capsys, ["sweep", *argv])
+        assert (code, hashlib.sha1(out.encode()).hexdigest(), err) == self.PINNED[argv]
 
 
 class TestTessellate:

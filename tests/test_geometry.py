@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,30 @@ class TestInstanceValidation:
     def test_nonfinite_k_rejected(self, k):
         with pytest.raises(ArgumentOutOfRange, match=r"must be finite"):
             make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), k)
+
+    @pytest.mark.parametrize(
+        "c, x, label",
+        [
+            ([-1e155, 0.0], [1e155, 0.0], "|c - x|"),
+            ([1e155, 0.0], [1.1e155, 0.0], "|c|"),
+            ([0.0, 1.0], [1e300, 1e300], "|c - x|"),
+            ([-1e308, 0.0], [1e308, 0.0], "|c - x|"),
+        ],
+    )
+    def test_overflowing_norm_rejected_without_warning(self, c, x, label):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentOutOfRange, match=re.escape(f"{label} overflows")):
+                make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e307)
+
+    def test_large_finite_norms_unchanged(self):
+        c, x = np.array([-3e153, 1e153]), np.array([4e153, -2e152])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e154)
+        assert inst.center_distance == np.linalg.norm(c - x)
+        with pytest.raises(KInsufficient, match=re.escape(repr(float(np.linalg.norm(x))))):
+            make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e153)
 
     def test_swap_symmetry(self):
         inst = canonical_plane()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ballsep import probability
 from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
 from ballsep.geometry import Ball, make_instance, symmetric_instance
 from ballsep.probability import (
@@ -15,6 +16,7 @@ from ballsep.probability import (
     p_random_weight,
     separation_report,
 )
+from ballsep.specfun import reg_inc_beta
 
 from _oracles import betainc_quadrature
 
@@ -182,3 +184,56 @@ class TestReport:
             SeparationReport(0.5, 0.3, 0.4, 0.75, 0.5, 2)
         with pytest.raises(InternalConsistencyError):
             SeparationReport(0.1, 0.6, 0.4, 0.75, 0.5, 2)
+
+
+def _general_pose(rng, n, sin_phi):
+    r, p = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
+    axis = rng.standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    c = rng.standard_normal(n) * (r + p) / (sin_phi * math.sqrt(n))
+    x = c + (r + p) / sin_phi * axis
+    k = max(np.linalg.norm(c), np.linalg.norm(x)) * float(rng.uniform(1.0, 2.0))
+    return make_instance(Ball(c, r), Ball(x, p), float(k))
+
+
+# (n, sin_phi, p_bias, p_weight, p_full) of _general_pose(default_rng([n, 17]), n, s)
+# for s = 0.01, 0.05, 0.3 in turn, as evaluated by one incomplete beta per
+# closed form; the shared evaluation must reproduce them bit for bit
+_POSED_REPORTS = [
+    (2, 0.01, 0.2494505711926243, 0.9936336961682543, 0.15789757622439252),
+    (2, 0.05, 0.20355300219425332, 0.9681557335266796, 0.1258634020168315),
+    (2, 0.3, 0.187968927830562, 0.8060266319586434, 0.09814356314205847),
+    (3, 0.01, 0.21705775689879606, 0.9900000000000005, 0.10744358966490399),
+    (3, 0.05, 0.2995356061194624, 0.9500000000000005, 0.14227941290674453),
+    (3, 0.3, 0.47428888034681654, 0.7000000000000002, 0.1660011081213856),
+    (50, 0.01, 0.24681847662183554, 0.9444757928143717, 0.025848927855547977),
+    (50, 0.05, 0.1905256590295851, 0.7275118217243279, 0.014095326887086803),
+    (50, 0.3, 0.16270759886826008, 0.032447778616748184, 0.00035222823859783057),
+    (10000, 0.01, 0.3249074956139283, 0.3173347067560325, 0.0005468650658970089),
+    (10000, 0.05, 0.21609401397819977, 5.651703684767444e-07, 2.391845502841234e-10),
+    (10000, 0.3, 0.21848629772315964, 4.4857245454830933e-207, 4.238001554735638e-211),
+]
+
+
+class TestSharedIncompleteBeta:
+    def test_report_evaluates_the_beta_once(self, monkeypatch):
+        calls = []
+
+        def counted(args):
+            calls.append(args)
+            return reg_inc_beta(args)
+
+        monkeypatch.setattr(probability, "reg_inc_beta", counted)
+        report = separation_report(canonical_space())
+        assert len(calls) == 1
+        assert report.p_random_weight == reg_inc_beta(calls[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 10**4])
+    def test_general_pose_values_unchanged(self, n):
+        rng = np.random.default_rng([n, 17])
+        for row in (row for row in _POSED_REPORTS if row[0] == n):
+            inst = _general_pose(rng, n, row[1])
+            report = separation_report(inst)
+            got = (report.p_random_bias, report.p_random_weight, report.p_fully_random)
+            assert got == row[2:]
+            assert got == (p_random_bias(inst), p_random_weight(inst), p_fully_random(inst))
