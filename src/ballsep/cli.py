@@ -171,8 +171,11 @@ def _key_value_text(record) -> str:
 
 def _emit(text: str, out) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise BallsepError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

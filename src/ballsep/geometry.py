@@ -75,8 +75,9 @@ class Hyperplane:
     """Zero locus of u -> (weight|u) - bias.
 
     The weight is normalized on construction; inputs with norm below
-    1e-12 are rejected as degenerate.  Note H[w; b] and H[-w; -b] denote
-    the same point set.
+    1e-12 are rejected as degenerate, and a weight whose norm overflows
+    is first scaled by its largest magnitude.  Note H[w; b] and H[-w; -b]
+    denote the same point set.
     """
 
     weight: np.ndarray
@@ -86,7 +87,11 @@ class Hyperplane:
         weight = np.array(self.weight, dtype=float)
         if weight.ndim != 1 or weight.size == 0 or not np.all(np.isfinite(weight)):
             raise ArgumentOutOfRange("hyperplane weight must be a finite real vector")
-        norm = float(np.linalg.norm(weight))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(weight))
+        if norm == math.inf:
+            weight /= np.max(np.abs(weight))
+            norm = float(np.linalg.norm(weight))
         if norm < DEGENERATE_NORM:
             raise ArgumentOutOfRange(
                 f"hyperplane weight norm {norm!r} is below {DEGENERATE_NORM}; degenerate"
@@ -149,6 +154,8 @@ class SeparationInstance:
                 f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}"
             )
         object.__setattr__(self, "bias_half_range", k)
+        # seeds the cached property with the bits np.linalg.norm would give
+        object.__setattr__(self, "center_distance", dist)
 
     @property
     def dimension(self) -> int:
@@ -203,15 +210,26 @@ def projected_instance(inst: SeparationInstance, center_a, center_b) -> Separati
     The new centers are the coordinates of the old ones in an orthonormal
     basis of a subspace that holds both, so every distance and norm the
     predicates see is kept and the radii and bias half range carry over.
-    The result is not validated again: rounding can move a norm an ulp
-    past k or close a gap of a few ulps, and that must not reject an
-    instance that was already accepted.
+    Neither the result nor its balls are validated again: rounding can
+    move a norm an ulp past k or close a gap of a few ulps, and that must
+    not reject an instance that was already accepted; and the subspace
+    may be a line, where a `Ball` needs two coordinates.
     """
-    core = object.__new__(SeparationInstance)
-    object.__setattr__(core, "ball_a", Ball(center_a, inst.ball_a.radius))
-    object.__setattr__(core, "ball_b", Ball(center_b, inst.ball_b.radius))
-    object.__setattr__(core, "bias_half_range", inst.bias_half_range)
-    return core
+    ball_a, ball_b = (
+        _unchecked(Ball, center=_frozen(np.array(center, dtype=float)), radius=ball.radius)
+        for center, ball in ((center_a, inst.ball_a), (center_b, inst.ball_b))
+    )
+    return _unchecked(
+        SeparationInstance, ball_a=ball_a, ball_b=ball_b, bias_half_range=inst.bias_half_range
+    )
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, skipping its checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def make_instance(ball_a: Ball, ball_b: Ball, k: float) -> SeparationInstance:
@@ -284,8 +302,22 @@ def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationIns
         raise DimensionMismatch(
             f"biases shape {biases.shape} does not match {weights.shape[0]} weights"
         )
-    a, b = inst.ball_a, inst.ball_b
-    return separates_offsets(weights @ a.center - biases, weights @ b.center - biases, inst)
+    off_a = _project(weights, inst.ball_a.center)
+    off_a -= biases
+    off_b = _project(weights, inst.ball_b.center)
+    off_b -= biases
+    return separates_offsets(off_a, off_b, inst)
+
+
+def _project(weights: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """(w|vector) for every row w, in a new array.
+
+    One coordinate is a column multiply: an (m, 1) @ (1,) matmul gives the
+    same bits an order of magnitude slower.
+    """
+    if weights.shape[1] == 1:
+        return weights[:, 0] * vector[0]
+    return weights @ vector
 
 
 def separates_offsets(off_a, off_b, inst: SeparationInstance) -> np.ndarray:
@@ -329,7 +361,7 @@ def exists_separating_bias_batch(weights: np.ndarray, inst: SeparationInstance) 
         raise DimensionMismatch(
             f"weights shape {weights.shape} does not match instance dimension {inst.dimension}"
         )
-    span = weights @ (inst.ball_a.center - inst.ball_b.center)
+    span = _project(weights, inst.ball_a.center - inst.ball_b.center)
     return np.abs(span) > inst.ball_a.radius + inst.ball_b.radius
 
 

@@ -10,12 +10,14 @@ positions, which keeps the fully random estimate coupled below the
 random-weight estimate sample by sample on a shared seed.
 
 The estimators see a weight only through its projections onto the ball
-centers, so they sample in the planar core of an instance: the span of
-its centers, of dimension d <= 2 for one pair.  The first d coordinates
-of a uniform unit vector in R^n are g / sqrt(|g|^2 + t), with g standard
-normal in R^d and t chi-square with n - d degrees of freedom, the law
-behind the closed forms' I(q; (n-1)/2, 1/2); a row costs d normals and
-one chi-square draw instead of n normals.
+centers, so they sample in the core of an instance: the span of its
+centers, whose dimension d is their rank (1 for centers on a line
+through the origin, as in every symmetric instance, and at most 2 for
+one pair).  The first d coordinates of a uniform unit vector in R^n are
+g / sqrt(|g|^2 + t), with g standard normal in R^d and t chi-square with
+n - d degrees of freedom, the law behind the closed forms'
+I(q; (n-1)/2, 1/2); a row costs d normals and one chi-square draw
+instead of n normals.
 """
 
 from __future__ import annotations
@@ -110,15 +112,15 @@ def _full_norms(rng: np.random.Generator, draws: np.ndarray, n: int) -> np.ndarr
     """Norms in R^n of Gaussian vectors whose first coordinates are the rows.
 
     The other n - d squared coordinates sum to a chi-square(n - d) draw.
+    For d <= 2 the rows' part has the bits of np.linalg.norm(axis=1), at
+    under half its cost.
     """
     tail = n - draws.shape[1]
-    if tail == 0:
-        return np.linalg.norm(draws, axis=1)
     sq = np.einsum("ij,ij->i", draws, draws)
     if tail == 1:
         # numpy's chisquare(1) is slower than squaring one normal
         sq += np.square(rng.standard_normal(draws.shape[0]))
-    else:
+    elif tail > 1:
         sq += rng.chisquare(tail, draws.shape[0])
     return np.sqrt(sq, out=sq)
 
@@ -145,11 +147,11 @@ def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int) -> np.ndarra
 def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInstance]:
     """The instances in coordinates of an orthonormal basis of their centers' span.
 
-    The core has d = min(n, max(2, rank)) dimensions.  The basis comes
-    from Gram-Schmidt with one reorthogonalization, taking the centers in
-    order and dropping residuals at rounding level, so centers on the
-    coordinate axes map to exact coordinates.  When d = n the instances
-    are returned as they are.
+    The core has d = rank dimensions.  The basis comes from Gram-Schmidt
+    with one reorthogonalization, taking the centers in order and
+    dropping residuals at rounding level, so centers on the coordinate
+    axes map to exact coordinates.  When d = n the instances are
+    returned as they are.
     """
     n = instances[0].dimension
     centers = np.array([ball.center for inst in instances for ball in (inst.ball_a, inst.ball_b)])
@@ -164,11 +166,9 @@ def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInst
         norm = float(np.linalg.norm(residual))
         if norm > floor:
             basis = np.vstack([basis, residual / norm])
-    d = min(n, max(2, len(basis)))
-    if d == n:
+    if len(basis) == n:
         return list(instances)
-    coords = np.zeros((len(centers), d))
-    coords[:, : len(basis)] = centers @ basis.T
+    coords = centers @ basis.T
     return [
         projected_instance(inst, coords[2 * i], coords[2 * i + 1])
         for i, inst in enumerate(instances)

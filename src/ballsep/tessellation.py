@@ -99,13 +99,20 @@ def estimate_all_pairs(
     Each trial draws `width` hyperplanes according to `mode` and counts
     a hit when every instance is separated by at least one of them.
     Biases share a single range, the widest of the instances' ranges,
-    so one bias stream serves the whole collection.
+    so one bias stream serves the whole collection.  Random-bias mode
+    takes a single pair: its planes are normal to the pair's own axis,
+    and several pairs have no common axis to share one tessellation.
     """
     n = _check_collection(instances)
     if not isinstance(width, int) or width < 1:
         raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
     if mode not in MODES:
         raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "random-bias" and len(instances) > 1:
+        raise ArgumentOutOfRange(
+            f"random-bias mode takes one pair, got {len(instances)}: "
+            "each pair's planes follow its own axis, so they share no tessellation"
+        )
     k_draw = max(inst.bias_half_range for inst in instances)
     cores = _planar_core(instances)
     d = cores[0].dimension

@@ -122,6 +122,16 @@ class TestExact:
         with pytest.raises(ValueError, match="math domain error"):
             main(["exact", *CANONICAL])
 
+    @pytest.mark.parametrize(
+        "argv", [["exact", "--dim", "2", "--sinphi", "0.5"], ["validate", "--samples", "300"]]
+    )
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, [*argv, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, out, _ = run(capsys, ["exact", *CANONICAL, "--format", "csv"])
         target = tmp_path / "exact.csv"

@@ -85,6 +85,16 @@ class TestHyperplane:
         with pytest.raises(ArgumentOutOfRange):
             Hyperplane([1e-13, 0.0], 1.0)
 
+    def test_overflowing_norm_scaled_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = Hyperplane([1e200, 1e200], 0.0)
+            largest = Hyperplane([-1e308, 0.0, 1e308], 0.0)
+        assert huge.weight.tolist() == Hyperplane([1.0, 1.0], 0.0).weight.tolist()
+        assert largest.weight.tolist() == Hyperplane([-1.0, 0.0, 1.0], 0.0).weight.tolist()
+        finite = np.array([3e153, -4e153, 1e152])
+        assert Hyperplane(finite, 0.0).weight.tolist() == (finite / np.linalg.norm(finite)).tolist()
+
     def test_signed_offset(self):
         h = Hyperplane([1.0, 0.0], 0.5)
         assert h.signed_offset([2.0, 7.0]) == 1.5
@@ -179,6 +189,15 @@ class TestInstanceValidation:
         assert inst.center_distance == np.linalg.norm(c - x)
         with pytest.raises(KInsufficient, match=re.escape(repr(float(np.linalg.norm(x))))):
             make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e153)
+
+    def test_center_distance_is_the_validated_norm(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 50, 10**4):
+            c, x = rng.standard_normal(n), 10.0 + rng.standard_normal(n)
+            inst = make_instance(Ball(c, 0.5), Ball(x, 0.5), 1e6)
+            # stored at validation, not recomputed on first use
+            assert "center_distance" in vars(inst)
+            assert inst.center_distance == float(np.linalg.norm(c - x))
 
     def test_swap_symmetry(self):
         inst = canonical_plane()

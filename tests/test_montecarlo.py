@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsep.errors import ArgumentOutOfRange
-from ballsep.geometry import Ball, make_instance, symmetric_instance
+from ballsep.geometry import (
+    Ball,
+    exists_separating_bias_batch,
+    make_instance,
+    separates_batch,
+    symmetric_instance,
+)
 from ballsep.montecarlo import (
     DEFAULT_SEED,
     Estimate,
@@ -244,10 +250,10 @@ class TestPlanarCore:
     def test_collinear_centers_map_to_exact_plane_coordinates(self):
         inst = symmetric_instance(50, 0.4, k_factor=1.0)
         (core,) = _planar_core([inst])
-        assert core.dimension == 2
+        assert core.dimension == 1
         half = inst.bias_half_range
-        assert core.ball_a.center.tolist() == [half, 0.0]
-        assert core.ball_b.center.tolist() == [-half, 0.0]
+        assert core.ball_a.center.tolist() == [half]
+        assert core.ball_b.center.tolist() == [-half]
         assert core.bias_half_range == inst.bias_half_range
         assert core.ball_a.radius == inst.ball_a.radius
 
@@ -267,7 +273,9 @@ class TestPlanarCore:
         cores = _planar_core(pairs)
         assert all(core is inst for core, inst in zip(cores, pairs))
         plane = canonical_plane()
-        assert _planar_core([plane])[0] is plane
+        assert _planar_core([plane])[0].dimension == 1
+        tilted = make_instance(Ball([-2.0, 0.5], 1.0), Ball([1.5, 2.0], 0.5), 3.0)
+        assert _planar_core([tilted])[0] is tilted
 
 
 class TestParentStreams:
@@ -284,6 +292,55 @@ class TestParentStreams:
         pinned = {"fully-random": 0.2360857142857143, "random-weight": 0.9576571428571429}
         for mode, mean in pinned.items():
             assert estimate_all_pairs([inst, other], 3, mode, cfg).mean == mean
+
+
+class TestRankOneCore:
+    """Centers on one line through the origin: the core samples one coordinate."""
+
+    @staticmethod
+    def instances():
+        return [symmetric_instance(3, 0.5), collinear_pose(np.random.default_rng(31), 40, 0.3)]
+
+    def test_core_is_a_line(self):
+        for inst in self.instances() + [canonical_plane()]:
+            (core,) = _planar_core([inst])
+            assert core.dimension == 1
+            assert core.center_distance == pytest.approx(inst.center_distance, rel=1e-14)
+
+    def test_full_hits_are_weight_hits(self):
+        for inst in self.instances():
+            (core,) = _planar_core([inst])
+            rng = _block_rng(3, 0)
+            weights = _sphere_block(rng, 65536, 1, inst.dimension)
+            biases = rng.uniform(-inst.bias_half_range, inst.bias_half_range, 65536)
+            full = separates_batch(weights, biases, core)
+            assert full.any()
+            assert np.all(exists_separating_bias_batch(weights, core)[full])
+            for seed in (0, 1, 77):
+                cfg = McConfig(samples=40000, seed=seed)
+                assert estimate_p_full(inst, cfg).mean <= estimate_p_weight(inst, cfg).mean
+
+    def test_chunks_do_not_change_the_means(self):
+        for inst in self.instances():
+            for run in (estimate_p_full, estimate_p_weight):
+                one = run(inst, McConfig(samples=150000, seed=5, chunks=1))
+                for chunks in (2, 3, 7):
+                    assert run(inst, McConfig(samples=150000, seed=5, chunks=chunks)).mean == one.mean
+
+    def test_width_one_all_pairs_match_single_estimators(self):
+        cfg = McConfig(samples=70000, seed=13)
+        for inst in self.instances():
+            for mode, single in (("fully-random", estimate_p_full), ("random-weight", estimate_p_weight)):
+                tess = estimate_all_pairs([inst], 1, mode, cfg)
+                assert 0.0 < tess.mean < 1.0
+                assert tess.mean == single(inst, cfg).mean
+
+    def test_stream_pinned(self):
+        # one normal and one chi-square(2) per weight, then the biases
+        inst = symmetric_instance(3, 0.5)
+        cfg = McConfig(samples=70000, seed=13)
+        assert estimate_p_full(inst, cfg).mean == 0.12284285714285714
+        assert estimate_p_weight(inst, cfg).mean == 0.4984857142857143
 
 
 def _two_sample_z(a, n_a, b, n_b):
@@ -303,6 +360,7 @@ class TestCoreAgainstOracle:
         "n, rank, sin_phi, oracle_samples",
         [
             (2, 2, 0.5, 1 << 15),
+            (2, 1, 0.5, 1 << 15),
             (3, 2, 0.5, 1 << 15),
             (3, 1, 0.5, 1 << 15),
             (4, 2, 0.5, 1 << 15),
@@ -310,13 +368,14 @@ class TestCoreAgainstOracle:
             (200, 2, 0.07, 1 << 15),
             (200, 1, 0.07, 1 << 15),
             (10**4, 2, 0.01, 4096),
+            (10**4, 1, 0.01, 4096),
         ],
     )
     def test_single_pair(self, n, rank, sin_phi, oracle_samples):
         rng = np.random.default_rng([n, rank])
         pose = general_pose if rank == 2 else collinear_pose
         inst = pose(rng, n, sin_phi)
-        assert _planar_core([inst])[0].dimension == 2
+        assert _planar_core([inst])[0].dimension == rank
         cfg = McConfig(samples=self.CORE_SAMPLES, seed=1000 + n)
         full, weight = full_space_rates([inst], 1, oracle_samples, seed=n)
         for core_mean, oracle_mean in (
@@ -339,6 +398,23 @@ class TestCoreAgainstOracle:
         rng = np.random.default_rng([n, pairs])
         instances = [general_pose(rng, n, 0.3 if n == 3 else 0.07) for _ in range(pairs)]
         assert _planar_core(instances)[0].dimension == min(n, 2 * pairs)
+        self._check_all_pairs(instances, width, mode)
+
+    @pytest.mark.parametrize("mode, width", [("fully-random", 64), ("random-weight", 2)])
+    def test_all_pairs_on_one_line(self, mode, width):
+        # three pairs centered on one line through the origin: a rank-1 core
+        rng = np.random.default_rng([50, 1])
+        u = rng.standard_normal(50)
+        u /= np.linalg.norm(u)
+        instances = [
+            make_instance(Ball(start * u, r), Ball((start + dist) * u, p), 20.0)
+            for start, dist, r, p in ((-3.0, 20.0, 1.0, 1.5), (-10.0, 16.0, 0.5, 0.5), (2.0, 12.0, 1.0, 0.5))
+        ]
+        assert [core.dimension for core in _planar_core(instances)] == [1, 1, 1]
+        self._check_all_pairs(instances, width, mode)
+
+    @staticmethod
+    def _check_all_pairs(instances, width, mode):
         samples = 1 << 14
         core_mean = estimate_all_pairs(instances, width, mode, McConfig(samples=samples, seed=77)).mean
         full, weight = full_space_rates(instances, width, samples, seed=78)

@@ -175,7 +175,7 @@ class TestEstimateAllPairs:
 
     def test_two_pairs_harder_than_each(self):
         pairs = [canonical_plane(), vertical_pair()]
-        for mode in MODES:
+        for mode in ("fully-random", "random-weight"):
             cfg = McConfig(samples=30000, seed=2)
             both = estimate_all_pairs(pairs, 3, mode, cfg).mean
             for alone in pairs:
@@ -200,6 +200,9 @@ class TestEstimateAllPairs:
             estimate_all_pairs([inst], 0, "fully-random", cfg)
         with pytest.raises(ArgumentOutOfRange):
             estimate_all_pairs([inst], 1, "sideways", cfg)
+        # each pair's random-bias planes follow its own axis
+        with pytest.raises(ArgumentOutOfRange, match="random-bias mode takes one pair, got 2"):
+            estimate_all_pairs([inst, vertical_pair()], 1, "random-bias", cfg)
 
 
 class TestWidthPlanning:
