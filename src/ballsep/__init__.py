@@ -14,14 +14,10 @@ from .errors import (
 )
 from .geometry import (
     Ball,
-    Hyperplane,
     SeparationInstance,
     bias_gap_interval,
-    cone_vertex,
-    exists_separating_bias,
     exists_separating_bias_batch,
     make_instance,
-    separates,
     separates_batch,
     symmetric_instance,
 )
@@ -32,8 +28,6 @@ from .montecarlo import (
     estimate_p_bias,
     estimate_p_full,
     estimate_p_weight,
-    sample_bias,
-    sample_unit_sphere,
 )
 from .probability import (
     SeparationReport,
@@ -44,15 +38,12 @@ from .probability import (
     p_random_weight,
     separation_report,
 )
-from .specfun import BetaArgs, beta, log_beta, log_gamma, reg_inc_beta
+from .specfun import BetaArgs, log_beta, reg_inc_beta
 from .tessellation import (
     MODES,
-    SignPattern,
     WidthPlan,
     estimate_all_pairs,
-    pair_separated_by_any,
     plan_width,
-    sign_pattern,
     width_for_confidence,
 )
 
@@ -69,7 +60,6 @@ __all__ = [
     "DimensionTooSmall",
     "EmptyInstanceList",
     "Estimate",
-    "Hyperplane",
     "InternalConsistencyError",
     "KInsufficient",
     "MODES",
@@ -78,34 +68,24 @@ __all__ = [
     "NonPositiveArgument",
     "SeparationInstance",
     "SeparationReport",
-    "SignPattern",
     "WidthPlan",
     "asymptotic_envelope",
-    "beta",
     "bias_gap_interval",
-    "cone_vertex",
     "estimate_all_pairs",
     "estimate_p_bias",
     "estimate_p_full",
     "estimate_p_weight",
-    "exists_separating_bias",
     "exists_separating_bias_batch",
     "lemma_bounds",
     "log_beta",
-    "log_gamma",
     "make_instance",
     "p_fully_random",
     "p_random_bias",
     "p_random_weight",
-    "pair_separated_by_any",
     "plan_width",
     "reg_inc_beta",
-    "sample_bias",
-    "sample_unit_sphere",
-    "separates",
     "separates_batch",
     "separation_report",
-    "sign_pattern",
     "symmetric_instance",
     "width_for_confidence",
     "__version__",

@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import selfcheck
-from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall
+from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
 from .montecarlo import (
     DEFAULT_SEED,
@@ -180,6 +180,24 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+def _write(args, columns, output, table=None) -> int:
+    """Print a record (a dict) or a list of records in --format; exit code 0.
+
+    A record prints as one indented JSON object, a CSV row or name/value
+    lines; a list as one JSON object per line, CSV rows or `table(output)`.
+    """
+    single = isinstance(output, dict)
+    records = [output] if single else output
+    if args.format == "json":
+        text = json.dumps(output, indent=2) + "\n" if single else _json_lines(records)
+    elif args.format == "csv":
+        text = _csv_text(columns, records)
+    else:
+        text = _key_value_text(output) if single else table(records)
+    _emit(text, args.out)
+    return 0
+
+
 def _exact_record(inst: SeparationInstance, report) -> dict:
     return {
         "n": report.dimension,
@@ -197,15 +215,7 @@ def _exact_record(inst: SeparationInstance, report) -> dict:
 
 def cmd_exact(args) -> int:
     inst = _instance_from_args(args)
-    record = _exact_record(inst, separation_report(inst))
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv_text(_EXACT_COLUMNS, [record])
-    else:
-        text = _key_value_text(record)
-    _emit(text, args.out)
-    return 0
+    return _write(args, _EXACT_COLUMNS, _exact_record(inst, separation_report(inst)))
 
 
 def cmd_estimate(args) -> int:
@@ -237,20 +247,17 @@ def cmd_estimate(args) -> int:
                 "z": z,
             }
         )
-    if args.format == "json":
-        text = _json_lines(records)
-    elif args.format == "csv":
-        text = _csv_text(_ESTIMATE_COLUMNS, records)
-    else:
-        header = f"{'estimator':<10} {'mean':>12} {'std_error':>12} {'exact':>12} {'z':>9}"
-        rows = [
-            f"{r['estimator']:<10} {r['mean']:>12.6g} {r['std_error']:>12.6g} "
-            f"{r['exact']:>12.6g} {r['z']:>9.3g}"
-            for r in records
-        ]
-        text = "\n".join([header] + rows) + "\n"
-    _emit(text, args.out)
-    return 0
+    return _write(args, _ESTIMATE_COLUMNS, records, _estimate_table)
+
+
+def _estimate_table(records) -> str:
+    header = f"{'estimator':<10} {'mean':>12} {'std_error':>12} {'exact':>12} {'z':>9}"
+    rows = [
+        f"{r['estimator']:<10} {r['mean']:>12.6g} {r['std_error']:>12.6g} "
+        f"{r['exact']:>12.6g} {r['z']:>9.3g}"
+        for r in records
+    ]
+    return "\n".join([header] + rows) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -279,12 +286,7 @@ def cmd_sweep(args) -> int:
                 n, inst.q_value, inst.sin_phi, inst.center_distance, inst.gap, inst.bias_half_range
             )
             records.append({**_exact_record(inst, report), "envelope": envelope})
-    if args.format == "json":
-        text = _json_lines(records)
-    else:
-        text = _csv_text(_SWEEP_COLUMNS, records)
-    _emit(text, args.out)
-    return 0
+    return _write(args, _SWEEP_COLUMNS, records)
 
 
 def cmd_tessellate(args) -> int:
@@ -309,14 +311,7 @@ def cmd_tessellate(args) -> int:
         "std_error": estimate.std_error,
         "target": args.target,
     }
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv_text(_TESSELLATE_COLUMNS, [record])
-    else:
-        text = _key_value_text(record)
-    _emit(text, args.out)
-    return 0
+    return _write(args, _TESSELLATE_COLUMNS, record)
 
 
 def cmd_validate(args) -> int:
@@ -418,6 +413,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except InternalConsistencyError:
+        # a broken invariant is a bug, not bad input
+        raise
     except BallsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

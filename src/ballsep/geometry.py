@@ -1,9 +1,11 @@
-"""Euclidean balls, hyperplanes, and the strict separation predicate.
+"""Euclidean balls, ball pairs, and the strict separation predicate.
 
-A hyperplane is the zero locus of u -> (w|u) - b with unit normal
-(the "weight" w) and scalar offset (the "bias" b).  An open ball pair
-with a positive gap between the spheres admits a unique double cone
-tangent to both balls; its vertex, half angle, and the derived quantity
+A hyperplane H[w; b] is the zero locus of u -> (w|u) - b with unit
+normal (the "weight" w) and scalar offset (the "bias" b); H[w; b] and
+H[-w; -b] are the same point set.  The predicates take planes as the
+rows of a weight array and a bias vector.  An open ball pair with a
+positive gap between the spheres admits a unique double cone tangent to
+both balls; its vertex, half angle, and the derived quantity
 q = 1 - sin^2(phi) are what the closed-form separation probabilities
 consume, so they are computed once per validated instance.
 
@@ -26,11 +28,6 @@ from .errors import (
     DimensionTooSmall,
     KInsufficient,
 )
-
-# unit-norm tolerance after explicit normalization; weights with smaller
-# norm carry no usable direction and are rejected
-UNIT_TOL = 1e-12
-DEGENERATE_NORM = 1e-12
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -68,49 +65,6 @@ class Ball:
     @property
     def dimension(self) -> int:
         return self.center.size
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
-    """Zero locus of u -> (weight|u) - bias.
-
-    The weight is normalized on construction; inputs with norm below
-    1e-12 are rejected as degenerate, and a weight whose norm overflows
-    is first scaled by its largest magnitude.  Note H[w; b] and H[-w; -b]
-    denote the same point set.
-    """
-
-    weight: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        weight = np.array(self.weight, dtype=float)
-        if weight.ndim != 1 or weight.size == 0 or not np.all(np.isfinite(weight)):
-            raise ArgumentOutOfRange("hyperplane weight must be a finite real vector")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(weight))
-        if norm == math.inf:
-            weight /= np.max(np.abs(weight))
-            norm = float(np.linalg.norm(weight))
-        if norm < DEGENERATE_NORM:
-            raise ArgumentOutOfRange(
-                f"hyperplane weight norm {norm!r} is below {DEGENERATE_NORM}; degenerate"
-            )
-        object.__setattr__(self, "weight", _frozen(weight / norm))
-        object.__setattr__(self, "bias", float(self.bias))
-
-    @property
-    def dimension(self) -> int:
-        return self.weight.size
-
-    def signed_offset(self, point) -> float:
-        """(weight|point) - bias; positive on the weight side."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != self.weight.shape:
-            raise DimensionMismatch(
-                f"point dimension {point.shape} does not match hyperplane {self.weight.shape}"
-            )
-        return float(self.weight @ point - self.bias)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,28 +223,15 @@ def symmetric_instance(
     return make_instance(Ball(c, r), Ball(x, p), k_factor * half)
 
 
-def separates(h: Hyperplane, inst: SeparationInstance) -> bool:
-    """True iff both open balls lie strictly on opposite sides of h.
-
-    Tangent hyperplanes (exact equality with a radius) do not count as
-    separating; the tie has probability zero under every sampling scheme
-    used here.
-    """
-    if h.dimension != inst.dimension:
-        raise DimensionMismatch(
-            f"hyperplane dimension {h.dimension} does not match instance {inst.dimension}"
-        )
-    hit = separates_batch(h.weight[None, :], np.array([h.bias]), inst)
-    return bool(hit[0])
-
-
 def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationInstance) -> np.ndarray:
-    """Vectorized separation predicate.
+    """True for each plane H[w; b] that puts the open balls strictly on
+    opposite sides.
 
     weights: array of shape (m, n) whose rows are unit weights, or their
     coordinates in a subspace holding both centers (see
     `projected_instance`); biases: shape (m,).  Returns a boolean array of
-    shape (m,).
+    shape (m,).  A tangent plane does not separate; the tie has
+    probability zero under every sampling scheme used here.
     """
     weights = np.asarray(weights, dtype=float)
     biases = np.asarray(biases, dtype=float)
@@ -328,33 +269,14 @@ def separates_offsets(off_a, off_b, inst: SeparationInstance) -> np.ndarray:
     )
 
 
-def cone_vertex(inst: SeparationInstance) -> np.ndarray:
-    """Vertex of the double cone tangent to both balls (read-only array)."""
-    return inst.cone_vertex
-
-
-def exists_separating_bias(weight, inst: SeparationInstance) -> bool:
-    """True iff some bias makes the given unit weight separating.
-
-    Equivalent to the projections of the two balls onto span(weight)
-    being disjoint: |(weight | c - x)| > r + p.  When true, the bias
-    (weight | v) through the cone vertex works and automatically lies
-    within [-k, k], so no explicit bias-range check is needed.
-    """
-    weight = np.asarray(weight, dtype=float)
-    if weight.shape != (inst.dimension,):
-        raise DimensionMismatch(
-            f"weight shape {weight.shape} does not match instance dimension {inst.dimension}"
-        )
-    span = float(weight @ (inst.ball_a.center - inst.ball_b.center))
-    return abs(span) > inst.ball_a.radius + inst.ball_b.radius
-
-
 def exists_separating_bias_batch(weights: np.ndarray, inst: SeparationInstance) -> np.ndarray:
-    """Vectorized form of `exists_separating_bias` for (m, n) weights.
+    """True for each weight row that some bias makes separating.
 
-    As in `separates_batch`, rows may be unit weights or their coordinates
-    in a subspace holding both centers.
+    That holds iff the balls' projections onto span(w) are disjoint:
+    |(w | c - x)| > r + p.  The bias (w | v) through the cone vertex then
+    works and lies within [-k, k].  As in `separates_batch`, rows of the
+    (m, n) array may be unit weights or their coordinates in a subspace
+    holding both centers.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != inst.dimension:

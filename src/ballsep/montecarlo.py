@@ -9,6 +9,11 @@ estimators that need only one kind still consume from the same
 positions, which keeps the fully random estimate coupled below the
 random-weight estimate sample by sample on a shared seed.
 
+One sampler runs every experiment: `estimate_all_pairs` draws `width`
+planes per trial in one of the three `MODES` and asks whether they split
+every listed pair, and each single-pair estimator is its one-pair,
+width-1 case.
+
 The estimators see a weight only through its projections onto the ball
 centers, so they sample in the core of an instance: the span of its
 centers, whose dimension d is their rank (1 for centers on a line
@@ -28,7 +33,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, InternalConsistencyError
+from .errors import (
+    ArgumentOutOfRange,
+    DimensionMismatch,
+    EmptyInstanceList,
+    InternalConsistencyError,
+)
 from .geometry import (
     SeparationInstance,
     bias_gap_interval,
@@ -39,6 +49,7 @@ from .geometry import (
 )
 
 DEFAULT_SEED = 42
+MODES = ("fully-random", "random-weight", "random-bias")
 
 _BLOCK = 1 << 16
 _MASK64 = (1 << 64) - 1
@@ -92,20 +103,6 @@ class Estimate:
     def __post_init__(self):
         se = math.sqrt(self.mean * (1.0 - self.mean) / self.samples)
         object.__setattr__(self, "std_error", se)
-
-
-def sample_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One point uniform on the unit sphere in R^n."""
-    if n < 2:
-        raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
-    return _sphere_block(rng, 1, n, n)[0]
-
-
-def sample_bias(k: float, rng: np.random.Generator) -> float:
-    """One bias uniform on [-k, k]."""
-    if not k > 0.0:
-        raise ArgumentOutOfRange(f"bias half range must be positive, got {k!r}")
-    return float(rng.uniform(-k, k))
 
 
 def _full_norms(rng: np.random.Generator, draws: np.ndarray, n: int) -> np.ndarray:
@@ -210,44 +207,86 @@ def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
     raise InternalConsistencyError("axis direction is the zero vector")
 
 
-def estimate_p_full(inst: SeparationInstance, cfg: McConfig) -> Estimate:
-    """Monte Carlo estimate for independent uniform weight and bias."""
-    (core,) = _planar_core([inst])
-    d, n = core.dimension, inst.dimension
-    k = inst.bias_half_range
+def _check_collection(instances: Sequence[SeparationInstance]) -> int:
+    if len(instances) == 0:
+        raise EmptyInstanceList("at least one instance is required")
+    dims = {inst.dimension for inst in instances}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"instances mix dimensions {sorted(dims)}")
+    return dims.pop()
+
+
+def estimate_all_pairs(
+    instances: Sequence[SeparationInstance],
+    width: int,
+    mode: str,
+    cfg: McConfig,
+) -> Estimate:
+    """Chance that one width-m tessellation splits every listed pair.
+
+    Each trial draws `width` hyperplanes according to `mode` and counts
+    a hit when every instance is separated by at least one of them.
+    Biases share a single range, the widest of the instances' ranges,
+    so one bias stream serves the whole collection.  Random-bias mode
+    takes a single pair: its planes are normal to the pair's own axis,
+    and several pairs have no common axis to share one tessellation.
+    One pair at width 1 is the single-pair experiment.
+    """
+    n = _check_collection(instances)
+    if not isinstance(width, int) or width < 1:
+        raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
+    if mode not in MODES:
+        raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
+    k_draw = max(inst.bias_half_range for inst in instances)
+    if mode == "random-bias":
+        if len(instances) > 1:
+            raise ArgumentOutOfRange(
+                f"random-bias mode takes one pair, got {len(instances)}: "
+                "each pair's planes follow its own axis, so they share no tessellation"
+            )
+        (inst,) = instances
+        lo, hi = bias_gap_interval(inst)
+        if abs((hi - lo) - inst.gap) > 1e-10 * max(1.0, inst.gap):
+            raise InternalConsistencyError(
+                "separating-bias interval length disagrees with the instance gap"
+            )
+        proj_a, proj_b = _axis_projections(inst)
+    else:
+        cores = _planar_core(instances)
+        d = cores[0].dimension
 
     def hits(rng: np.random.Generator, m: int) -> int:
-        weights = _sphere_block(rng, m, d, n)
-        biases = rng.uniform(-k, k, m)
-        return int(separates_batch(weights, biases, core).sum())
+        total = m * width
+        if mode == "random-bias":
+            biases = rng.uniform(-k_draw, k_draw, total)
+            per_pair = [separates_offsets(proj_a - biases, proj_b - biases, inst)]
+        else:
+            weights = _sphere_block(rng, total, d, n)
+            if mode == "fully-random":
+                biases = rng.uniform(-k_draw, k_draw, total)
+                per_pair = (separates_batch(weights, biases, core) for core in cores)
+            else:
+                per_pair = (exists_separating_bias_batch(weights, core) for core in cores)
+        # at width 1 every plane is a trial of its own
+        trials = (hit if width == 1 else hit.reshape(m, width).any(axis=1) for hit in per_pair)
+        joint = next(trials)
+        for split in trials:
+            joint &= split
+        return int(joint.sum())
 
-    return bernoulli_estimate(cfg, hits)
+    return bernoulli_estimate(cfg, hits, block=max(1, _BLOCK // width))
+
+
+def estimate_p_full(inst: SeparationInstance, cfg: McConfig) -> Estimate:
+    """Monte Carlo estimate for independent uniform weight and bias."""
+    return estimate_all_pairs([inst], 1, "fully-random", cfg)
 
 
 def estimate_p_weight(inst: SeparationInstance, cfg: McConfig) -> Estimate:
     """Monte Carlo estimate for a uniform weight with best-case bias."""
-    (core,) = _planar_core([inst])
-    d, n = core.dimension, inst.dimension
-
-    def hits(rng: np.random.Generator, m: int) -> int:
-        weights = _sphere_block(rng, m, d, n)
-        return int(exists_separating_bias_batch(weights, core).sum())
-
-    return bernoulli_estimate(cfg, hits)
+    return estimate_all_pairs([inst], 1, "random-weight", cfg)
 
 
 def estimate_p_bias(inst: SeparationInstance, cfg: McConfig) -> Estimate:
     """Monte Carlo estimate for a uniform bias along the fixed axis."""
-    lo, hi = bias_gap_interval(inst)
-    if abs((hi - lo) - inst.gap) > 1e-10 * max(1.0, inst.gap):
-        raise InternalConsistencyError(
-            "separating-bias interval length disagrees with the instance gap"
-        )
-    proj_a, proj_b = _axis_projections(inst)
-    k = inst.bias_half_range
-
-    def hits(rng: np.random.Generator, m: int) -> int:
-        biases = rng.uniform(-k, k, m)
-        return int(separates_offsets(proj_a - biases, proj_b - biases, inst).sum())
-
-    return bernoulli_estimate(cfg, hits)
+    return estimate_all_pairs([inst], 1, "random-bias", cfg)

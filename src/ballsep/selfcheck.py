@@ -22,7 +22,7 @@ import numpy as np
 
 from . import probability
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
-from .montecarlo import DEFAULT_SEED, sample_unit_sphere
+from .montecarlo import DEFAULT_SEED, _sphere_block
 from .specfun import BetaArgs, reg_inc_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
@@ -91,7 +91,7 @@ def random_instance(rng: np.random.Generator) -> SeparationInstance:
     r = float(rng.uniform(0.1, 5.0))
     p = float(rng.uniform(0.1, 5.0))
     delta = float(rng.uniform(1e-3, 10.0))
-    axis = sample_unit_sphere(n, rng)
+    axis = _sphere_block(rng, 1, n, n)[0]
     c = rng.standard_normal(n) * float(rng.uniform(0.1, 3.0))
     x = c + (r + p + delta) * axis
     k_min = max(float(np.linalg.norm(c)), float(np.linalg.norm(x)))

@@ -1,4 +1,4 @@
-"""Log-gamma, beta, and the regularized incomplete beta function.
+"""Log-beta and the regularized incomplete beta function.
 
 The incomplete beta evaluator follows the classic continued-fraction
 scheme with modified Lentz iteration.  When kappa lies past the
@@ -22,22 +22,11 @@ _CF_TINY = 1e-300
 _KAPPA_SLACK = 1e-14
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise NonPositiveArgument(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def log_beta(y: float, z: float) -> float:
-    """log B(y, z) = log Gamma(y) + log Gamma(z) - log Gamma(y+z)."""
-    return log_gamma(y) + log_gamma(z) - log_gamma(y + z)
-
-
-def beta(y: float, z: float) -> float:
-    """The beta function B(y, z) for y, z > 0."""
-    return math.exp(log_beta(y, z))
+    """log B(y, z) = log Gamma(y) + log Gamma(z) - log Gamma(y+z) for y, z > 0."""
+    if not (y > 0.0 and z > 0.0):
+        raise NonPositiveArgument(f"log_beta requires y, z > 0, got y={y!r}, z={z!r}")
+    return math.lgamma(y) + math.lgamma(z) - math.lgamma(y + z)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Nothing here shares code with the package's own evaluators: the
 incomplete beta oracle integrates the defining integral with endpoint-
 weighted adaptive quadrature, the bias oracle counts separating
 hyperplanes over a deterministic grid of offsets, and the sphere oracle
-samples weights in the full space R^n and applies the separation test
+samples weights in the full space R^n; both apply the separation test
 written out from its definition.
 """
 
@@ -13,8 +13,6 @@ import warnings
 
 import numpy as np
 from scipy import integrate
-
-from ballsep.geometry import Hyperplane, separates
 
 _QUAD_TOL = 1e-13
 
@@ -55,11 +53,22 @@ def bias_scan_fraction(inst, weight, points: int = 20001) -> float:
     exact bias probability to within one grid spacing over 2k.
     """
     k = inst.bias_half_range
-    hits = 0
-    for b in np.linspace(-k, k, points):
-        if separates(Hyperplane(weight, float(b)), inst):
-            hits += 1
+    hits = sum(separates_oracle(weight, float(b), inst) for b in np.linspace(-k, k, points))
     return hits / points
+
+
+def separates_oracle(weight, bias, inst) -> bool:
+    """Whether H[weight; bias] separates the pair, from the definition.
+
+    The weight is normalized, and the plane separates when the offsets
+    (w|c) - b and (w|x) - b clear the radii on opposite sides.
+    """
+    w = np.asarray(weight, dtype=float)
+    w = w / np.linalg.norm(w)
+    off_a = float(w @ inst.ball_a.center) - bias
+    off_b = float(w @ inst.ball_b.center) - bias
+    ra, rb = inst.ball_a.radius, inst.ball_b.radius
+    return (off_a > ra and off_b < -rb) or (off_a < -ra and off_b > rb)
 
 
 def full_sphere_block(rng, m: int, n: int) -> np.ndarray:

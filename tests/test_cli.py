@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from ballsep import cli, probability
 from ballsep.cli import main
+from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
 from ballsep.specfun import BetaArgs, reg_inc_beta
@@ -120,6 +121,14 @@ class TestExact:
 
         monkeypatch.setattr(cli, "separation_report", broken)
         with pytest.raises(ValueError, match="math domain error"):
+            main(["exact", *CANONICAL])
+
+    def test_internal_consistency_error_is_not_bad_input(self, monkeypatch):
+        def broken(inst):
+            raise InternalConsistencyError("fully random probability exceeds 1")
+
+        monkeypatch.setattr(cli, "separation_report", broken)
+        with pytest.raises(InternalConsistencyError, match="exceeds 1"):
             main(["exact", *CANONICAL])
 
     @pytest.mark.parametrize(
@@ -338,6 +347,15 @@ class TestTessellate:
         est = parse_csv(est_out)[0]
         assert tess["estimate"] == float(est["mean"])
 
+    def test_certain_separation_plans_one_plane(self, capsys):
+        # at sin(phi) = 1e-17, q rounds to 1 and every weight admits a bias
+        argv = ["--dim", "2", "--sinphi", "1e-17", "--mode", "random-weight", "--target", "0.9"]
+        code, out, err = run(capsys, ["tessellate", *argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert (record["width"], record["per_pair_exact"], record["predicted"]) == (1, 1.0, 1.0)
+        assert record["estimate"] == 1.0
+
     def test_csv_header_stable(self, capsys):
         _, out, _ = run(
             capsys, ["tessellate", *CANONICAL, "--width", "2", "--format", "csv"]
@@ -368,3 +386,74 @@ class TestValidate:
         assert code == 1
         assert "ordering chain" in out
         assert "failing cell" in out
+
+
+class TestOutputPinned:
+    # (exit code, SHA-1 of stdout, stderr) of each argument set in the
+    # table, csv and json formats, recorded from the single-pair estimators
+    # that ran their own block loops and from per-command format branches
+    PINNED = {
+        ("exact", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2"): (
+            0, "d697656a5e50f69ce6d3794024f16ba47b477760", ""),
+        ("exact", "--dim", "7", "--sinphi", "0.3", "--r", "0.5", "--p", "2", "--k-factor",
+         "1.5"): (0, "2973de06d290d8568a68f7aec72343ec5f4ce86f", ""),
+        ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "200000", "--seed", "7"): (
+            0, "60f9845e355f0b43b1d7362eb95b38545b8e7dae", ""),
+        ("estimate", "--c", "0.3,-1,2", "--x", "2,1.5,-0.5", "--r", "0.4", "--p", "0.6",
+         "--k", "4", "--samples", "70000", "--seed", "13"): (
+            0, "2a4ee487a974d975db868289d6cad47df6bd3ab2", ""),
+        ("tessellate", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--target", "0.99"): (0, "96b399f61400ab759f8c109d1e35db2695588094", ""),
+        ("tessellate", "--dim", "50", "--sinphi", "0.2", "--width", "3", "--mode",
+         "random-weight", "--samples", "20000", "--seed", "5"): (
+            0, "d30589232f3f6fdfbb77aa155a870dcfc159b9b8", ""),
+        ("tessellate", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--width", "2", "--mode", "random-bias", "--seed", "3"): (
+            0, "2189cfa2bdb8893feee8436176429dad1a40584e", ""),
+        ("exact", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--format", "csv"): (0, "c87b0d04de33af843a90721f8937f10315977eb7", ""),
+        ("exact", "--dim", "7", "--sinphi", "0.3", "--r", "0.5", "--p", "2", "--k-factor",
+         "1.5", "--format", "csv"): (0, "29b3628257365b60259ce60c04d784468c82712d", ""),
+        ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "200000", "--seed", "7",
+         "--format", "csv"): (0, "fcb9f6cedaab311a6583d54d0bf93dc6bae3eb44", ""),
+        ("estimate", "--c", "0.3,-1,2", "--x", "2,1.5,-0.5", "--r", "0.4", "--p", "0.6",
+         "--k", "4", "--samples", "70000", "--seed", "13", "--format", "csv"): (
+            0, "b0a17142cf4a69c6c5762d53c191ee19518384f5", ""),
+        ("tessellate", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--target", "0.99", "--format", "csv"): (
+            0, "c3a95acc4990999f633989499c1b3bb4141b6124", ""),
+        ("tessellate", "--dim", "50", "--sinphi", "0.2", "--width", "3", "--mode",
+         "random-weight", "--samples", "20000", "--seed", "5", "--format", "csv"): (
+            0, "6377e597c5e6882f466cf34e65aeaaa23eef922a", ""),
+        ("tessellate", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--width", "2", "--mode", "random-bias", "--seed", "3", "--format", "csv"): (
+            0, "cac35f08a2c95b803a0ebfc0df7aa16100e55188", ""),
+        ("exact", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--format", "json"): (0, "4401cb177a1911825d035b136b268f3d73dd2e26", ""),
+        ("exact", "--dim", "7", "--sinphi", "0.3", "--r", "0.5", "--p", "2", "--k-factor",
+         "1.5", "--format", "json"): (0, "4cb5677f62eea07be439369e34005e1495684e8a", ""),
+        ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "200000", "--seed", "7",
+         "--format", "json"): (0, "40aeaa9551291b690538366d039ef87597ceeec6", ""),
+        ("estimate", "--c", "0.3,-1,2", "--x", "2,1.5,-0.5", "--r", "0.4", "--p", "0.6",
+         "--k", "4", "--samples", "70000", "--seed", "13", "--format", "json"): (
+            0, "d5e5b8686e60a909d9677a448602f9518d7c2d8c", ""),
+        ("tessellate", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--target", "0.99", "--format", "json"): (
+            0, "f49c9d8a0dd4f7a75e3fbb3aabf4ae340110462f", ""),
+        ("tessellate", "--dim", "50", "--sinphi", "0.2", "--width", "3", "--mode",
+         "random-weight", "--samples", "20000", "--seed", "5", "--format", "json"): (
+            0, "e9929cb15868332fa64847d7d8c4116bf3705c6a", ""),
+        ("tessellate", "--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2",
+         "--width", "2", "--mode", "random-bias", "--seed", "3", "--format", "json"): (
+            0, "b10237e33ad7497f7170d5b0c6ac62d2a15f68e6", ""),
+        ("validate", "--samples", "2000", "--seed", "1"): (
+            0, "9c5e50b0784e7ec3bd64b412399a63c6153b3476", ""),
+        ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "0"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: samples must be >= 1\n"),
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv))
+    def test_output_pinned(self, capsys, argv):
+        code, out, err = run(capsys, list(argv))
+        assert (code, hashlib.sha1(out.encode()).hexdigest(), err) == self.PINNED[argv]

@@ -16,22 +16,33 @@ from ballsep.errors import (
 )
 from ballsep.geometry import (
     Ball,
-    Hyperplane,
     bias_gap_interval,
-    cone_vertex,
-    exists_separating_bias,
     exists_separating_bias_batch,
     make_instance,
-    separates,
     separates_batch,
     symmetric_instance,
 )
 
-from _oracles import bias_scan_fraction
+from _oracles import bias_scan_fraction, separates_oracle
 
 
 def canonical_plane():
     return make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), 2.0)
+
+
+def unit(weight):
+    w = np.asarray(weight, dtype=float)
+    return w / np.linalg.norm(w)
+
+
+def separates_one(weight, bias, inst):
+    """`separates_batch` on the one-row batch H[weight; bias], weight normalized."""
+    return bool(separates_batch(unit(weight)[None, :], np.array([float(bias)]), inst)[0])
+
+
+def bias_exists_one(weight, inst):
+    """`exists_separating_bias_batch` on a one-row batch."""
+    return bool(exists_separating_bias_batch(unit(weight)[None, :], inst)[0])
 
 
 @st.composite
@@ -74,39 +85,11 @@ class TestBall:
 
 
 class TestHyperplane:
-    def test_weight_normalized(self):
-        h = Hyperplane([3.0, 4.0], 1.0)
-        assert_allclose(np.linalg.norm(h.weight), 1.0, rtol=1e-15)
-        assert_allclose(h.weight, [0.6, 0.8], rtol=1e-15)
-
-    def test_rejects_degenerate_weight(self):
-        with pytest.raises(ArgumentOutOfRange):
-            Hyperplane([0.0, 0.0], 1.0)
-        with pytest.raises(ArgumentOutOfRange):
-            Hyperplane([1e-13, 0.0], 1.0)
-
-    def test_overflowing_norm_scaled_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            huge = Hyperplane([1e200, 1e200], 0.0)
-            largest = Hyperplane([-1e308, 0.0, 1e308], 0.0)
-        assert huge.weight.tolist() == Hyperplane([1.0, 1.0], 0.0).weight.tolist()
-        assert largest.weight.tolist() == Hyperplane([-1.0, 0.0, 1.0], 0.0).weight.tolist()
-        finite = np.array([3e153, -4e153, 1e152])
-        assert Hyperplane(finite, 0.0).weight.tolist() == (finite / np.linalg.norm(finite)).tolist()
-
-    def test_signed_offset(self):
-        h = Hyperplane([1.0, 0.0], 0.5)
-        assert h.signed_offset([2.0, 7.0]) == 1.5
-        with pytest.raises(DimensionMismatch):
-            h.signed_offset([1.0, 2.0, 3.0])
-
+    # planes are one-row batches of the predicate
     def test_negated_plane_is_same_point_set(self):
         inst = canonical_plane()
         for b in (-0.7, 0.0, 0.4, 1.2):
-            assert separates(Hyperplane([1.0, 0.0], b), inst) == separates(
-                Hyperplane([-1.0, 0.0], -b), inst
-            )
+            assert separates_one([1.0, 0.0], b, inst) == separates_one([-1.0, 0.0], -b, inst)
 
 
 class TestInstanceValidation:
@@ -118,16 +101,16 @@ class TestInstanceValidation:
         assert inst.sin_phi == 0.5
         assert inst.q_value == 0.75
         assert_allclose(inst.axis_dir, [1.0, 0.0], rtol=1e-15)
-        assert_allclose(cone_vertex(inst), [0.0, 0.0], atol=1e-15)
+        assert_allclose(inst.cone_vertex, [0.0, 0.0], atol=1e-15)
 
     def test_asymmetric_vertex_splits_by_radius(self):
         # unequal radii pull the vertex toward the smaller ball
         inst = make_instance(Ball([0.0, 0.0], 2.0), Ball([6.0, 0.0], 1.0), 6.0)
         assert inst.gap == 3.0
         assert inst.sin_phi == 0.5
-        assert_allclose(cone_vertex(inst), [4.0, 0.0], atol=1e-15)
+        assert_allclose(inst.cone_vertex, [4.0, 0.0], atol=1e-15)
         assert_allclose(
-            np.linalg.norm(inst.ball_a.center - cone_vertex(inst)),
+            np.linalg.norm(inst.ball_a.center - inst.cone_vertex),
             inst.ball_a.radius / inst.sin_phi,
             rtol=1e-14,
         )
@@ -135,7 +118,7 @@ class TestInstanceValidation:
     def test_cone_tangency_distances(self):
         # the vertex sits where both tangent lengths are radius / sin(phi)
         inst = canonical_plane()
-        v = cone_vertex(inst)
+        v = inst.cone_vertex
         assert_allclose(
             np.linalg.norm(inst.ball_a.center - v),
             inst.ball_a.radius / inst.sin_phi,
@@ -234,12 +217,13 @@ class TestSeparationPredicate:
         inst = canonical_plane()
         lo, hi = bias_gap_interval(inst)
         assert (lo, hi) == (-1.0, 1.0)
-        assert separates(Hyperplane([1.0, 0.0], 0.0), inst)
-        assert separates(Hyperplane([1.0, 0.0], 0.999), inst)
+        assert separates_one([1.0, 0.0], 0.0, inst)
+        assert separates_one([1.0, 0.0], 0.999, inst)
         # tangency does not separate: the spheres meet the plane
-        assert not separates(Hyperplane([1.0, 0.0], 1.0), inst)
-        assert not separates(Hyperplane([1.0, 0.0], 1.5), inst)
-        assert not separates(Hyperplane([0.0, 1.0], 0.0), inst)
+        assert not separates_one([1.0, 0.0], 1.0, inst)
+        assert not separates_one([1.0, 0.0], -1.0, inst)
+        assert not separates_one([1.0, 0.0], 1.5, inst)
+        assert not separates_one([0.0, 1.0], 0.0, inst)
 
     def test_batch_matches_scalar(self):
         inst = canonical_plane()
@@ -248,7 +232,7 @@ class TestSeparationPredicate:
         weights /= np.linalg.norm(weights, axis=1)[:, None]
         biases = rng.uniform(-2.0, 2.0, 64)
         got = separates_batch(weights, biases, inst)
-        want = [separates(Hyperplane(w, float(b)), inst) for w, b in zip(weights, biases)]
+        want = [separates_oracle(w, float(b), inst) for w, b in zip(weights, biases)]
         assert got.tolist() == want
 
     def test_batch_shape_validation(self):
@@ -273,7 +257,7 @@ class TestSeparationPredicate:
         # tilted weight: |w.(x - c)| - (r + p) over the full bias range
         inst = canonical_plane()
         w = np.array([math.sqrt(0.5), math.sqrt(0.5)])
-        assert exists_separating_bias(w, inst)
+        assert bias_exists_one(w, inst)
         span = abs(float(w @ (inst.ball_b.center - inst.ball_a.center)))
         expected = (span - 2.0) / (2.0 * inst.bias_half_range)
         got = bias_scan_fraction(inst, w)
@@ -283,7 +267,7 @@ class TestSeparationPredicate:
         inst = canonical_plane()
         w = np.array([math.sin(0.3), math.cos(0.3)])
         # axis component sin(0.3) < sin(phi) = 0.5, so no bias works
-        assert not exists_separating_bias(w, inst)
+        assert not bias_exists_one(w, inst)
         assert bias_scan_fraction(inst, w) == 0.0
 
 
@@ -306,7 +290,7 @@ class TestRigidMotionEquivariance:
         assert_allclose(moved.sin_phi, inst.sin_phi, rtol=1e-9)
         assert_allclose(moved.q_value, inst.q_value, rtol=1e-9, atol=1e-12)
         assert_allclose(
-            cone_vertex(moved), q_mat @ cone_vertex(inst) + t, rtol=1e-8, atol=1e-9
+            moved.cone_vertex, q_mat @ inst.cone_vertex + t, rtol=1e-8, atol=1e-9
         )
 
     @settings(max_examples=40, deadline=None)
@@ -326,14 +310,15 @@ class TestRigidMotionEquivariance:
         w = rng.standard_normal(n)
         if np.linalg.norm(w) < 1e-6:
             w = np.eye(n)[0]
+        w = unit(w)
         b = float(rng.uniform(-k, k))
-        plane = Hyperplane(w, b)
         # the plane transported by the same motion classifies identically
         # unless the offset sits within float noise of a tangency
-        moved_plane = Hyperplane(q_mat @ plane.weight, plane.bias + float((q_mat @ plane.weight) @ t))
+        moved_w = q_mat @ w
         margins = [
-            abs(abs(plane.signed_offset(ball.center)) - ball.radius)
+            abs(abs(float(w @ ball.center) - b) - ball.radius)
             for ball in (inst.ball_a, inst.ball_b)
         ]
         if min(margins) > 1e-7:
-            assert separates(moved_plane, moved) == separates(plane, inst)
+            moved_b = b + float(moved_w @ t)
+            assert separates_one(moved_w, moved_b, moved) == separates_one(w, b, inst)

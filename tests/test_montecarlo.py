@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsep.errors import ArgumentOutOfRange
+from ballsep import montecarlo
+from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
 from ballsep.geometry import (
     Ball,
     exists_separating_bias_batch,
@@ -22,8 +23,6 @@ from ballsep.montecarlo import (
     estimate_p_bias,
     estimate_p_full,
     estimate_p_weight,
-    sample_bias,
-    sample_unit_sphere,
 )
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
 from ballsep.tessellation import estimate_all_pairs
@@ -143,16 +142,17 @@ class TestSampling:
             assert_allclose(np.linalg.norm(block, axis=1), 1.0, rtol=1e-12)
 
     def test_single_draw_helpers(self):
-        rng = _block_rng(9, 0)
-        v = sample_unit_sphere(5, rng)
-        assert v.shape == (5,)
+        # a single direction is a one-row block, with the bits of the
+        # one-point sampler it replaced (validate's random instances use it)
+        v = _sphere_block(_block_rng(9, 0), 1, 5, 5)[0]
+        assert v.tolist() == [
+            0.2978815438915242,
+            -0.546482055118942,
+            -0.5523416657140664,
+            -0.5335960851656858,
+            -0.15105578920996143,
+        ]
         assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
-        b = sample_bias(3.0, rng)
-        assert -3.0 <= b <= 3.0
-        with pytest.raises(ArgumentOutOfRange):
-            sample_unit_sphere(1, rng)
-        with pytest.raises(ArgumentOutOfRange):
-            sample_bias(0.0, rng)
 
     def test_block_rngs_disjoint(self):
         a = _block_rng(5, 0).standard_normal(8)
@@ -341,6 +341,39 @@ class TestRankOneCore:
         cfg = McConfig(samples=70000, seed=13)
         assert estimate_p_full(inst, cfg).mean == 0.12284285714285714
         assert estimate_p_weight(inst, cfg).mean == 0.4984857142857143
+
+
+class TestSharedSampler:
+    """The single-pair estimators are the one-pair, width-1 all-pairs run."""
+
+    def test_single_estimators_run_the_all_pairs_sampler(self, monkeypatch):
+        calls = []
+        sampler = montecarlo.estimate_all_pairs
+
+        def recorded(instances, width, mode, cfg):
+            calls.append((len(instances), width, mode))
+            return sampler(instances, width, mode, cfg)
+
+        monkeypatch.setattr(montecarlo, "estimate_all_pairs", recorded)
+        cfg = McConfig(samples=1000, seed=3)
+        for run in (estimate_p_full, estimate_p_weight, estimate_p_bias):
+            run(canonical_plane(), cfg)
+        assert calls == [(1, 1, "fully-random"), (1, 1, "random-weight"), (1, 1, "random-bias")]
+
+    def test_random_bias_checks_the_gap_and_draws_no_weights(self, monkeypatch):
+        inst = general_pose(np.random.default_rng(8), 6, 0.4)
+        cfg = McConfig(samples=1000, seed=3)
+
+        def no_core(instances):
+            raise AssertionError("random-bias mode reduced the instance to its core")
+
+        monkeypatch.setattr(montecarlo, "_planar_core", no_core)
+        assert 0.0 < estimate_p_bias(inst, cfg).mean < 1.0
+        lo, hi = montecarlo.bias_gap_interval(inst)
+        monkeypatch.setattr(montecarlo, "bias_gap_interval", lambda inst: (lo, hi + 1e-6))
+        for width in (1, 3):
+            with pytest.raises(InternalConsistencyError, match="disagrees with the instance gap"):
+                estimate_all_pairs([inst], width, "random-bias", cfg)
 
 
 def _two_sample_z(a, n_a, b, n_b):

@@ -175,9 +175,15 @@ class TestReport:
         assert report.sin_phi == inst.sin_phi
         assert report.dimension == 2
 
-    def test_report_rejects_out_of_range(self):
-        with pytest.raises(InternalConsistencyError):
-            SeparationReport(1.5, 0.5, 0.2, 0.75, 0.5, 2)
+    def test_report_rejects_out_of_range(self, monkeypatch):
+        # each probability is range-checked where it is computed
+        with pytest.raises(InternalConsistencyError, match="random-bias probability = 1.5"):
+            probability._report(2, 0.75, 0.5, 4.0, 3.0, 1.0)
+        monkeypatch.setattr(probability, "reg_inc_beta", lambda args: 1.5)
+        with pytest.raises(InternalConsistencyError, match="random-weight probability = 1.5"):
+            separation_report(canonical_plane())
+        monkeypatch.setattr(probability, "reg_inc_beta", lambda args: 1.0 + 1e-13)
+        assert separation_report(canonical_plane()).p_random_weight == 1.0
 
     def test_report_rejects_broken_ordering(self):
         with pytest.raises(InternalConsistencyError):

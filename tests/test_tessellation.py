@@ -10,17 +10,14 @@ from ballsep.errors import (
     EmptyInstanceList,
     InternalConsistencyError,
 )
-from ballsep.geometry import Ball, Hyperplane, make_instance, symmetric_instance
+from ballsep.geometry import Ball, make_instance, symmetric_instance
 from ballsep.montecarlo import McConfig, estimate_p_bias, estimate_p_full, estimate_p_weight
 from ballsep.probability import p_fully_random
 from ballsep.tessellation import (
     MODES,
-    SignPattern,
     WidthPlan,
     estimate_all_pairs,
-    pair_separated_by_any,
     plan_width,
-    sign_pattern,
     width_for_confidence,
 )
 
@@ -32,86 +29,6 @@ def canonical_plane():
 def vertical_pair():
     # same geometry as the canonical pair, rotated onto the second axis
     return make_instance(Ball([0.0, -2.0], 1.0), Ball([0.0, 2.0], 1.0), 2.0)
-
-
-def _interior_point(rng, ball):
-    u = rng.standard_normal(ball.dimension)
-    u *= rng.uniform(0.0, 0.999) / np.linalg.norm(u)
-    return ball.center + ball.radius * u
-
-
-class TestSignPattern:
-    def test_basic_signs(self):
-        planes = [
-            Hyperplane([1.0, 0.0], 0.0),
-            Hyperplane([0.0, 1.0], 2.0),
-            Hyperplane([1.0, 0.0], 1.0),
-        ]
-        assert sign_pattern([1.0, 1.0], planes) == SignPattern((1, -1, 0))
-        assert sign_pattern([-3.0, 5.0], planes) == SignPattern((-1, 1, -1))
-
-    def test_origin_against_offset_planes(self):
-        planes = [Hyperplane([1.0, 0.0], -1.0), Hyperplane([0.0, 1.0], 1.0)]
-        assert sign_pattern([0.0, 0.0], planes) == SignPattern((1, -1))
-
-    def test_empty_plane_list(self):
-        pattern = sign_pattern([1.0, 1.0], [])
-        assert pattern == SignPattern(())
-        assert len(pattern) == 0
-
-    def test_separated_pair_gets_distinct_patterns(self):
-        inst = canonical_plane()
-        planes = [Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.5)]
-        a = sign_pattern(inst.ball_a.center, planes)
-        b = sign_pattern(inst.ball_b.center, planes)
-        assert a != b
-
-    def test_interior_points_split_at_separating_plane(self):
-        # plane 0 misses the pair, plane 1 separates it; every interior
-        # point of one ball must land strictly on the other side of plane 1
-        inst = canonical_plane()
-        planes = [Hyperplane([0.0, 1.0], 0.9), Hyperplane([1.0, 0.0], 0.1)]
-        assert pair_separated_by_any(inst, planes)
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            sa = _interior_point(rng, inst.ball_a)
-            sb = _interior_point(rng, inst.ball_b)
-            pa = sign_pattern(sa, planes)
-            pb = sign_pattern(sb, planes)
-            assert pa.signs[1] == -1
-            assert pb.signs[1] == 1
-
-
-class TestPairSeparatedByAny:
-    def test_empty_list_is_false(self):
-        assert not pair_separated_by_any(canonical_plane(), [])
-
-    def test_any_semantics(self):
-        inst = canonical_plane()
-        miss = Hyperplane([0.0, 1.0], 0.0)
-        hit = Hyperplane([1.0, 0.0], 0.3)
-        assert not pair_separated_by_any(inst, [miss])
-        assert pair_separated_by_any(inst, [miss, hit])
-        assert pair_separated_by_any(inst, [hit, miss])
-
-    def test_validates_before_answering(self):
-        inst = canonical_plane()
-        hit = Hyperplane([1.0, 0.0], 0.0)
-        bad = Hyperplane([1.0, 0.0, 0.0], 0.0)
-        with pytest.raises(DimensionMismatch):
-            pair_separated_by_any(inst, [hit, bad])
-
-    def test_superset_of_planes_never_loses(self):
-        inst = canonical_plane()
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            planes = [
-                Hyperplane(rng.standard_normal(2), float(rng.uniform(-2, 2)))
-                for _ in range(4)
-            ]
-            for cut in range(1, 4):
-                if pair_separated_by_any(inst, planes[:cut]):
-                    assert pair_separated_by_any(inst, planes[: cut + 1])
 
 
 class TestEstimateAllPairs:
@@ -216,9 +133,9 @@ class TestWidthPlanning:
         with pytest.raises(ArgumentOutOfRange):
             width_for_confidence(0.0, 0.9)
         with pytest.raises(ArgumentOutOfRange):
-            width_for_confidence(1.0, 0.9)
-        with pytest.raises(ArgumentOutOfRange):
             width_for_confidence(0.5, 1.0)
+        with pytest.raises(ArgumentOutOfRange):
+            width_for_confidence(1.0, 1.0)
         with pytest.raises(ArgumentOutOfRange):
             width_for_confidence(1.2, 0.9)
 
@@ -245,6 +162,12 @@ class TestWidthPlanning:
     def test_plan_at_certain_separation(self):
         plan = WidthPlan(1.0, 1, 0.99, "fully-random")
         assert plan.achieved_confidence == 1.0
+
+    def test_certain_separation_needs_one_plane(self):
+        assert width_for_confidence(1.0, 0.9) == 1
+        assert width_for_confidence(1.0, 1e-12) == 1
+        plan = plan_width(1.0, 0.9, "random-weight")
+        assert (plan.width, plan.achieved_confidence) == (1, 1.0)
 
     def test_plan_rejects_inconsistent_width(self):
         with pytest.raises(InternalConsistencyError):
