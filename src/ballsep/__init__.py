@@ -39,13 +39,7 @@ from .probability import (
     separation_report,
 )
 from .specfun import BetaArgs, log_beta, reg_inc_beta
-from .tessellation import (
-    MODES,
-    WidthPlan,
-    estimate_all_pairs,
-    plan_width,
-    width_for_confidence,
-)
+from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 __version__ = "0.1.0"
 
@@ -68,7 +62,7 @@ __all__ = [
     "NonPositiveArgument",
     "SeparationInstance",
     "SeparationReport",
-    "WidthPlan",
+    "achieved_confidence",
     "asymptotic_envelope",
     "bias_gap_interval",
     "estimate_all_pairs",
@@ -82,7 +76,6 @@ __all__ = [
     "p_fully_random",
     "p_random_bias",
     "p_random_weight",
-    "plan_width",
     "reg_inc_beta",
     "separates_batch",
     "separation_report",

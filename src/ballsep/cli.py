@@ -25,22 +25,9 @@ import sys
 from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
-from .montecarlo import (
-    DEFAULT_SEED,
-    McConfig,
-    estimate_p_bias,
-    estimate_p_full,
-    estimate_p_weight,
-)
-from .probability import (
-    _report,
-    asymptotic_envelope,
-    p_fully_random,
-    p_random_bias,
-    p_random_weight,
-    separation_report,
-)
-from .tessellation import MODES, estimate_all_pairs, plan_width
+from .montecarlo import DEFAULT_SEED, McConfig
+from .probability import _report, asymptotic_envelope, separation_report
+from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
 _SWEEP_COLUMNS = _EXACT_COLUMNS + ("envelope",)
@@ -56,10 +43,11 @@ _TESSELLATE_COLUMNS = (
     "target",
 )
 
-_EXACT_BY_MODE = {
-    "fully-random": p_fully_random,
-    "random-weight": p_random_weight,
-    "random-bias": p_random_bias,
+# each mode's `estimate` row name and SeparationReport field, in estimate's row order
+_MODE_TABLE = {
+    "random-bias": ("bias", "p_random_bias"),
+    "random-weight": ("weight", "p_random_weight"),
+    "fully-random": ("full", "p_fully_random"),
 }
 
 
@@ -151,8 +139,18 @@ def _csv_text(columns, records) -> str:
     return buffer.getvalue()
 
 
-def _json_lines(records) -> str:
-    return "".join(json.dumps(record) + "\n" for record in records)
+def _json_safe(record) -> dict:
+    # JSON has no inf or nan; write them as the strings CSV writes
+    return {
+        name: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for name, value in record.items()
+    }
+
+
+def _json_lines(records, indent=None) -> str:
+    return "".join(
+        json.dumps(_json_safe(record), indent=indent, allow_nan=False) + "\n" for record in records
+    )
 
 
 def _table_value(value) -> str:
@@ -189,7 +187,7 @@ def _write(args, columns, output, table=None) -> int:
     single = isinstance(output, dict)
     records = [output] if single else output
     if args.format == "json":
-        text = json.dumps(output, indent=2) + "\n" if single else _json_lines(records)
+        text = _json_lines(records, indent=2 if single else None)
     elif args.format == "csv":
         text = _csv_text(columns, records)
     else:
@@ -221,17 +219,13 @@ def cmd_exact(args) -> int:
 def cmd_estimate(args) -> int:
     inst = _instance_from_args(args)
     cfg = McConfig(samples=args.samples, seed=args.seed, chunks=args.chunks)
-    chosen = ("bias", "weight", "full") if args.which == "all" else (args.which,)
-    runners = {
-        "bias": (estimate_p_bias, p_random_bias),
-        "weight": (estimate_p_weight, p_random_weight),
-        "full": (estimate_p_full, p_fully_random),
-    }
+    report = separation_report(inst)
     records = []
-    for name in chosen:
-        run, closed = runners[name]
-        estimate = run(inst, cfg)
-        exact = closed(inst)
+    for mode, (name, field) in _MODE_TABLE.items():
+        if args.which not in ("all", name):
+            continue
+        estimate = estimate_all_pairs([inst], 1, mode, cfg)
+        exact = getattr(report, field)
         if estimate.std_error > 0.0:
             z = (estimate.mean - exact) / estimate.std_error
         elif estimate.mean == exact:
@@ -293,20 +287,16 @@ def cmd_tessellate(args) -> int:
     if (args.width is None) == (args.target is None):
         raise ArgumentOutOfRange("exactly one of --width or --target is required")
     inst = _instance_from_args(args)
-    per_pair = _EXACT_BY_MODE[args.mode](inst)
-    if args.target is not None:
-        width = plan_width(per_pair, args.target, args.mode).width
-    else:
-        width = args.width
+    per_pair = getattr(separation_report(inst), _MODE_TABLE[args.mode][1])
+    width = args.width if args.target is None else width_for_confidence(per_pair, args.target)
     cfg = McConfig(samples=args.samples, seed=args.seed, chunks=args.chunks)
     estimate = estimate_all_pairs([inst], width, args.mode, cfg)
-    predicted = -math.expm1(width * math.log1p(-per_pair)) if per_pair < 1.0 else 1.0
     record = {
         "mode": args.mode,
         "width": width,
         "samples": args.samples,
         "per_pair_exact": per_pair,
-        "predicted": predicted,
+        "predicted": achieved_confidence(per_pair, width),
         "estimate": estimate.mean,
         "std_error": estimate.std_error,
         "target": args.target,

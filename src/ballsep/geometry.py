@@ -5,9 +5,9 @@ normal (the "weight" w) and scalar offset (the "bias" b); H[w; b] and
 H[-w; -b] are the same point set.  The predicates take planes as the
 rows of a weight array and a bias vector.  An open ball pair with a
 positive gap between the spheres admits a unique double cone tangent to
-both balls; its vertex, half angle, and the derived quantity
-q = 1 - sin^2(phi) are what the closed-form separation probabilities
-consume, so they are computed once per validated instance.
+both balls; its half angle and the derived quantity q = 1 - sin^2(phi)
+are what the closed-form separation probabilities consume, so they are
+computed once per validated instance.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads or processes.
@@ -16,7 +16,7 @@ so everything here is safe to share across threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -72,15 +72,17 @@ class SeparationInstance:
     """Validated pair of strictly disjoint balls plus the bias half range.
 
     Construction enforces |c - x| = r + p + gap with gap > 0 and a finite
-    bias_half_range >= max(|c|, |x|) > 0.  Derived geometry (gap, axis
-    direction, tangent-cone vertex and half angle, q value) is exposed as
-    read-only properties.  The axis direction is oriented from the first
-    ball's center toward the second's.
+    bias_half_range >= max(|c|, |x|) > 0.  Derived geometry (center
+    distance, gap, axis direction, tangent-cone half angle, q value) is
+    exposed as read-only attributes.  The axis direction is oriented from
+    the first ball's center toward the second's.
     """
 
     ball_a: Ball
     ball_b: Ball
     bias_half_range: float
+    # |c - x| = r + p + gap, the norm validation computes
+    center_distance: float = field(init=False)
 
     def __post_init__(self):
         a, b = self.ball_a, self.ball_b
@@ -108,17 +110,11 @@ class SeparationInstance:
                 f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}"
             )
         object.__setattr__(self, "bias_half_range", k)
-        # seeds the cached property with the bits np.linalg.norm would give
         object.__setattr__(self, "center_distance", dist)
 
     @property
     def dimension(self) -> int:
         return self.ball_a.dimension
-
-    @cached_property
-    def center_distance(self) -> float:
-        """|c - x| = r + p + gap."""
-        return float(np.linalg.norm(self.ball_a.center - self.ball_b.center))
 
     @cached_property
     def gap(self) -> float:
@@ -130,17 +126,6 @@ class SeparationInstance:
         """Unit vector from ball_a's center toward ball_b's center."""
         diff = self.ball_b.center - self.ball_a.center
         return _frozen(diff / self.center_distance)
-
-    @cached_property
-    def cone_vertex(self) -> np.ndarray:
-        """Vertex of the double cone tangent to both balls.
-
-        Lies on the open segment between the centers, weighted by the
-        opposite radii: v = (p*c + r*x) / (p + r).
-        """
-        a, b = self.ball_a, self.ball_b
-        total = a.radius + b.radius
-        return _frozen((b.radius * a.center + a.radius * b.center) / total)
 
     @cached_property
     def sin_phi(self) -> float:
@@ -173,9 +158,8 @@ def projected_instance(inst: SeparationInstance, center_a, center_b) -> Separati
         _unchecked(Ball, center=_frozen(np.array(center, dtype=float)), radius=ball.radius)
         for center, ball in ((center_a, inst.ball_a), (center_b, inst.ball_b))
     )
-    return _unchecked(
-        SeparationInstance, ball_a=ball_a, ball_b=ball_b, bias_half_range=inst.bias_half_range
-    )
+    kept = {"bias_half_range": inst.bias_half_range, "center_distance": inst.center_distance}
+    return _unchecked(SeparationInstance, ball_a=ball_a, ball_b=ball_b, **kept)
 
 
 def _unchecked(cls, **fields):

@@ -2,21 +2,36 @@
 
 Two balls end up in different cells of a tessellation as soon as one of
 its planes separates them, so with per-plane separation probability p
-the chance that m independent planes split a pair is 1 - (1 - p)^m;
-`plan_width` inverts that for a target confidence.  The harder event
-that one shared tessellation splits every pair of a collection at once
-is measured by `estimate_all_pairs`, the Monte Carlo sampler that every
-estimator runs; it lives in `montecarlo` and is re-exported here with
-its `MODES`.
+the chance that m independent planes split a pair is 1 - (1 - p)^m
+(`achieved_confidence`); `width_for_confidence` inverts that for a
+target confidence.  The harder event that one shared tessellation
+splits every pair of a collection at once is measured by
+`estimate_all_pairs`, the Monte Carlo sampler that every estimator
+runs; it lives in `montecarlo` and is re-exported here with its `MODES`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ArgumentOutOfRange, InternalConsistencyError
+from .errors import ArgumentOutOfRange
 from .montecarlo import MODES, estimate_all_pairs  # noqa: F401 (re-exported)
+
+_MAX_WIDTH = 2**63 - 1  # the largest width a signed 64-bit count holds
+
+
+def _log_miss(per_pair_p: float) -> float:
+    """log(1 - p), the log chance that one plane misses the pair; -inf at p = 1."""
+    if not 0.0 <= per_pair_p <= 1.0:
+        raise ArgumentOutOfRange(f"per-pair probability must lie in [0, 1], got {per_pair_p!r}")
+    return -math.inf if per_pair_p == 1.0 else math.log1p(-per_pair_p)
+
+
+def achieved_confidence(per_pair_p: float, width: int) -> float:
+    """1 - (1 - p)^width: the chance that one of `width` independent planes splits the pair."""
+    if not isinstance(width, int) or width < 1:
+        raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
+    return -math.expm1(width * _log_miss(per_pair_p))
 
 
 def width_for_confidence(per_pair_p: float, target: float) -> int:
@@ -24,67 +39,23 @@ def width_for_confidence(per_pair_p: float, target: float) -> int:
 
     Comparisons run in log space, so the answer is exact wherever the
     logs are; a short walk around the closed-form guess absorbs any
-    ceiling-edge rounding.
+    ceiling-edge rounding.  Raises ArgumentOutOfRange when no width up
+    to 2^63 - 1 reaches the target, p = 0 included.
     """
-    if not 0.0 < per_pair_p <= 1.0:
-        raise ArgumentOutOfRange(f"per-pair probability must lie in (0, 1], got {per_pair_p!r}")
+    log_miss = _log_miss(per_pair_p)
     if not 0.0 < target < 1.0:
         raise ArgumentOutOfRange(f"target confidence must lie in (0, 1), got {target!r}")
-    if per_pair_p == 1.0:
-        # every plane separates, so one suffices
-        return 1
-    log_miss = math.log1p(-per_pair_p)
     log_allowed = math.log1p(-target)
+    # a step of the walk below moves the product by about 1/width of it,
+    # so far past this bound one ulp takes more steps than can be walked
+    if _MAX_WIDTH * log_miss > log_allowed:
+        raise ArgumentOutOfRange(
+            f"per-pair probability {per_pair_p!r} needs more than 2**63 - 1 planes "
+            f"to reach confidence {target!r}"
+        )
     guess = max(1, math.ceil(log_allowed / log_miss))
     while guess > 1 and (guess - 1) * log_miss <= log_allowed:
         guess -= 1
     while guess * log_miss > log_allowed:
         guess += 1
     return guess
-
-
-@dataclass(frozen=True)
-class WidthPlan:
-    """Planned tessellation width for a per-pair probability and target."""
-
-    per_pair_probability: float
-    width: int
-    target_confidence: float
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.per_pair_probability <= 1.0:
-            raise ArgumentOutOfRange(
-                f"per-pair probability must lie in (0, 1], got {self.per_pair_probability!r}"
-            )
-        if not 0.0 < self.target_confidence < 1.0:
-            raise ArgumentOutOfRange(
-                f"target confidence must lie in (0, 1), got {self.target_confidence!r}"
-            )
-        if not isinstance(self.width, int) or self.width < 1:
-            raise ArgumentOutOfRange(f"width must be a positive int, got {self.width!r}")
-        if self.width * self._log_miss > math.log1p(-self.target_confidence):
-            raise InternalConsistencyError("planned width misses the target confidence")
-
-    @property
-    def _log_miss(self) -> float:
-        """log(1 - p); -inf at p = 1, where one plane always separates."""
-        p = self.per_pair_probability
-        return -math.inf if p == 1.0 else math.log1p(-p)
-
-    @property
-    def achieved_confidence(self) -> float:
-        """1 - (1 - p)^width for the planned width."""
-        return -math.expm1(self.width * self._log_miss)
-
-
-def plan_width(per_pair_p: float, target: float, mode: str = "fully-random") -> WidthPlan:
-    """Minimal-width plan meeting the target success probability."""
-    return WidthPlan(
-        per_pair_probability=per_pair_p,
-        width=width_for_confidence(per_pair_p, target),
-        target_confidence=target,
-        mode=mode,
-    )

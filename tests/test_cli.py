@@ -189,6 +189,21 @@ class TestEstimate:
         assert rows[0]["estimator"] == "weight"
         assert float(rows[0]["exact"]) == p_random_weight_of_half()
 
+    def test_json_writes_infinite_z_as_csv_does(self, capsys):
+        # mean and std_error are 0 against an exact 3.5e-130, so z is -inf
+        argv = ["estimate", "--dim", "2000", "--sinphi", "0.5", "--samples", "1000", "--which",
+                "full"]
+        _, csv_out, _ = run(capsys, [*argv, "--format", "csv"])
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        record = json.loads(out, parse_constant=reject)
+        assert record["z"] == parse_csv(csv_out)[0]["z"] == "-inf"
+        assert (record["mean"], record["std_error"]) == (0.0, 0.0)
+
     def test_table_header(self, capsys):
         _, out, _ = run(capsys, ["estimate", *CANONICAL, "--samples", "1000"])
         assert out.splitlines()[0].split() == ["estimator", "mean", "std_error", "exact", "z"]
@@ -334,7 +349,7 @@ class TestTessellate:
         assert record["estimate"] >= 0.985
         assert record["samples"] == 10000
 
-    def test_width_one_reproduces_estimate(self, capsys):
+    def test_width_one_pinned(self, capsys):
         shared = ["--dim", "3", "--sinphi", "0.5", "--samples", "20000", "--seed", "11"]
         _, tess_out, _ = run(
             capsys,
@@ -343,9 +358,23 @@ class TestTessellate:
         _, est_out, _ = run(
             capsys, ["estimate", *shared, "--which", "weight", "--format", "csv"]
         )
-        tess = json.loads(tess_out)
-        est = parse_csv(est_out)[0]
-        assert tess["estimate"] == float(est["mean"])
+        assert json.loads(tess_out)["estimate"] == 0.5006
+        assert float(parse_csv(est_out)[0]["mean"]) == 0.5006
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # p_full = 2.9e-67: the planning walk used to step down by one forever
+            ["--dim", "1000", "--sinphi", "0.5", "--target", "0.9"],
+            # 2.1e21 planes used to reach numpy and end in a traceback
+            ["--dim", "50", "--sinphi", "0.9", "--target", "0.9"],
+        ],
+    )
+    def test_unreachable_target_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, ["tessellate", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: per-pair probability ")
+        assert "needs more than 2**63 - 1 planes to reach confidence 0.9" in err
 
     def test_certain_separation_plans_one_plane(self, capsys):
         # at sin(phi) = 1e-17, q rounds to 1 and every weight admits a bias

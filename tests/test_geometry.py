@@ -101,34 +101,11 @@ class TestInstanceValidation:
         assert inst.sin_phi == 0.5
         assert inst.q_value == 0.75
         assert_allclose(inst.axis_dir, [1.0, 0.0], rtol=1e-15)
-        assert_allclose(inst.cone_vertex, [0.0, 0.0], atol=1e-15)
 
-    def test_asymmetric_vertex_splits_by_radius(self):
-        # unequal radii pull the vertex toward the smaller ball
+    def test_asymmetric_radii_geometry(self):
         inst = make_instance(Ball([0.0, 0.0], 2.0), Ball([6.0, 0.0], 1.0), 6.0)
         assert inst.gap == 3.0
         assert inst.sin_phi == 0.5
-        assert_allclose(inst.cone_vertex, [4.0, 0.0], atol=1e-15)
-        assert_allclose(
-            np.linalg.norm(inst.ball_a.center - inst.cone_vertex),
-            inst.ball_a.radius / inst.sin_phi,
-            rtol=1e-14,
-        )
-
-    def test_cone_tangency_distances(self):
-        # the vertex sits where both tangent lengths are radius / sin(phi)
-        inst = canonical_plane()
-        v = inst.cone_vertex
-        assert_allclose(
-            np.linalg.norm(inst.ball_a.center - v),
-            inst.ball_a.radius / inst.sin_phi,
-            rtol=1e-10,
-        )
-        assert_allclose(
-            np.linalg.norm(inst.ball_b.center - v),
-            inst.ball_b.radius / inst.sin_phi,
-            rtol=1e-10,
-        )
 
     def test_overlap_and_touch_rejected(self):
         with pytest.raises(BallsOverlapOrTouch, match=r"balls overlap or touch \(delta <= 0\)"):
@@ -188,7 +165,6 @@ class TestInstanceValidation:
         assert swapped.gap == inst.gap
         assert swapped.sin_phi == inst.sin_phi
         assert swapped.q_value == inst.q_value
-        assert_allclose(swapped.cone_vertex, inst.cone_vertex, atol=1e-15)
         assert_allclose(swapped.axis_dir, -inst.axis_dir, rtol=1e-15)
 
 
@@ -289,9 +265,6 @@ class TestRigidMotionEquivariance:
         assert_allclose(moved.gap, inst.gap, rtol=1e-9, atol=1e-12)
         assert_allclose(moved.sin_phi, inst.sin_phi, rtol=1e-9)
         assert_allclose(moved.q_value, inst.q_value, rtol=1e-9, atol=1e-12)
-        assert_allclose(
-            moved.cone_vertex, q_mat @ inst.cone_vertex + t, rtol=1e-8, atol=1e-9
-        )
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,25 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballsep.errors import (
-    ArgumentOutOfRange,
-    DimensionMismatch,
-    EmptyInstanceList,
-    InternalConsistencyError,
-)
+from ballsep.errors import ArgumentOutOfRange, DimensionMismatch, EmptyInstanceList
 from ballsep.geometry import Ball, make_instance, symmetric_instance
-from ballsep.montecarlo import McConfig, estimate_p_bias, estimate_p_full, estimate_p_weight
+from ballsep.montecarlo import McConfig
 from ballsep.probability import p_fully_random
-from ballsep.tessellation import (
-    MODES,
-    WidthPlan,
-    estimate_all_pairs,
-    plan_width,
-    width_for_confidence,
-)
+from ballsep.tessellation import achieved_confidence, estimate_all_pairs, width_for_confidence
 
 
 def canonical_plane():
@@ -32,30 +22,31 @@ def vertical_pair():
 
 
 class TestEstimateAllPairs:
-    def test_width_one_reduces_to_single_estimators(self):
-        inst = canonical_plane()
+    def test_width_one_pinned_on_the_plane(self):
+        # the single-pair experiment at n = 2, whose rank-1 core draws one
+        # squared normal for the missing coordinate
         cfg = McConfig(samples=70000, seed=13)
-        single = {
-            "fully-random": estimate_p_full,
-            "random-weight": estimate_p_weight,
-            "random-bias": estimate_p_bias,
+        pinned = {
+            "fully-random": 0.2150857142857143,
+            "random-weight": 0.6660142857142857,
+            "random-bias": 0.49832857142857145,
         }
-        for mode in MODES:
-            tess = estimate_all_pairs([inst], 1, mode, cfg)
-            assert tess.mean == single[mode](inst, cfg).mean
+        for mode, mean in pinned.items():
+            assert estimate_all_pairs([canonical_plane()], 1, mode, cfg).mean == mean
 
-    def test_width_one_matches_single_estimators_in_general_pose(self):
-        # n = 50 pair off the axes: both paths sample in the same planar core
+    def test_width_one_pinned_in_general_pose(self):
+        # n = 50 pair off the axes: the sampler draws in its planar core
         rng = np.random.default_rng(50)
         c = rng.standard_normal(50)
         x = c + 6.0 * rng.standard_normal(50) / math.sqrt(50)
         k = 1.5 * max(np.linalg.norm(c), np.linalg.norm(x))
         inst = make_instance(Ball(c, 0.3), Ball(x, 0.2), float(k))
         cfg = McConfig(samples=70000, seed=13)
-        for mode, single in (("fully-random", estimate_p_full), ("random-weight", estimate_p_weight)):
+        pinned = {"fully-random": 0.008285714285714285, "random-weight": 0.5215}
+        for mode, mean in pinned.items():
             tess = estimate_all_pairs([inst], 1, mode, cfg)
             assert 0.0 < tess.mean < 1.0
-            assert tess.mean == single(inst, cfg).mean
+            assert tess.mean == mean
 
     def test_wider_tessellations_separate_more(self):
         inst = canonical_plane()
@@ -153,30 +144,40 @@ class TestWidthPlanning:
         if m > 1:
             assert (m - 1) * log_miss > log_allowed
 
-    def test_plan_width_record(self):
-        plan = plan_width(0.5, 0.9, "random-bias")
-        assert plan.width == 4
-        assert plan.mode == "random-bias"
-        assert plan.achieved_confidence >= 0.9 - 1e-12
+    def test_width_too_large_is_rejected_before_walking(self):
+        # p_full of symmetric_instance(1000, 0.5): the guess is 7.8e66
+        # planes, where the walk would step down by one forever
+        start = time.perf_counter()
+        with pytest.raises(ArgumentOutOfRange, match="more than 2\\*\\*63 - 1 planes"):
+            width_for_confidence(2.9375131677128833e-67, 0.9)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ArgumentOutOfRange, match="more than 2\\*\\*63 - 1 planes"):
+            width_for_confidence(1e-30, 0.5)
+        # below the bound the walk still ends, at the minimal width
+        for p in (1e-18, 2.5e-19):
+            m = width_for_confidence(p, 0.9)
+            assert m * math.log1p(-p) <= math.log1p(-0.9) < (m - 1) * math.log1p(-p)
 
-    def test_plan_at_certain_separation(self):
-        plan = WidthPlan(1.0, 1, 0.99, "fully-random")
-        assert plan.achieved_confidence == 1.0
+    def test_achieved_confidence(self):
+        assert achieved_confidence(1.0, 1) == 1.0
+        assert achieved_confidence(0.5, 4) >= 0.9
+        assert achieved_confidence(0.5, 3) < 0.9
+        # no plane ever separates: the tessellation never splits the pair
+        assert achieved_confidence(0.0, 5) == 0.0
 
     def test_certain_separation_needs_one_plane(self):
         assert width_for_confidence(1.0, 0.9) == 1
         assert width_for_confidence(1.0, 1e-12) == 1
-        plan = plan_width(1.0, 0.9, "random-weight")
-        assert (plan.width, plan.achieved_confidence) == (1, 1.0)
+        assert achieved_confidence(1.0, 1) == 1.0
 
-    def test_plan_rejects_inconsistent_width(self):
-        with pytest.raises(InternalConsistencyError):
-            WidthPlan(0.5, 2, 0.9, "fully-random")
+    def test_bad_probability_rejected(self):
+        for p in (-0.1, 1.2, math.nan):
+            with pytest.raises(ArgumentOutOfRange, match="per-pair probability must lie in"):
+                achieved_confidence(p, 4)
+            with pytest.raises(ArgumentOutOfRange, match="per-pair probability must lie in"):
+                width_for_confidence(p, 0.9)
 
-    def test_plan_rejects_bad_fields(self):
-        with pytest.raises(ArgumentOutOfRange):
-            WidthPlan(0.5, 4, 0.9, "diagonal")
-        with pytest.raises(ArgumentOutOfRange):
-            WidthPlan(0.0, 4, 0.9, "fully-random")
-        with pytest.raises(ArgumentOutOfRange):
-            WidthPlan(0.5, 0, 0.9, "fully-random")
+    def test_bad_width_rejected(self):
+        for width in (0, -3, 2.0):
+            with pytest.raises(ArgumentOutOfRange, match="width must be a positive int"):
+                achieved_confidence(1.0, width)
