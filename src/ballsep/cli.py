@@ -142,7 +142,7 @@ def _csv_text(columns, records) -> str:
 def _json_safe(record) -> dict:
     # JSON has no inf or nan; write them as the strings CSV writes
     return {
-        name: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+        name: _cell(value) if isinstance(value, float) and not math.isfinite(value) else value
         for name, value in record.items()
     }
 

@@ -52,6 +52,7 @@ DEFAULT_SEED = 42
 MODES = ("fully-random", "random-weight", "random-bias")
 
 _BLOCK = 1 << 16
+_MAX_TRIAL_PLANES = 1 << 24  # a trial's planes are drawn in one array
 _MASK64 = (1 << 64) - 1
 _NORM_FLOOR = 1e-12
 
@@ -207,15 +208,6 @@ def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
     raise InternalConsistencyError("axis direction is the zero vector")
 
 
-def _check_collection(instances: Sequence[SeparationInstance]) -> int:
-    if len(instances) == 0:
-        raise EmptyInstanceList("at least one instance is required")
-    dims = {inst.dimension for inst in instances}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"instances mix dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 def estimate_all_pairs(
     instances: Sequence[SeparationInstance],
     width: int,
@@ -232,9 +224,16 @@ def estimate_all_pairs(
     and several pairs have no common axis to share one tessellation.
     One pair at width 1 is the single-pair experiment.
     """
-    n = _check_collection(instances)
+    if len(instances) == 0:
+        raise EmptyInstanceList("at least one instance is required")
+    dims = {inst.dimension for inst in instances}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"instances mix dimensions {sorted(dims)}")
+    n = dims.pop()
     if not isinstance(width, int) or width < 1:
         raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
+    if width > _MAX_TRIAL_PLANES:
+        raise ArgumentOutOfRange(f"width {width} exceeds 2**24, the most planes one trial draws")
     if mode not in MODES:
         raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
     k_draw = max(inst.bias_half_range for inst in instances)

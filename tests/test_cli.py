@@ -376,6 +376,15 @@ class TestTessellate:
         assert err.startswith("error: per-pair probability ")
         assert "needs more than 2**63 - 1 planes to reach confidence 0.9" in err
 
+    def test_width_past_one_trial_exits_two(self, capsys):
+        # p_full = 3.8e-14 plans 6.1e13 planes: a 64-bit count, but not one array
+        argv = ["--dim", "30", "--sinphi", "0.9", "--target", "0.9"]
+        code, out, err = run(capsys, ["tessellate", *argv])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: width 60735314490406 exceeds 2**24, the most planes one trial draws\n"
+        )
+
     def test_certain_separation_plans_one_plane(self, capsys):
         # at sin(phi) = 1e-17, q rounds to 1 and every weight admits a bias
         argv = ["--dim", "2", "--sinphi", "1e-17", "--mode", "random-weight", "--target", "0.9"]

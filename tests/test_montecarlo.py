@@ -265,7 +265,8 @@ class TestPlanarCore:
         for inst, core in zip(pairs, cores):
             for ball, image in ((inst.ball_a, core.ball_a), (inst.ball_b, core.ball_b)):
                 assert_allclose(np.linalg.norm(image.center), np.linalg.norm(ball.center), rtol=1e-13)
-            assert_allclose(core.center_distance, inst.center_distance, rtol=1e-13)
+            distance = np.linalg.norm(core.ball_a.center - core.ball_b.center)
+            assert_allclose(distance, inst.center_distance, rtol=1e-13)
 
     def test_full_rank_span_is_the_instance_itself(self):
         rng = np.random.default_rng(9)
@@ -305,7 +306,8 @@ class TestRankOneCore:
         for inst in self.instances() + [canonical_plane()]:
             (core,) = _planar_core([inst])
             assert core.dimension == 1
-            assert core.center_distance == pytest.approx(inst.center_distance, rel=1e-14)
+            distance = np.linalg.norm(core.ball_a.center - core.ball_b.center)
+            assert distance == pytest.approx(inst.center_distance, rel=1e-14)
 
     def test_full_hits_are_weight_hits(self):
         for inst in self.instances():

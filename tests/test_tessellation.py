@@ -108,6 +108,9 @@ class TestEstimateAllPairs:
             estimate_all_pairs([inst], 0, "fully-random", cfg)
         with pytest.raises(ArgumentOutOfRange):
             estimate_all_pairs([inst], 1, "sideways", cfg)
+        # checked before any plane is drawn
+        with pytest.raises(ArgumentOutOfRange, match="width 16777217 exceeds 2\\*\\*24"):
+            estimate_all_pairs([inst], 2**24 + 1, "fully-random", cfg)
         # each pair's random-bias planes follow its own axis
         with pytest.raises(ArgumentOutOfRange, match="random-bias mode takes one pair, got 2"):
             estimate_all_pairs([inst, vertical_pair()], 1, "random-bias", cfg)
