@@ -25,7 +25,7 @@ import sys
 from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
-from .montecarlo import DEFAULT_SEED, McConfig
+from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
 from .probability import _report, asymptotic_envelope, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
@@ -220,11 +220,9 @@ def cmd_estimate(args) -> int:
     inst = _instance_from_args(args)
     cfg = McConfig(samples=args.samples, seed=args.seed, chunks=args.chunks)
     report = separation_report(inst)
+    rows = {mode: row for mode, row in _MODE_TABLE.items() if args.which in ("all", row[0])}
     records = []
-    for mode, (name, field) in _MODE_TABLE.items():
-        if args.which not in ("all", name):
-            continue
-        estimate = estimate_all_pairs([inst], 1, mode, cfg)
+    for (name, field), estimate in zip(rows.values(), estimate_modes([inst], 1, tuple(rows), cfg)):
         exact = getattr(report, field)
         if estimate.std_error > 0.0:
             z = (estimate.mean - exact) / estimate.std_error

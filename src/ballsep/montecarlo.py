@@ -4,15 +4,17 @@ Samples are organized into fixed logical blocks of 65536.  Block i of a
 run with seed s draws from Philox keyed by (splitmix64(s), splitmix64(i)),
 never from a shared stream, so the estimate for a given (instance,
 samples, seed) triple is byte-identical whatever the chunk count.
-Within every block the draw order is weights first, then biases;
-estimators that need only one kind still consume from the same
-positions, which keeps the fully random estimate coupled below the
-random-weight estimate sample by sample on a shared seed.
+Within every block the draw order is weights first, then biases.  The
+random-weight and fully random estimates of one run share each block's
+weights, drawn once before the biases, so the fully random estimate
+stays below the random-weight one sample by sample.  A random-bias
+block draws only biases, from the start of its stream, so that mode
+runs its own pass.
 
-One sampler runs every experiment: `estimate_all_pairs` draws `width`
-planes per trial in one of the three `MODES` and asks whether they split
-every listed pair, and each single-pair estimator is its one-pair,
-width-1 case.
+One sampler runs every experiment: `estimate_modes` draws `width` planes
+per trial in each of the requested `MODES` and asks whether they split
+every listed pair.  `estimate_all_pairs` is its one-mode case, and each
+single-pair estimator the one-pair, width-1 case of that.
 
 The estimators see a weight only through its projections onto the ball
 centers, so they sample in the core of an instance: the span of its
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -83,11 +85,12 @@ class McConfig:
     chunks: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 1:
+        # bool is an int subclass, and True is no count
+        if type(self.samples) is not int or self.samples < 1:
             raise ArgumentOutOfRange("samples must be >= 1")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
+        if type(self.seed) is not int or not 0 <= self.seed <= _MASK64:
             raise ArgumentOutOfRange(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if not isinstance(self.chunks, int) or not 1 <= self.chunks <= self.samples:
+        if type(self.chunks) is not int or not 1 <= self.chunks <= self.samples:
             raise ArgumentOutOfRange(
                 f"chunks must be between 1 and samples, got {self.chunks!r}"
             )
@@ -175,20 +178,33 @@ def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInst
 
 def bernoulli_estimate(
     cfg: McConfig,
-    block_hits: Callable[[np.random.Generator, int], int],
+    block_hits: Callable[[np.random.Generator, int], tuple[int, ...]],
     block: int = _BLOCK,
-) -> Estimate:
-    """Run `block_hits` over every logical block and average the hits.
+) -> tuple[Estimate, ...]:
+    """Run `block_hits` over every logical block and average each of its counts.
 
-    Hits are summed as exact integers, so the mean depends only on the
-    per-block results.
+    `block_hits` returns one hit count per estimate.  Hits are summed as
+    exact integers, so each mean depends only on the per-block results.
     """
     n_blocks = -(-cfg.samples // block)
-    total = 0
-    for index in range(n_blocks):
-        count = min(block, cfg.samples - index * block)
-        total += int(block_hits(_block_rng(cfg.seed, index), count))
-    return Estimate(mean=total / cfg.samples, samples=cfg.samples)
+    per_block = [
+        block_hits(_block_rng(cfg.seed, index), min(block, cfg.samples - index * block))
+        for index in range(n_blocks)
+    ]
+    return tuple(
+        Estimate(mean=sum(map(int, hits)) / cfg.samples, samples=cfg.samples)
+        for hits in zip(*per_block)
+    )
+
+
+def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int) -> int:
+    """How many of m trials of `width` planes split every pair, from each pair's plane hits."""
+    # at width 1 every plane is a trial of its own
+    trials = (hit if width == 1 else hit.reshape(m, width).any(axis=1) for hit in per_pair)
+    joint = next(trials)
+    for split in trials:
+        joint &= split
+    return int(joint.sum())
 
 
 def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
@@ -208,21 +224,22 @@ def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
     raise InternalConsistencyError("axis direction is the zero vector")
 
 
-def estimate_all_pairs(
+def estimate_modes(
     instances: Sequence[SeparationInstance],
     width: int,
-    mode: str,
+    modes: Sequence[str],
     cfg: McConfig,
-) -> Estimate:
-    """Chance that one width-m tessellation splits every listed pair.
+) -> tuple[Estimate, ...]:
+    """Chance that one width-m tessellation splits every listed pair, once per mode.
 
-    Each trial draws `width` hyperplanes according to `mode` and counts
+    Each trial draws `width` hyperplanes according to a mode and counts
     a hit when every instance is separated by at least one of them.
     Biases share a single range, the widest of the instances' ranges,
     so one bias stream serves the whole collection.  Random-bias mode
     takes a single pair: its planes are normal to the pair's own axis,
     and several pairs have no common axis to share one tessellation.
-    One pair at width 1 is the single-pair experiment.
+    One pair at width 1 is the single-pair experiment.  The estimates
+    come back in the order of `modes`, each as it would alone.
     """
     if len(instances) == 0:
         raise EmptyInstanceList("at least one instance is required")
@@ -230,14 +247,17 @@ def estimate_all_pairs(
     if len(dims) != 1:
         raise DimensionMismatch(f"instances mix dimensions {sorted(dims)}")
     n = dims.pop()
-    if not isinstance(width, int) or width < 1:
+    if type(width) is not int or width < 1:
         raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
     if width > _MAX_TRIAL_PLANES:
         raise ArgumentOutOfRange(f"width {width} exceeds 2**24, the most planes one trial draws")
-    if mode not in MODES:
-        raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
+    for mode in modes:
+        if mode not in MODES:
+            raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
     k_draw = max(inst.bias_half_range for inst in instances)
-    if mode == "random-bias":
+    block = max(1, _BLOCK // width)
+    estimates = {}
+    if "random-bias" in modes:
         if len(instances) > 1:
             raise ArgumentOutOfRange(
                 f"random-bias mode takes one pair, got {len(instances)}: "
@@ -250,30 +270,37 @@ def estimate_all_pairs(
                 "separating-bias interval length disagrees with the instance gap"
             )
         proj_a, proj_b = _axis_projections(inst)
-    else:
+
+        def bias_hits(rng: np.random.Generator, m: int) -> tuple[int]:
+            biases = rng.uniform(-k_draw, k_draw, m * width)
+            split = separates_offsets(proj_a - biases, proj_b - biases, inst)
+            return (_trial_hits([split], m, width),)
+
+        (estimates["random-bias"],) = bernoulli_estimate(cfg, bias_hits, block)
+    weight_modes = [mode for mode in modes if mode != "random-bias"]
+    if weight_modes:
         cores = _planar_core(instances)
         d = cores[0].dimension
 
-    def hits(rng: np.random.Generator, m: int) -> int:
-        total = m * width
-        if mode == "random-bias":
-            biases = rng.uniform(-k_draw, k_draw, total)
-            per_pair = [separates_offsets(proj_a - biases, proj_b - biases, inst)]
-        else:
-            weights = _sphere_block(rng, total, d, n)
-            if mode == "fully-random":
-                biases = rng.uniform(-k_draw, k_draw, total)
-                per_pair = (separates_batch(weights, biases, core) for core in cores)
-            else:
-                per_pair = (exists_separating_bias_batch(weights, core) for core in cores)
-        # at width 1 every plane is a trial of its own
-        trials = (hit if width == 1 else hit.reshape(m, width).any(axis=1) for hit in per_pair)
-        joint = next(trials)
-        for split in trials:
-            joint &= split
-        return int(joint.sum())
+        def hits(rng: np.random.Generator, m: int) -> tuple[int, ...]:
+            weights = _sphere_block(rng, m * width, d, n)
+            split = {"random-weight": lambda core: exists_separating_bias_batch(weights, core)}
+            if "fully-random" in weight_modes:
+                # drawn after the weights, so both modes share them
+                biases = rng.uniform(-k_draw, k_draw, m * width)
+                split["fully-random"] = lambda core: separates_batch(weights, biases, core)
+            return tuple(_trial_hits(map(split[mode], cores), m, width) for mode in weight_modes)
 
-    return bernoulli_estimate(cfg, hits, block=max(1, _BLOCK // width))
+        estimates.update(zip(weight_modes, bernoulli_estimate(cfg, hits, block)))
+    return tuple(estimates[mode] for mode in modes)
+
+
+def estimate_all_pairs(
+    instances: Sequence[SeparationInstance], width: int, mode: str, cfg: McConfig
+) -> Estimate:
+    """The one-mode case of `estimate_modes`."""
+    (estimate,) = estimate_modes(instances, width, (mode,), cfg)
+    return estimate
 
 
 def estimate_p_full(inst: SeparationInstance, cfg: McConfig) -> Estimate:

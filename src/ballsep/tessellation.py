@@ -6,8 +6,8 @@ the chance that m independent planes split a pair is 1 - (1 - p)^m
 (`achieved_confidence`); `width_for_confidence` inverts that for a
 target confidence.  The harder event that one shared tessellation
 splits every pair of a collection at once is measured by
-`estimate_all_pairs`, the Monte Carlo sampler that every estimator
-runs; it lives in `montecarlo` and is re-exported here with its `MODES`.
+`estimate_all_pairs`; it lives in `montecarlo` and is re-exported here
+with its `MODES`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _log_miss(per_pair_p: float) -> float:
 
 def achieved_confidence(per_pair_p: float, width: int) -> float:
     """1 - (1 - p)^width: the chance that one of `width` independent planes splits the pair."""
-    if not isinstance(width, int) or width < 1:
+    if type(width) is not int or width < 1:  # bool is an int subclass
         raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
     return -math.expm1(width * _log_miss(per_pair_p))
 

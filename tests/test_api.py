@@ -1,8 +1,10 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import ballsep
+from ballsep import montecarlo
 from ballsep.montecarlo import McConfig
 
 # The public surface: what the CLI and the estimators use.  A change that
@@ -83,3 +85,8 @@ def test_benchmark_import_surface_resolves():
     for owner, name in sorted(used):
         assert hasattr(modules[owner], name), f"{owner}.{name}"
     McConfig(samples=1, seed=0, chunks=1)
+    # perfbench/spans.py binds bernoulli_estimate's block_hits by name and
+    # reads _sphere_block's positional arguments; a moved one turns those
+    # per-layer metrics absent without failing the run
+    assert "block_hits" in inspect.signature(montecarlo.bernoulli_estimate).parameters
+    assert list(inspect.signature(montecarlo._sphere_block).parameters) == ["rng", "m", "d", "n"]

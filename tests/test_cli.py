@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsep import cli, probability
+from ballsep import cli, montecarlo, probability
 from ballsep.cli import main
 from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
@@ -177,6 +177,33 @@ class TestEstimate:
         _, one, _ = run(capsys, base)
         _, four, _ = run(capsys, [*base, "--chunks", "4"])
         assert one == four
+
+    def test_all_rows_draw_each_block_once(self, capsys, monkeypatch):
+        # weight and full rows share one weight draw per block; bias draws none
+        calls = []
+        sphere_block = montecarlo._sphere_block
+
+        def counted(*args):
+            calls.append(args[1])
+            return sphere_block(*args)
+
+        monkeypatch.setattr(montecarlo, "_sphere_block", counted)
+        code, _, _ = run(capsys, ["estimate", *CANONICAL, "--samples", str(2 * 65536 + 5)])
+        assert code == 0
+        assert calls == [65536, 65536, 5]
+
+    @pytest.mark.parametrize("chunks", ["1", "3"])
+    def test_each_row_matches_its_all_row(self, capsys, chunks):
+        # rank-2 core in R^50, and a last block of 70001 - 65536 samples
+        base = ["estimate", "--c", ",".join(["0.3", "-1", "2"] + ["0"] * 47),
+                "--x", ",".join(["2", "1.5", "-0.5"] + ["0.1"] * 47), "--r", "0.4", "--p", "0.6",
+                "--k", "4", "--samples", "70001", "--seed", "13", "--chunks", chunks, "--format", "csv"]
+        _, everything, _ = run(capsys, base)
+        header, *rows = everything.splitlines()
+        assert 0.0 < float(parse_csv(everything)[2]["mean"]) < 1.0
+        for name, row in zip(("bias", "weight", "full"), rows, strict=True):
+            _, one, _ = run(capsys, [*base, "--which", name])
+            assert one.splitlines() == [header, row]
 
     def test_which_selects_single_estimator(self, capsys):
         code, out, _ = run(

@@ -75,6 +75,12 @@ class TestConfig:
         with pytest.raises(ArgumentOutOfRange):
             McConfig(samples=10, seed=1 << 64)
 
+    def test_bools_are_not_counts(self):
+        # bool is an int subclass; samples=True once ran one sample
+        for fields in ({"samples": True}, {"samples": 10, "seed": False}, {"samples": 10, "chunks": True}):
+            with pytest.raises(ArgumentOutOfRange):
+                McConfig(**fields)
+
     def test_estimate_std_error(self):
         est = Estimate(mean=0.25, samples=400)
         assert_allclose(est.std_error, math.sqrt(0.25 * 0.75 / 400), rtol=1e-15)

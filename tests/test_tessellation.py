@@ -104,8 +104,9 @@ class TestEstimateAllPairs:
             estimate_all_pairs([], 1, "fully-random", cfg)
         with pytest.raises(DimensionMismatch):
             estimate_all_pairs([inst, symmetric_instance(3, 0.5)], 1, "fully-random", cfg)
-        with pytest.raises(ArgumentOutOfRange):
-            estimate_all_pairs([inst], 0, "fully-random", cfg)
+        for width in (0, True):
+            with pytest.raises(ArgumentOutOfRange, match="width must be a positive int"):
+                estimate_all_pairs([inst], width, "fully-random", cfg)
         with pytest.raises(ArgumentOutOfRange):
             estimate_all_pairs([inst], 1, "sideways", cfg)
         # checked before any plane is drawn
@@ -181,6 +182,6 @@ class TestWidthPlanning:
                 width_for_confidence(p, 0.9)
 
     def test_bad_width_rejected(self):
-        for width in (0, -3, 2.0):
+        for width in (0, -3, 2.0, True):
             with pytest.raises(ArgumentOutOfRange, match="width must be a positive int"):
                 achieved_confidence(1.0, width)
