@@ -26,7 +26,7 @@ from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
-from .probability import _report, asymptotic_envelope, separation_report
+from .probability import _report_rows, asymptotic_envelope, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
@@ -135,7 +135,7 @@ def _csv_text(columns, records) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for record in records:
-        writer.writerow([_cell(record[name]) for name in columns])
+        writer.writerow([record[name] for name in columns])
     return buffer.getvalue()
 
 
@@ -196,24 +196,26 @@ def _write(args, columns, output, table=None) -> int:
     return 0
 
 
-def _exact_record(inst: SeparationInstance, report) -> dict:
+def _exact_record(inst: SeparationInstance, n: int, p_bias, p_weight, p_full) -> dict:
     return {
-        "n": report.dimension,
+        "n": n,
         "delta": inst.gap,
         "r": inst.ball_a.radius,
         "p": inst.ball_b.radius,
         "k": inst.bias_half_range,
-        "sin_phi": report.sin_phi,
-        "q": report.q_value,
-        "p_bias": report.p_random_bias,
-        "p_weight": report.p_random_weight,
-        "p_full": report.p_fully_random,
+        "sin_phi": inst.sin_phi,
+        "q": inst.q_value,
+        "p_bias": p_bias,
+        "p_weight": p_weight,
+        "p_full": p_full,
     }
 
 
 def cmd_exact(args) -> int:
     inst = _instance_from_args(args)
-    return _write(args, _EXACT_COLUMNS, _exact_record(inst, separation_report(inst)))
+    report = separation_report(inst)
+    probabilities = (report.p_random_bias, report.p_random_weight, report.p_fully_random)
+    return _write(args, _EXACT_COLUMNS, _exact_record(inst, report.dimension, *probabilities))
 
 
 def cmd_estimate(args) -> int:
@@ -270,14 +272,12 @@ def cmd_sweep(args) -> int:
         k = args.k if args.k is not None else args.k_factor * 0.5 * distance
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
+    rows = iter(_report_rows(dims, planar))
     records = []
     for n in dims:
         envelope = asymptotic_envelope(n)
         for inst in planar:
-            report = _report(
-                n, inst.q_value, inst.sin_phi, inst.center_distance, inst.gap, inst.bias_half_range
-            )
-            records.append({**_exact_record(inst, report), "envelope": envelope})
+            records.append({**_exact_record(inst, n, *next(rows)), "envelope": envelope})
     return _write(args, _SWEEP_COLUMNS, records)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentOutOfRange, InternalConsistencyError
 from .geometry import SeparationInstance
-from .specfun import BetaArgs, log_beta, reg_inc_beta
+from .specfun import BetaArgs, _reg_inc_betas, log_beta, reg_inc_beta
 
 # probabilities assembled from independently rounded pieces may land a
 # few ulp outside [0, 1] or break the pairwise ordering by float noise;
@@ -138,14 +138,14 @@ class SeparationReport:
     dimension: int
 
     def __post_init__(self):
-        if self.p_fully_random > self.p_random_weight + _CONSISTENCY_SLACK:
-            raise InternalConsistencyError(
-                "fully random probability exceeds random-weight probability"
-            )
-        if self.p_fully_random > self.p_random_bias + _CONSISTENCY_SLACK:
-            raise InternalConsistencyError(
-                "fully random probability exceeds random-bias probability"
-            )
+        _check_ordering(self.p_random_bias, self.p_random_weight, self.p_fully_random)
+
+
+def _check_ordering(p_bias: float, p_weight: float, p_full: float) -> None:
+    if p_full > p_weight + _CONSISTENCY_SLACK:
+        raise InternalConsistencyError("fully random probability exceeds random-weight probability")
+    if p_full > p_bias + _CONSISTENCY_SLACK:
+        raise InternalConsistencyError("fully random probability exceeds random-bias probability")
 
 
 def separation_report(inst: SeparationInstance) -> SeparationReport:
@@ -159,9 +159,40 @@ def _report(
 ) -> SeparationReport:
     """All three closed forms from the scalars they read, with one incomplete beta."""
     p_bias = _bias_probability(gap, k)
-    p_weight = _check_unit_interval(
-        reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5)), "random-weight probability"
-    )
+    beta = reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5))
+    p_weight, p_full = _weight_and_full(n, q, sin_phi, distance, k, beta)
+    return SeparationReport(p_bias, p_weight, p_full, q, sin_phi, n)
+
+
+def _report_rows(dims: list, instances: list) -> list:
+    """`_report`'s (p_bias, p_weight, p_full) for each n in dims and each instance.
+
+    Rows run n-major, as in `sweep`.  Each instance's geometry stands in for
+    every dimension (the closed forms read n only through the incomplete
+    beta's shape), so every n must be at least 2.  The incomplete betas of
+    all rows are one array continued fraction with the scalar's bits, and
+    each row gets `_report`'s range and ordering checks.
+    """
+    geometry = [
+        (inst.q_value, inst.sin_phi, inst.center_distance, inst.bias_half_range)
+        for inst in instances
+    ]
+    biases = [_bias_probability(inst.gap, inst.bias_half_range) for inst in instances]
+    betas = _reg_inc_betas([(q, 0.5 * (n - 1), 0.5) for n in dims for q, _, _, _ in geometry])
+    cells = ((n, scalars, p_bias) for n in dims for scalars, p_bias in zip(geometry, biases))
+    rows = []
+    for (n, scalars, p_bias), beta in zip(cells, betas):
+        p_weight, p_full = _weight_and_full(n, *scalars, beta)
+        _check_ordering(p_bias, p_weight, p_full)
+        rows.append((p_bias, p_weight, p_full))
+    return rows
+
+
+def _weight_and_full(
+    n: int, q: float, sin_phi: float, distance: float, k: float, beta: float
+) -> tuple:
+    """Range-checked random-weight and fully random probabilities from I(q; a, 1/2)."""
+    p_weight = _check_unit_interval(beta, "random-weight probability")
     bracket = _first_term(q, n) - sin_phi * p_weight
     p_full = _check_unit_interval(distance / (2.0 * k) * bracket, "fully random probability")
-    return SeparationReport(p_bias, p_weight, p_full, q, sin_phi, n)
+    return p_weight, p_full

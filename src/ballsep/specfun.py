@@ -7,12 +7,24 @@ I(kappa; y, z) = 1 - I(1-kappa; z, y) is used so the fraction always
 converges quickly.  All prefactors are assembled in log space so large
 shape parameters (y of order 1e4) do not overflow or underflow the
 intermediate products.
+
+The endpoints, the branch choice, the log-space prefactor and the final
+division are written once (`_endpoint`, `_fraction_setup`, `_assemble`);
+the Lentz iteration has a scalar kernel, `_lentz_fraction`, for single
+calls, and an array kernel, `_lentz_fractions`, for `_reg_inc_betas`.  The
+array kernel's values equal the scalar's with `==`: it repeats the
+scalar's + - * /, abs and comparisons per element in the same order, and
+these are correctly rounded in numpy as in Python.  `lgamma`, `log`,
+`log1p` and `exp` stay per-element `math` calls on both paths, because
+numpy's differ from them in the last bit for some arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ArgumentOutOfRange, NoConvergence, NonPositiveArgument
 
@@ -66,14 +78,55 @@ def reg_inc_beta(args: BetaArgs) -> float:
     Endpoints are exact: I(0) = 0 and I(1) = 1 with no floating error.
     """
     kappa, y, z = args.kappa, args.y, args.z
+    exact = _endpoint(kappa)
+    if exact is not None:
+        return exact
+    front, a, b, x, reflected = _fraction_setup(kappa, y, z)
+    return _assemble(front, _lentz_fraction(a, b, x), a, reflected)
+
+
+def _reg_inc_betas(cells: list) -> list:
+    """`reg_inc_beta` of each (kappa, y, z) in cells, with the same bits.
+
+    The cells must hold valid `BetaArgs` fields (kappa in [0, 1], y and z
+    positive); they are not checked.  All continued fractions run
+    as one array iteration, in the order of the cells.
+    """
+    values = [_endpoint(kappa) for kappa, _, _ in cells]
+    inside = [i for i, value in enumerate(values) if value is None]
+    if inside:
+        setups = [_fraction_setup(*cells[i]) for i in inside]
+        _, a, b, x, _ = (np.array(column) for column in zip(*setups))
+        fractions = _lentz_fractions(a, b, x).tolist()
+        for i, (front, shape, _, _, reflected), fraction in zip(inside, setups, fractions):
+            values[i] = _assemble(front, fraction, shape, reflected)
+    return values
+
+
+def _endpoint(kappa: float):
+    """I(kappa; y, z) when kappa is 0 or 1, for every y and z; None between."""
     if kappa == 0.0:
         return 0.0
     if kappa == 1.0:
         return 1.0
+    return None
+
+
+def _fraction_setup(kappa: float, y: float, z: float) -> tuple:
+    """(front, a, b, x, reflected) of I(kappa; y, z) for 0 < kappa < 1.
+
+    I(kappa; y, z) is front * F(a, b, x) / a, where F is the continued
+    fraction, or 1 minus that when reflected.
+    """
     ln_front = y * math.log(kappa) + z * math.log1p(-kappa) - log_beta(y, z)
     if kappa < (y + 1.0) / (y + z + 2.0):
-        return math.exp(ln_front) * _lentz_fraction(y, z, kappa) / y
-    return 1.0 - math.exp(ln_front) * _lentz_fraction(z, y, 1.0 - kappa) / z
+        return math.exp(ln_front), y, z, kappa, False
+    return math.exp(ln_front), z, y, 1.0 - kappa, True
+
+
+def _assemble(front: float, fraction: float, a: float, reflected: bool) -> float:
+    value = front * fraction / a
+    return 1.0 - value if reflected else value
 
 
 def _lentz_fraction(a: float, b: float, x: float) -> float:
@@ -116,7 +169,64 @@ def _lentz_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise NoConvergence(
+    raise _not_converged(a, b, x)
+
+
+def _not_converged(a: float, b: float, x: float) -> NoConvergence:
+    return NoConvergence(
         f"incomplete beta continued fraction did not converge in {_MAX_ITER} "
         f"iterations (x={x!r}, a={a!r}, b={b!r})"
     )
+
+
+def _lentz_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`_lentz_fraction` of each element of the 1-D float64 arrays a, b and x.
+
+    Each element goes through the scalar kernel's operations in the same
+    order, so it gets the same bits, and stops updating once it has
+    converged.  If any element is unconverged after `_MAX_ITER` steps,
+    the scalar's NoConvergence is raised for the first such element.
+    """
+    out = np.empty(a.shape)
+    live = np.arange(a.size)
+    given = (a, b, x)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones(a.shape)
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < _CF_TINY] = _CF_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        if not live.size:
+            return out
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d[np.abs(d) < _CF_TINY] = _CF_TINY
+        c = 1.0 + aa / c
+        c[np.abs(c) < _CF_TINY] = _CF_TINY
+        d = 1.0 / d
+        h = h * (d * c)
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d[np.abs(d) < _CF_TINY] = _CF_TINY
+        c = 1.0 + aa / c
+        c[np.abs(c) < _CF_TINY] = _CF_TINY
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if done.any():
+            out[live[done]] = h[done]
+            left = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                v[left] for v in (live, a, b, x, qab, qap, qam, c, d, h)
+            )
+    if not live.size:
+        return out
+    first = int(live[0])
+    raise _not_converged(*(float(v[first]) for v in given))

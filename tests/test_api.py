@@ -4,7 +4,7 @@ import inspect
 from pathlib import Path
 
 import ballsep
-from ballsep import montecarlo
+from ballsep import montecarlo, specfun
 from ballsep.montecarlo import McConfig
 
 # The public surface: what the CLI and the estimators use.  A change that
@@ -62,7 +62,7 @@ def test_public_names_are_the_listed_ones():
     assert len(PUBLIC) == 38
 
 
-def test_benchmark_import_surface_resolves():
+def test_benchmark_import_surface_resolves(monkeypatch):
     # perfbench/workloads.py reaches the library through module attributes
     # looked up at call time; a name it uses that a change removes would
     # crash the benchmark run, so resolve each one here
@@ -90,3 +90,22 @@ def test_benchmark_import_surface_resolves():
     # per-layer metrics absent without failing the run
     assert "block_hits" in inspect.signature(montecarlo.bernoulli_estimate).parameters
     assert list(inspect.signature(montecarlo._sphere_block).parameters) == ["rng", "m", "d", "n"]
+    # it also reads reg_inc_beta's one argument's .kappa and .y and the three
+    # positional arguments of _lentz_fraction(a, b, x) to count reflected
+    # calls; a moved one turns specfun.reg_inc_beta.reflected_ratio absent
+    assert len(inspect.signature(specfun.reg_inc_beta).parameters) == 1
+    assert list(inspect.signature(specfun._lentz_fraction).parameters) == ["a", "b", "x"]
+    for param in inspect.signature(specfun._lentz_fraction).parameters.values():
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    seen = []
+    original = specfun._lentz_fraction
+
+    def recorded(*args, **kwargs):
+        seen.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_lentz_fraction", recorded)
+    direct = specfun.BetaArgs(0.3, 2.0, 3.0)
+    specfun.reg_inc_beta(direct)
+    specfun.reg_inc_beta(specfun.BetaArgs(0.9, 2.0, 3.0))
+    assert seen == [((direct.y, direct.z, direct.kappa), {}), ((3.0, 2.0, 1.0 - 0.9), {})]

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsep import cli, montecarlo, probability
+from ballsep import cli, montecarlo, probability, specfun
 from ballsep.cli import main
 from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
@@ -319,6 +320,55 @@ class TestSweep:
         assert code == 0
         assert parse_csv(out)[0]["n"] == "10000"
         assert sizes == [2, 2]
+
+    def test_sweep_runs_no_scalar_incomplete_beta(self, capsys, monkeypatch):
+        # every incomplete beta of a sweep is one array continued fraction
+        calls = []
+        for name in ("reg_inc_beta", "_lentz_fraction"):
+            original = getattr(specfun, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if module and module.__name__.startswith("ballsep"):
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, ["sweep", "--dim", "2..50", "--delta", "0.5,2"])
+        assert (code, len(parse_csv(out)), calls) == (0, 98, [])
+        # the counters see the scalar path that single calls take
+        assert run(capsys, ["exact", "--dim", "3", "--sinphi", "0.5"])[0] == 0
+        assert calls == ["reg_inc_beta", "_lentz_fraction"]
+
+    def test_out_of_range_fraction_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_lentz_fractions", lambda a, b, x: np.full(a.shape, np.inf))
+        with pytest.raises(InternalConsistencyError, match="random-weight probability = inf"):
+            main(["sweep", "--dim", "2..50", "--delta", "0.5,2"])
+
+    # (iteration cap, argument set, cell in stderr) with exit code 2 and no
+    # stdout, recorded from the sweep that evaluated one scalar fraction per
+    # cell; the cell named is the first unconverged one in row order
+    CAPPED = [
+        (2, ("--dim", "2..50", "--delta", "0.5,2"), "x=0.3599999999999999, a=0.5, b=0.5"),
+        (2, ("--dim", "2,10000,19990..20000", "--delta", "0.1,1,7"),
+         "x=0.09297052154195018, a=0.5, b=0.5"),
+        (2, ("--dim", "1000,2000", "--delta", "3,0.01"), "x=0.84, a=499.5, b=0.5"),
+        (5, ("--dim", "2,10000,19990..20000", "--delta", "0.1,1,7"),
+         "x=0.4444444444444444, a=0.5, b=0.5"),
+        (8, ("--dim", "2..50", "--delta", "0.5,2"), "x=0.75, a=4.0, b=0.5"),
+        (8, ("--dim", "2..300", "--delta", "0.5,1,2", "--format", "json"),
+         "x=0.4444444444444444, a=0.5, b=0.5"),
+        (10, ("--dim", "10,100000", "--delta", "198,2"), "x=0.75, a=4.5, b=0.5"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cap, argv, cell", CAPPED, ids=[f"{cap} {' '.join(argv)}" for cap, argv, _ in CAPPED]
+    )
+    def test_iteration_cap_names_the_parents_cell(self, capsys, monkeypatch, cap, argv, cell):
+        monkeypatch.setattr(specfun, "_MAX_ITER", cap)
+        message = f"incomplete beta continued fraction did not converge in {cap} iterations"
+        assert run(capsys, ["sweep", *argv]) == (2, "", f"error: {message} ({cell})\n")
 
     # (exit code, SHA-1 of stdout, stderr) of each argument set, recorded
     # from the sweep that built and validated an n-dimensional instance per cell

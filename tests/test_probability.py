@@ -243,3 +243,45 @@ class TestSharedIncompleteBeta:
             got = (report.p_random_bias, report.p_random_weight, report.p_fully_random)
             assert got == row[2:]
             assert got == (p_random_bias(inst), p_random_weight(inst), p_fully_random(inst))
+
+
+_ROW_DIMS = sorted(
+    {*range(2, 301), *range(19990, 20001), 10**5}
+    | {int(n) for n in np.geomspace(300, 10**5, 60)}
+)
+_ROW_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-8)
+
+
+class TestReportRows:
+    def test_rows_equal_scalar_reports(self):
+        # one row per (n, instance), n-major, as sweep prints them
+        planar = [symmetric_instance(2, s) for s in _ROW_SINES]
+        rows = probability._report_rows(_ROW_DIMS, planar)
+        cells = [(n, inst) for n in _ROW_DIMS for inst in planar]
+        assert len(rows) == len(cells)
+        for (n, inst), row in zip(cells, rows):
+            geometry = (inst.q_value, inst.sin_phi, inst.center_distance, inst.gap)
+            report = probability._report(n, *geometry, inst.bias_half_range)
+            assert row == (report.p_random_bias, report.p_random_weight, report.p_fully_random)
+        assert any(inst.q_value == 1.0 for inst in planar)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000, 19995, 10**5])
+    def test_rows_equal_separation_report(self, n):
+        # an n-dimensional symmetric instance has the planar one's geometry
+        planar = [symmetric_instance(2, s) for s in _ROW_SINES]
+        for inst, row in zip(planar, probability._report_rows([n], planar)):
+            report = separation_report(symmetric_instance(n, inst.sin_phi))
+            assert (report.q_value, report.sin_phi) == (inst.q_value, inst.sin_phi)
+            assert row == (report.p_random_bias, report.p_random_weight, report.p_fully_random)
+
+    def test_rows_are_checked(self, monkeypatch):
+        inst = canonical_plane()
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [1.5] * len(cells))
+        with pytest.raises(InternalConsistencyError, match="random-weight probability = 1.5"):
+            probability._report_rows([2, 3], [inst])
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [1.0 + 1e-13] * len(cells))
+        assert [row[1] for row in probability._report_rows([2], [inst])] == [1.0]
+        # a fully random probability above the random-weight one breaks the ordering
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [0.0] * len(cells))
+        with pytest.raises(InternalConsistencyError, match="exceeds random-weight"):
+            probability._report_rows([2], [inst])

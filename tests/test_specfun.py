@@ -91,3 +91,57 @@ class TestRegIncBeta:
         monkeypatch.setattr(specfun, "_MAX_ITER", 2)
         with pytest.raises(NoConvergence):
             reg_inc_beta(BetaArgs(0.5, 8.0, 9.0))
+
+
+# sweep's incomplete betas: I(cos^2 phi; (n-1)/2, 1/2) over n = 2 .. 10^5 and
+# sin phi = 1e-9 .. 1 - 1e-8; 1e-9 rounds q to 1.0, and both branches occur
+SWEEP_DIMS = sorted(
+    {*range(2, 301), *range(19990, 20001), 10**5}
+    | {int(n) for n in np.geomspace(300, 10**5, 60)}
+)
+SWEEP_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-8)
+
+
+def _sweep_cells():
+    return [
+        (1.0 - s * s, 0.5 * (n - 1), 0.5) for n in SWEEP_DIMS for s in SWEEP_SINES
+    ]
+
+
+class TestArrayKernel:
+    def test_cells_equal_scalar_bits(self):
+        cells = _sweep_cells()
+        assert specfun._reg_inc_betas(cells) == [reg_inc_beta(BetaArgs(*c)) for c in cells]
+        inside = [c for c in cells if 0.0 < c[0] < 1.0]
+        reflected = [y for q, y, z in inside if not q < (y + 1.0) / (y + z + 2.0)]
+        assert 0 < len(reflected) < len(inside)
+        assert any(q == 1.0 for q, _, _ in cells)
+
+    def test_fractions_equal_scalar_kernel(self):
+        rng = np.random.default_rng(5)
+        a = np.exp(rng.uniform(math.log(0.1), math.log(1e5), 3000))
+        b = np.exp(rng.uniform(math.log(0.1), math.log(1e5), 3000))
+        # x below the symmetry point (a + 1)/(a + b + 2), where the fraction converges
+        x = rng.uniform(0.0, 1.0, 3000) * (a + 1.0) / (a + b + 2.0)
+        got = specfun._lentz_fractions(a, b, x).tolist()
+        want = [specfun._lentz_fraction(*cell) for cell in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert got == want
+
+    def test_no_cells(self):
+        assert specfun._reg_inc_betas([]) == []
+        assert specfun._lentz_fractions(*np.empty((3, 0))).shape == (0,)
+
+    def test_endpoints_are_exact(self):
+        assert specfun._reg_inc_betas([(0.0, 2.0, 0.5), (1.0, 2.0, 0.5)]) == [0.0, 1.0]
+
+    def test_iteration_cap_names_first_unconverged_cell(self, monkeypatch):
+        # the cap is read at call time; the first cell converges in one step,
+        # the second is reflected
+        cells = [(1e-12, 4.0, 0.5), (0.5, 8.0, 9.0), (0.3, 2.0, 3.0)]
+        monkeypatch.setattr(specfun, "_MAX_ITER", 2)
+        with pytest.raises(NoConvergence) as scalar:
+            reg_inc_beta(BetaArgs(*cells[1]))
+        with pytest.raises(NoConvergence) as array:
+            specfun._reg_inc_betas(cells)
+        assert str(array.value) == str(scalar.value)
+        assert "did not converge in 2 iterations (x=0.5, a=9.0, b=8.0)" in str(array.value)
