@@ -10,12 +10,10 @@ from .errors import (
     InternalConsistencyError,
     KInsufficient,
     NoConvergence,
-    NonPositiveArgument,
 )
 from .geometry import (
     Ball,
     SeparationInstance,
-    bias_gap_interval,
     exists_separating_bias_batch,
     make_instance,
     separates_batch,
@@ -59,12 +57,10 @@ __all__ = [
     "MODES",
     "McConfig",
     "NoConvergence",
-    "NonPositiveArgument",
     "SeparationInstance",
     "SeparationReport",
     "achieved_confidence",
     "asymptotic_envelope",
-    "bias_gap_interval",
     "estimate_all_pairs",
     "estimate_p_bias",
     "estimate_p_full",

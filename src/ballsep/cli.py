@@ -122,14 +122,6 @@ def _instance_from_args(args) -> SeparationInstance:
     return inst
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _csv_text(columns, records) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -142,7 +134,7 @@ def _csv_text(columns, records) -> str:
 def _json_safe(record) -> dict:
     # JSON has no inf or nan; write them as the strings CSV writes
     return {
-        name: _cell(value) if isinstance(value, float) and not math.isfinite(value) else value
+        name: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
         for name, value in record.items()
     }
 
@@ -215,7 +207,7 @@ def cmd_exact(args) -> int:
     inst = _instance_from_args(args)
     report = separation_report(inst)
     probabilities = (report.p_random_bias, report.p_random_weight, report.p_fully_random)
-    return _write(args, _EXACT_COLUMNS, _exact_record(inst, report.dimension, *probabilities))
+    return _write(args, _EXACT_COLUMNS, _exact_record(inst, inst.dimension, *probabilities))
 
 
 def cmd_estimate(args) -> int:

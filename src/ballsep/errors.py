@@ -21,10 +21,6 @@ class KInsufficient(BallsepError):
     """The bias half range is smaller than max(|c|, |x|)."""
 
 
-class NonPositiveArgument(BallsepError):
-    """A gamma/beta argument that must be positive is not."""
-
-
 class ArgumentOutOfRange(BallsepError):
     """An argument lies outside its documented domain."""
 

@@ -73,9 +73,9 @@ class SeparationInstance:
 
     Construction enforces |c - x| = r + p + gap with gap > 0 and a finite
     bias_half_range >= max(|c|, |x|) > 0.  Derived geometry (center
-    distance, gap, axis direction, tangent-cone half angle, q value) is
-    exposed as read-only attributes.  The axis direction is oriented from
-    the first ball's center toward the second's.
+    distance, gap, axis direction, sine of the tangent-cone half angle,
+    q value) is exposed as read-only attributes.  The axis direction is
+    oriented from the first ball's center toward the second's.
     """
 
     ball_a: Ball
@@ -131,11 +131,6 @@ class SeparationInstance:
     def sin_phi(self) -> float:
         """sin of the cone half angle: (p + r) / (p + r + gap), in (0, 1)."""
         return (self.ball_a.radius + self.ball_b.radius) / self.center_distance
-
-    @cached_property
-    def cone_angle(self) -> float:
-        """Half angle phi between the cone's generatrices and its axis."""
-        return math.asin(self.sin_phi)
 
     @cached_property
     def q_value(self) -> float:
@@ -269,15 +264,3 @@ def exists_separating_bias_batch(weights: np.ndarray, inst: SeparationInstance) 
         )
     span = _project(weights, inst.ball_a.center - inst.ball_b.center)
     return np.abs(span) > inst.ball_a.radius + inst.ball_b.radius
-
-
-def bias_gap_interval(inst: SeparationInstance) -> tuple[float, float]:
-    """Axis coordinates (lo, hi) of the separating-bias interval.
-
-    For the axis-aligned weight, H[axis_dir; b] separates exactly when b
-    lies between the two balls' projection intervals; hi - lo equals the
-    gap.
-    """
-    lo = float(inst.axis_dir @ inst.ball_a.center) + inst.ball_a.radius
-    hi = float(inst.axis_dir @ inst.ball_b.center) - inst.ball_b.radius
-    return lo, hi

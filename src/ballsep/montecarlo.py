@@ -43,7 +43,6 @@ from .errors import (
 )
 from .geometry import (
     SeparationInstance,
-    bias_gap_interval,
     exists_separating_bias_batch,
     projected_instance,
     separates_batch,
@@ -72,6 +71,11 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_mix64(seed) | (_mix64(index) << 64)))
 
 
+def _check_seed(seed) -> None:
+    if type(seed) is not int or not 0 <= seed <= _MASK64:
+        raise ArgumentOutOfRange(f"seed must be a 64-bit unsigned int, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sample count, seed, and chunk count for one estimation run.
@@ -88,8 +92,7 @@ class McConfig:
         # bool is an int subclass, and True is no count
         if type(self.samples) is not int or self.samples < 1:
             raise ArgumentOutOfRange("samples must be >= 1")
-        if type(self.seed) is not int or not 0 <= self.seed <= _MASK64:
-            raise ArgumentOutOfRange(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        _check_seed(self.seed)
         if type(self.chunks) is not int or not 1 <= self.chunks <= self.samples:
             raise ArgumentOutOfRange(
                 f"chunks must be between 1 and samples, got {self.chunks!r}"
@@ -264,11 +267,6 @@ def estimate_modes(
                 "each pair's planes follow its own axis, so they share no tessellation"
             )
         (inst,) = instances
-        lo, hi = bias_gap_interval(inst)
-        if abs((hi - lo) - inst.gap) > 1e-10 * max(1.0, inst.gap):
-            raise InternalConsistencyError(
-                "separating-bias interval length disagrees with the instance gap"
-            )
         proj_a, proj_b = _axis_projections(inst)
 
         def bias_hits(rng: np.random.Generator, m: int) -> tuple[int]:

@@ -123,7 +123,7 @@ def asymptotic_envelope(n: int) -> float:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """All three exact probabilities for one instance, with the geometry.
+    """All three exact probabilities for one instance.
 
     `separation_report` range-checks each probability as it computes it;
     construction checks that the fully random one is no larger than
@@ -133,9 +133,6 @@ class SeparationReport:
     p_random_bias: float
     p_random_weight: float
     p_fully_random: float
-    q_value: float
-    sin_phi: float
-    dimension: int
 
     def __post_init__(self):
         _check_ordering(self.p_random_bias, self.p_random_weight, self.p_fully_random)
@@ -149,29 +146,22 @@ def _check_ordering(p_bias: float, p_weight: float, p_full: float) -> None:
 
 
 def separation_report(inst: SeparationInstance) -> SeparationReport:
-    """Evaluate all three closed forms for one validated instance."""
-    geometry = (inst.q_value, inst.sin_phi, inst.center_distance, inst.gap, inst.bias_half_range)
-    return _report(inst.dimension, *geometry)
-
-
-def _report(
-    n: int, q: float, sin_phi: float, distance: float, gap: float, k: float
-) -> SeparationReport:
-    """All three closed forms from the scalars they read, with one incomplete beta."""
-    p_bias = _bias_probability(gap, k)
+    """All three closed forms for one validated instance, with one incomplete beta."""
+    n, q, k = inst.dimension, inst.q_value, inst.bias_half_range
+    p_bias = _bias_probability(inst.gap, k)
     beta = reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5))
-    p_weight, p_full = _weight_and_full(n, q, sin_phi, distance, k, beta)
-    return SeparationReport(p_bias, p_weight, p_full, q, sin_phi, n)
+    p_weight, p_full = _weight_and_full(n, q, inst.sin_phi, inst.center_distance, k, beta)
+    return SeparationReport(p_bias, p_weight, p_full)
 
 
 def _report_rows(dims: list, instances: list) -> list:
-    """`_report`'s (p_bias, p_weight, p_full) for each n in dims and each instance.
+    """`separation_report`'s (p_bias, p_weight, p_full) for each n in dims and each instance.
 
     Rows run n-major, as in `sweep`.  Each instance's geometry stands in for
     every dimension (the closed forms read n only through the incomplete
     beta's shape), so every n must be at least 2.  The incomplete betas of
     all rows are one array continued fraction with the scalar's bits, and
-    each row gets `_report`'s range and ordering checks.
+    each row gets `separation_report`'s range and ordering checks.
     """
     geometry = [
         (inst.q_value, inst.sin_phi, inst.center_distance, inst.bias_half_range)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import probability
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
-from .montecarlo import DEFAULT_SEED, _sphere_block
+from .errors import ArgumentOutOfRange
+from .montecarlo import DEFAULT_SEED, _check_seed, _sphere_block
 from .specfun import BetaArgs, reg_inc_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
@@ -101,7 +102,7 @@ def random_instance(rng: np.random.Generator) -> SeparationInstance:
 def _chain_violation(inst: SeparationInstance) -> float:
     # every probability is pulled through the module attribute so a
     # deliberately broken implementation is observed, not a stale alias
-    lower, mid, upper = probability.lemma_bounds(inst.cone_angle, inst.dimension)
+    lower, mid, upper = probability.lemma_bounds(math.asin(inst.sin_phi), inst.dimension)
     p_full = probability.p_fully_random(inst)
     p_bias = probability.p_random_bias(inst)
     p_weight = probability.p_random_weight(inst)
@@ -121,8 +122,11 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
 
     Runs the fixed grid first (there the bias-range prefactor can be
     exactly 1, which pins down sign and factor errors deterministically)
-    and then `samples` random instances.
+    and then `samples` random instances, drawn from `seed`.
     """
+    if type(samples) is not int or samples < 0:
+        raise ArgumentOutOfRange(f"samples must be a non-negative int, got {samples!r}")
+    _check_seed(seed)
     fixed = grid_instances()
     result = CheckResult(
         name="ordering chain",

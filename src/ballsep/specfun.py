@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, NoConvergence, NonPositiveArgument
+from .errors import ArgumentOutOfRange, NoConvergence
 
 _MAX_ITER = 500
 _CF_EPS = 1e-15
@@ -37,7 +37,7 @@ _KAPPA_SLACK = 1e-14
 def log_beta(y: float, z: float) -> float:
     """log B(y, z) = log Gamma(y) + log Gamma(z) - log Gamma(y+z) for y, z > 0."""
     if not (y > 0.0 and z > 0.0):
-        raise NonPositiveArgument(f"log_beta requires y, z > 0, got y={y!r}, z={z!r}")
+        raise ArgumentOutOfRange(f"log_beta requires y, z > 0, got y={y!r}, z={z!r}")
     return math.lgamma(y) + math.lgamma(z) - math.lgamma(y + z)
 
 

@@ -25,12 +25,10 @@ PUBLIC = [
     "MODES",
     "McConfig",
     "NoConvergence",
-    "NonPositiveArgument",
     "SeparationInstance",
     "SeparationReport",
     "achieved_confidence",
     "asymptotic_envelope",
-    "bias_gap_interval",
     "estimate_all_pairs",
     "estimate_p_bias",
     "estimate_p_full",
@@ -59,7 +57,7 @@ def test_every_public_name_resolves_once():
 
 def test_public_names_are_the_listed_ones():
     assert ballsep.__all__ == PUBLIC
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 36
 
 
 def test_benchmark_import_surface_resolves(monkeypatch):
@@ -109,3 +107,31 @@ def test_benchmark_import_surface_resolves(monkeypatch):
     specfun.reg_inc_beta(direct)
     specfun.reg_inc_beta(specfun.BetaArgs(0.9, 2.0, 3.0))
     assert seen == [((direct.y, direct.z, direct.kappa), {}), ((3.0, 2.0, 1.0 - 0.9), {})]
+
+
+# perfbench/spans.py TARGETS entries that name nothing in ballsep; the tracer
+# records each as absent, so its per-layer metric is absent on every run
+KNOWN_ABSENT_TARGETS = {"cli._parse_vector"}
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer records a (module, attribute) it cannot find as absent and
+    # runs on, so a cut that removes a traced name would silently turn its
+    # per-layer metric absent; resolve every entry as the tracer does
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    ]
+    entries = [tuple(map(ast.literal_eval, entry.elts[:2])) for entry in targets.elts]
+    assert ("geometry", "Ball.__post_init__") in entries
+    absent = set()
+    for module_name, attribute in entries:
+        owner = importlib.import_module(f"ballsep.{module_name}")
+        for name in attribute.split("."):
+            owner = getattr(owner, name, None)
+        if owner is None:
+            absent.add(f"{module_name}.{attribute}")
+    assert absent <= KNOWN_ABSENT_TARGETS, sorted(absent - KNOWN_ABSENT_TARGETS)

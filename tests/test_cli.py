@@ -80,6 +80,24 @@ class TestExact:
         assert code == 2
         assert "not both" in err
 
+    def test_generator_with_absolute_k_matches_explicit(self, capsys):
+        _, generated, _ = run(capsys, ["exact", "--dim", "3", "--sinphi", "0.5", "--k", "100"])
+        _, explicit, _ = run(capsys, ["exact", "--c", "-2,0,0", "--x", "2,0,0", "--k", "100"])
+        assert generated == explicit
+        assert "p_bias    0.01\n" in generated
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--c", "-2,0", "--k", "2"], "explicit instances need both --c and --x"),
+            (["--x", "2,0", "--k", "2"], "explicit instances need both --c and --x"),
+            (["--c", "-2,0", "--x", "2,0"], "explicit instances need --k"),
+        ],
+    )
+    def test_incomplete_explicit_instance_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, ["exact", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, err = run(capsys, ["exact", "--bogus", "1"])
         assert code == 2
@@ -232,6 +250,13 @@ class TestEstimate:
         assert record["z"] == parse_csv(csv_out)[0]["z"] == "-inf"
         assert (record["mean"], record["std_error"]) == (0.0, 0.0)
 
+    def test_exact_estimate_has_zero_z(self, capsys):
+        # every weight separates at sin(phi) = 1e-9, so the mean has no error
+        argv = ["--dim", "3", "--sinphi", "1e-9", "--which", "weight", "--samples", "100"]
+        code, out, _ = run(capsys, ["estimate", *argv, "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[1] == "weight,1.0,0.0,1.0,0.0"
+
     def test_table_header(self, capsys):
         _, out, _ = run(capsys, ["estimate", *CANONICAL, "--samples", "1000"])
         assert out.splitlines()[0].split() == ["estimator", "mean", "std_error", "exact", "z"]
@@ -296,6 +321,26 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--dim", "2", "--delta", "-1"])
         assert code == 2
         assert "delta" in err
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--dim", "5..2", "could not parse --dim list from '5..2'"),
+            ("--dim", "2,x", "could not parse --dim list from '2,x'"),
+            ("--dim", ",", "--dim list is empty"),
+            ("--delta", ",", "--delta list is empty"),
+        ],
+    )
+    def test_bad_lists_exit_two(self, capsys, flag, text, message):
+        argv = {"--dim": "2", "--delta": "1", flag: text}
+        code, out, err = run(capsys, ["sweep", *(f"{k}={v}" for k, v in argv.items())])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_trailing_comma_is_ignored(self, capsys):
+        _, trailing, _ = run(capsys, ["sweep", "--dim", "2,3,", "--delta", "1"])
+        _, plain, _ = run(capsys, ["sweep", "--dim", "2,3", "--delta", "1"])
+        assert trailing == plain
+        assert len(parse_csv(plain)) == 2
 
     def test_bad_k_factor_exits_two(self, capsys):
         code, _, _ = run(capsys, ["sweep", "--dim", "2", "--delta", "1", "--k-factor", "0.2"])
@@ -486,6 +531,23 @@ class TestValidate:
         assert "all 4 checks passed" in out
         assert "19900 cells" in out
         assert "330 cells" in out
+
+    def test_no_random_instances_runs_the_grid(self, capsys):
+        code, out, _ = run(capsys, ["validate", "--samples", "0"])
+        assert code == 0
+        assert "ordering chain: ok, 30 cells" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--samples", "-5"], "samples must be a non-negative int, got -5"),
+            (["--seed", "-1"], "seed must be a 64-bit unsigned int, got -1"),
+            (["--seed", str(1 << 64)], f"seed must be a 64-bit unsigned int, got {1 << 64}"),
+        ],
+    )
+    def test_bad_samples_or_seed_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, ["validate", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
         def flipped(inst):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsep import montecarlo
-from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
+from ballsep.errors import ArgumentOutOfRange
 from ballsep.geometry import (
     Ball,
     exists_separating_bias_batch,
@@ -368,7 +368,7 @@ class TestSharedSampler:
             run(canonical_plane(), cfg)
         assert calls == [(1, 1, "fully-random"), (1, 1, "random-weight"), (1, 1, "random-bias")]
 
-    def test_random_bias_checks_the_gap_and_draws_no_weights(self, monkeypatch):
+    def test_random_bias_draws_no_weights(self, monkeypatch):
         inst = general_pose(np.random.default_rng(8), 6, 0.4)
         cfg = McConfig(samples=1000, seed=3)
 
@@ -377,11 +377,7 @@ class TestSharedSampler:
 
         monkeypatch.setattr(montecarlo, "_planar_core", no_core)
         assert 0.0 < estimate_p_bias(inst, cfg).mean < 1.0
-        lo, hi = montecarlo.bias_gap_interval(inst)
-        monkeypatch.setattr(montecarlo, "bias_gap_interval", lambda inst: (lo, hi + 1e-6))
-        for width in (1, 3):
-            with pytest.raises(InternalConsistencyError, match="disagrees with the instance gap"):
-                estimate_all_pairs([inst], width, "random-bias", cfg)
+        assert 0.0 < estimate_all_pairs([inst], 3, "random-bias", cfg).mean < 1.0
 
 
 def _two_sample_z(a, n_a, b, n_b):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ballsep import probability
 from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
-from ballsep.geometry import Ball, make_instance, symmetric_instance
+from ballsep.geometry import Ball, SeparationInstance, _unchecked, make_instance, symmetric_instance
 from ballsep.probability import (
     SeparationReport,
     asymptotic_envelope,
@@ -171,14 +171,14 @@ class TestReport:
         assert report.p_random_bias == p_random_bias(inst)
         assert report.p_random_weight == p_random_weight(inst)
         assert report.p_fully_random == p_fully_random(inst)
-        assert report.q_value == inst.q_value
-        assert report.sin_phi == inst.sin_phi
-        assert report.dimension == 2
 
     def test_report_rejects_out_of_range(self, monkeypatch):
-        # each probability is range-checked where it is computed
+        # each probability is range-checked where it is computed; a valid
+        # instance has gap < 2 k, so the bias range is set below its floor
+        balls = {"ball_a": Ball([-2.0, 0.0], 0.5), "ball_b": Ball([2.0, 0.0], 0.5)}
+        short = _unchecked(SeparationInstance, **balls, bias_half_range=1.0, center_distance=4.0)
         with pytest.raises(InternalConsistencyError, match="random-bias probability = 1.5"):
-            probability._report(2, 0.75, 0.5, 4.0, 3.0, 1.0)
+            separation_report(short)
         monkeypatch.setattr(probability, "reg_inc_beta", lambda args: 1.5)
         with pytest.raises(InternalConsistencyError, match="random-weight probability = 1.5"):
             separation_report(canonical_plane())
@@ -187,9 +187,9 @@ class TestReport:
 
     def test_report_rejects_broken_ordering(self):
         with pytest.raises(InternalConsistencyError):
-            SeparationReport(0.5, 0.3, 0.4, 0.75, 0.5, 2)
+            SeparationReport(0.5, 0.3, 0.4)
         with pytest.raises(InternalConsistencyError):
-            SeparationReport(0.1, 0.6, 0.4, 0.75, 0.5, 2)
+            SeparationReport(0.1, 0.6, 0.4)
 
 
 def _general_pose(rng, n, sin_phi):
@@ -257,11 +257,10 @@ class TestReportRows:
         # one row per (n, instance), n-major, as sweep prints them
         planar = [symmetric_instance(2, s) for s in _ROW_SINES]
         rows = probability._report_rows(_ROW_DIMS, planar)
-        cells = [(n, inst) for n in _ROW_DIMS for inst in planar]
+        cells = [(n, s) for n in _ROW_DIMS for s in _ROW_SINES]
         assert len(rows) == len(cells)
-        for (n, inst), row in zip(cells, rows):
-            geometry = (inst.q_value, inst.sin_phi, inst.center_distance, inst.gap)
-            report = probability._report(n, *geometry, inst.bias_half_range)
+        for (n, s), row in zip(cells, rows):
+            report = separation_report(symmetric_instance(n, s))
             assert row == (report.p_random_bias, report.p_random_weight, report.p_fully_random)
         assert any(inst.q_value == 1.0 for inst in planar)
 
@@ -270,8 +269,9 @@ class TestReportRows:
         # an n-dimensional symmetric instance has the planar one's geometry
         planar = [symmetric_instance(2, s) for s in _ROW_SINES]
         for inst, row in zip(planar, probability._report_rows([n], planar)):
-            report = separation_report(symmetric_instance(n, inst.sin_phi))
-            assert (report.q_value, report.sin_phi) == (inst.q_value, inst.sin_phi)
+            spread = symmetric_instance(n, inst.sin_phi)
+            assert (spread.q_value, spread.sin_phi) == (inst.q_value, inst.sin_phi)
+            report = separation_report(spread)
             assert row == (report.p_random_bias, report.p_random_weight, report.p_fully_random)
 
     def test_rows_are_checked(self, monkeypatch):

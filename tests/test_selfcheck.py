@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from ballsep import probability
+from ballsep.errors import ArgumentOutOfRange
 from ballsep.selfcheck import (
     check_analytic_reductions,
     check_beta_symmetry,
@@ -52,6 +54,14 @@ def test_beta_symmetry_battery():
 def test_reductions_battery():
     result = check_analytic_reductions()
     assert result.passed
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"samples": -1}, {"samples": True}, {"seed": -1}, {"seed": 1 << 64}, {"seed": False}]
+)
+def test_ordering_chain_rejects_bad_samples_and_seed(kwargs):
+    with pytest.raises(ArgumentOutOfRange):
+        check_ordering_chain(**kwargs)
 
 
 def test_sign_flip_fault_is_caught(monkeypatch):
