@@ -202,7 +202,9 @@ def symmetric_instance(
     return make_instance(Ball(c, r), Ball(x, p), k_factor * half)
 
 
-def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationInstance) -> np.ndarray:
+def separates_batch(
+    weights: np.ndarray, biases: np.ndarray, inst: SeparationInstance, *, out=None
+) -> np.ndarray:
     """True for each plane H[w; b] that puts the open balls strictly on
     opposite sides.
 
@@ -211,6 +213,11 @@ def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationIns
     `projected_instance`); biases: shape (m,).  Returns a boolean array of
     shape (m,).  A tangent plane does not separate; the tie has
     probability zero under every sampling scheme used here.
+
+    `out`, if given, is a pair (offsets, masks) of a float array of shape
+    (2, >= m) and a bool array of shape (3, >= m).  The offsets and the
+    comparisons are then written into their leading m columns instead of
+    new arrays, and the result is a view of `masks`.
     """
     weights = np.asarray(weights, dtype=float)
     biases = np.asarray(biases, dtype=float)
@@ -222,45 +229,69 @@ def separates_batch(weights: np.ndarray, biases: np.ndarray, inst: SeparationIns
         raise DimensionMismatch(
             f"biases shape {biases.shape} does not match {weights.shape[0]} weights"
         )
-    off_a = _project(weights, inst.ball_a.center)
+    offsets, masks = _scratch(out, weights.shape[0])
+    off_a, off_b = offsets
+    _project(weights, inst.ball_a.center, off_a)
     off_a -= biases
-    off_b = _project(weights, inst.ball_b.center)
+    _project(weights, inst.ball_b.center, off_b)
     off_b -= biases
-    return separates_offsets(off_a, off_b, inst)
+    return separates_offsets(off_a, off_b, inst, out=masks)
 
 
-def _project(weights: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """(w|vector) for every row w, in a new array.
+def _scratch(out, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leading m columns of a predicate's `out` pair, or a new such pair."""
+    if out is None:
+        return np.empty((2, m)), np.empty((3, m), dtype=bool)
+    offsets, masks = out
+    return offsets[:, :m], masks[:, :m]
+
+
+def _project(weights: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(w|vector) for every row w, written into `out`.
 
     One coordinate is a column multiply: an (m, 1) @ (1,) matmul gives the
     same bits an order of magnitude slower.
     """
     if weights.shape[1] == 1:
-        return weights[:, 0] * vector[0]
-    return weights @ vector
+        return np.multiply(weights[:, 0], vector[0], out=out)
+    return np.matmul(weights, vector, out=out)
 
 
-def separates_offsets(off_a, off_b, inst: SeparationInstance) -> np.ndarray:
-    """The separation predicate on the offsets (w|c) - b and (w|x) - b."""
+def separates_offsets(off_a, off_b, inst: SeparationInstance, *, out=None) -> np.ndarray:
+    """The separation predicate on the offsets (w|c) - b and (w|x) - b.
+
+    `out`, if given, is a bool array of shape (3, >= m) whose leading m
+    columns take the comparisons; the result is a view of it.
+    """
+    m = len(off_a)
+    hit, low, high = np.empty((3, m), dtype=bool) if out is None else out[:, :m]
     a, b = inst.ball_a, inst.ball_b
-    return ((off_a > a.radius) & (off_b < -b.radius)) | (
-        (off_a < -a.radius) & (off_b > b.radius)
-    )
+    # ((off_a > r) & (off_b < -p)) | ((off_a < -r) & (off_b > p))
+    np.greater(off_a, a.radius, out=hit)
+    hit &= np.less(off_b, -b.radius, out=low)
+    np.less(off_a, -a.radius, out=low)
+    low &= np.greater(off_b, b.radius, out=high)
+    hit |= low
+    return hit
 
 
-def exists_separating_bias_batch(weights: np.ndarray, inst: SeparationInstance) -> np.ndarray:
+def exists_separating_bias_batch(
+    weights: np.ndarray, inst: SeparationInstance, *, out=None
+) -> np.ndarray:
     """True for each weight row that some bias makes separating.
 
     That holds iff the balls' projections onto span(w) are disjoint:
     |(w | c - x)| > r + p.  The bias (w | v) through the cone vertex then
     works and lies within [-k, k].  As in `separates_batch`, rows of the
     (m, n) array may be unit weights or their coordinates in a subspace
-    holding both centers.
+    holding both centers, and `out` is the same (offsets, masks) pair.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != inst.dimension:
         raise DimensionMismatch(
             f"weights shape {weights.shape} does not match instance dimension {inst.dimension}"
         )
-    span = _project(weights, inst.ball_a.center - inst.ball_b.center)
-    return np.abs(span) > inst.ball_a.radius + inst.ball_b.radius
+    offsets, masks = _scratch(out, weights.shape[0])
+    span = _project(weights, inst.ball_a.center - inst.ball_b.center, offsets[0])
+    np.abs(span, out=span)
+    return np.greater(span, inst.ball_a.radius + inst.ball_b.radius, out=masks[0])

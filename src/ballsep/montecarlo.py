@@ -25,12 +25,23 @@ g / sqrt(|g|^2 + t), with g standard normal in R^d and t chi-square with
 n - d degrees of freedom, the law behind the closed forms'
 I(q; (n-1)/2, 1/2); a row costs d normals and one chi-square draw
 instead of n normals.
+
+Each `estimate_modes` call allocates one workspace, sized for a full
+block, and every block of its passes draws and tests its planes in it,
+so no block allocates or faults in fresh pages.  The in-place draws
+have the bits of the allocating calls they stand for, so every stream
+is the one those calls gave: `standard_normal(out=)` fills the rows
+that `standard_normal((m, d))` returns; a chi-square(t) tail is
+2 * standard_gamma(t / 2), numpy's own definition of it; and
+uniform(-k, k) is -k + 2k * u, which `random(out=)` scaled by 2k and
+shifted by -k reproduces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -112,35 +123,43 @@ class Estimate:
         object.__setattr__(self, "std_error", se)
 
 
-def _full_norms(rng: np.random.Generator, draws: np.ndarray, n: int) -> np.ndarray:
+def _full_norms(rng: np.random.Generator, draws: np.ndarray, n: int, out=None) -> np.ndarray:
     """Norms in R^n of Gaussian vectors whose first coordinates are the rows.
 
     The other n - d squared coordinates sum to a chi-square(n - d) draw.
     For d <= 2 the rows' part has the bits of np.linalg.norm(axis=1), at
-    under half its cost.
+    under half its cost.  `out`, a (2, m) float array, holds the squared
+    norms and the tail instead of new arrays; the norms are its first row.
     """
-    tail = n - draws.shape[1]
-    sq = np.einsum("ij,ij->i", draws, draws)
+    m, d = draws.shape
+    sq, tail_sq = np.empty((2, m)) if out is None else out
+    np.einsum("ij,ij->i", draws, draws, out=sq)
+    tail = n - d
     if tail == 1:
         # numpy's chisquare(1) is slower than squaring one normal
-        sq += np.square(rng.standard_normal(draws.shape[0]))
+        rng.standard_normal(out=tail_sq)
+        sq += np.square(tail_sq, out=tail_sq)
     elif tail > 1:
-        sq += rng.chisquare(tail, draws.shape[0])
+        rng.standard_gamma(tail / 2, out=tail_sq)
+        tail_sq *= 2.0
+        sq += tail_sq
     return np.sqrt(sq, out=sq)
 
 
-def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int) -> np.ndarray:
+def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int, *, out=None) -> np.ndarray:
     """First d coordinates of m uniform unit vectors in R^n, an (m, d) array.
 
-    At d = n the rows are the unit vectors themselves.
+    At d = n the rows are the unit vectors themselves.  `out`, a float
+    array of at least m * (d + 2) entries, holds the draws and their norms
+    instead of a new array, and the rows are then a view of it.
     """
-    draws = rng.standard_normal((m, d))
-    norms = _full_norms(rng, draws, n)
+    buf = np.empty(m * (d + 2)) if out is None else out
+    draws = buf[: m * d].reshape(m, d)
+    rng.standard_normal(out=draws)
+    norms = _full_norms(rng, draws, n, buf[m * d : m * (d + 2)].reshape(2, m))
     # a near-zero Gaussian vector has no usable direction; redraw it
-    while True:
+    while norms.min() < _NORM_FLOOR:
         bad = norms < _NORM_FLOOR
-        if not bad.any():
-            break
         redraw = rng.standard_normal((int(bad.sum()), d))
         draws[bad] = redraw
         norms[bad] = _full_norms(rng, redraw, n)
@@ -200,14 +219,27 @@ def bernoulli_estimate(
     )
 
 
-def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int) -> int:
-    """How many of m trials of `width` planes split every pair, from each pair's plane hits."""
-    # at width 1 every plane is a trial of its own
-    trials = (hit if width == 1 else hit.reshape(m, width).any(axis=1) for hit in per_pair)
-    joint = next(trials)
-    for split in trials:
-        joint &= split
-    return int(joint.sum())
+def _uniform(rng: np.random.Generator, k: float, out: np.ndarray) -> np.ndarray:
+    """`out` filled with rng.uniform(-k, k) draws, with their bits: numpy computes -k + 2k * u."""
+    rng.random(out=out)
+    out *= 2.0 * k
+    out -= k
+    return out
+
+
+def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int, joint: np.ndarray) -> int:
+    """How many of m trials of `width` planes split every pair, from each pair's plane hits.
+
+    The trials that split every pair so far collect in the leading m
+    entries of `joint`.  It shares no memory with the hits, so every pair's
+    hits may come in one reused mask.
+    """
+    joint = joint[:m]
+    joint.fill(True)
+    for hit in per_pair:
+        # at width 1 every plane is a trial of its own
+        joint &= hit if width == 1 else hit.reshape(m, width).any(axis=1)
+    return np.count_nonzero(joint)
 
 
 def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
@@ -257,37 +289,55 @@ def estimate_modes(
     for mode in modes:
         if mode not in MODES:
             raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
+    if "random-bias" in modes and len(instances) > 1:
+        raise ArgumentOutOfRange(
+            f"random-bias mode takes one pair, got {len(instances)}: "
+            "each pair's planes follow its own axis, so they share no tessellation"
+        )
     k_draw = max(inst.bias_half_range for inst in instances)
+    if any(mode != "random-weight" for mode in modes) and not math.isfinite(2.0 * k_draw):
+        raise ArgumentOutOfRange(
+            f"bias half range {k_draw!r} is too wide to draw biases from: 2k overflows"
+        )
+    weight_modes = [mode for mode in modes if mode != "random-bias"]
+    cores = _planar_core(instances) if weight_modes else []
+    d = cores[0].dimension if cores else 0
     block = max(1, _BLOCK // width)
+    rows = block * width
+    # One workspace serves every block of both passes; a short block uses
+    # its leading rows.  It holds the biases, then room for the weights and
+    # norms of `_sphere_block`, whose norms part takes the predicate's
+    # offsets once the weights are drawn.
+    floats = np.empty(rows * (d + 3))
+    biases, sphere = floats[:rows], floats[rows:]
+    scratch = (sphere[rows * d :].reshape(2, rows), np.empty((3, rows), dtype=bool))
+    joint = np.empty(block, dtype=bool)
     estimates = {}
     if "random-bias" in modes:
-        if len(instances) > 1:
-            raise ArgumentOutOfRange(
-                f"random-bias mode takes one pair, got {len(instances)}: "
-                "each pair's planes follow its own axis, so they share no tessellation"
-            )
         (inst,) = instances
         proj_a, proj_b = _axis_projections(inst)
 
         def bias_hits(rng: np.random.Generator, m: int) -> tuple[int]:
-            biases = rng.uniform(-k_draw, k_draw, m * width)
-            split = separates_offsets(proj_a - biases, proj_b - biases, inst)
-            return (_trial_hits([split], m, width),)
+            drawn = _uniform(rng, k_draw, biases[: m * width])
+            off_a, off_b = scratch[0][:, : m * width]
+            np.subtract(proj_a, drawn, out=off_a)
+            np.subtract(proj_b, drawn, out=off_b)
+            split = separates_offsets(off_a, off_b, inst, out=scratch[1])
+            return (_trial_hits([split], m, width, joint),)
 
         (estimates["random-bias"],) = bernoulli_estimate(cfg, bias_hits, block)
-    weight_modes = [mode for mode in modes if mode != "random-bias"]
     if weight_modes:
-        cores = _planar_core(instances)
-        d = cores[0].dimension
 
         def hits(rng: np.random.Generator, m: int) -> tuple[int, ...]:
-            weights = _sphere_block(rng, m * width, d, n)
-            split = {"random-weight": lambda core: exists_separating_bias_batch(weights, core)}
+            weights = _sphere_block(rng, m * width, d, n, out=sphere)
+            split = {"random-weight": partial(exists_separating_bias_batch, weights, out=scratch)}
             if "fully-random" in weight_modes:
                 # drawn after the weights, so both modes share them
-                biases = rng.uniform(-k_draw, k_draw, m * width)
-                split["fully-random"] = lambda core: separates_batch(weights, biases, core)
-            return tuple(_trial_hits(map(split[mode], cores), m, width) for mode in weight_modes)
+                drawn = _uniform(rng, k_draw, biases[: m * width])
+                split["fully-random"] = partial(separates_batch, weights, drawn, out=scratch)
+            return tuple(
+                _trial_hits(map(split[mode], cores), m, width, joint) for mode in weight_modes
+            )
 
         estimates.update(zip(weight_modes, bernoulli_estimate(cfg, hits, block)))
     return tuple(estimates[mode] for mode in modes)

@@ -53,7 +53,8 @@ def p_random_bias(inst: SeparationInstance) -> float:
 
 
 def _bias_probability(gap: float, k: float) -> float:
-    return _check_unit_interval(gap / (2.0 * k), "random-bias probability")
+    # gap/(2k), correctly rounded even where 2k overflows
+    return _check_unit_interval((0.5 * gap) / k, "random-bias probability")
 
 
 def p_random_weight(inst: SeparationInstance) -> float:
@@ -184,5 +185,5 @@ def _weight_and_full(
     """Range-checked random-weight and fully random probabilities from I(q; a, 1/2)."""
     p_weight = _check_unit_interval(beta, "random-weight probability")
     bracket = _first_term(q, n) - sin_phi * p_weight
-    p_full = _check_unit_interval(distance / (2.0 * k) * bracket, "fully random probability")
+    p_full = _check_unit_interval((0.5 * distance) / k * bracket, "fully random probability")
     return p_weight, p_full

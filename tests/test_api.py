@@ -87,7 +87,11 @@ def test_benchmark_import_surface_resolves(monkeypatch):
     # reads _sphere_block's positional arguments; a moved one turns those
     # per-layer metrics absent without failing the run
     assert "block_hits" in inspect.signature(montecarlo.bernoulli_estimate).parameters
-    assert list(inspect.signature(montecarlo._sphere_block).parameters) == ["rng", "m", "d", "n"]
+    # (and its buffer comes as the keyword `out`)
+    kinds = {p.name: p.kind for p in inspect.signature(montecarlo._sphere_block).parameters.values()}
+    assert list(kinds) == ["rng", "m", "d", "n", "out"]
+    assert set(list(kinds.values())[:4]) == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert kinds["out"] is inspect.Parameter.KEYWORD_ONLY
     # it also reads reg_inc_beta's one argument's .kappa and .y and the three
     # positional arguments of _lentz_fraction(a, b, x) to count reflected
     # calls; a moved one turns specfun.reg_inc_beta.reflected_ratio absent

@@ -20,6 +20,8 @@ from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
 from ballsep.specfun import BetaArgs, reg_inc_beta
 
 CANONICAL = ["--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2"]
+# a valid instance whose bias range [-k, k] is wider than the largest double
+HUGE_K = ["--c", "-1,0", "--x", "3,0", "--k", "1e308", "--samples", "10"]
 
 
 def run(capsys, argv):
@@ -197,14 +199,36 @@ class TestEstimate:
         _, four, _ = run(capsys, [*base, "--chunks", "4"])
         assert one == four
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", *HUGE_K, "--which", "all"],
+            ["estimate", *HUGE_K, "--which", "full"],
+            ["estimate", *HUGE_K, "--which", "bias"],
+            ["tessellate", *HUGE_K, "--width", "2"],
+        ],
+    )
+    def test_bias_range_past_half_max_exits_two(self, capsys, argv):
+        # numpy's uniform(-k, k) used to raise OverflowError with a traceback
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: bias half range 1e+308 is too wide to draw biases from: 2k overflows\n"
+
+    def test_bias_range_past_half_max_still_draws_weights(self, capsys):
+        code, out, err = run(capsys, ["estimate", *HUGE_K, "--which", "weight", "--format", "csv"])
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)
+        assert row["estimator"] == "weight"
+        assert 0.0 <= float(row["mean"]) <= 1.0
+
     def test_all_rows_draw_each_block_once(self, capsys, monkeypatch):
         # weight and full rows share one weight draw per block; bias draws none
         calls = []
         sphere_block = montecarlo._sphere_block
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[1])
-            return sphere_block(*args)
+            return sphere_block(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_sphere_block", counted)
         code, _, _ = run(capsys, ["estimate", *CANONICAL, "--samples", str(2 * 65536 + 5)])

@@ -89,11 +89,11 @@ class TestConfig:
 
 class _ZerosFirst:
     """Generator stand-in whose first two rows of normals and of the
-    chi-square tail come out exactly zero."""
+    chi-square tail (drawn as gamma variates) come out exactly zero."""
 
     def __init__(self):
         self.rng = np.random.default_rng(0)
-        self.fresh = {"standard_normal", "chisquare"}
+        self.fresh = {"standard_normal", "standard_gamma"}
 
     def _first_rows_zero(self, name, out):
         if name in self.fresh:
@@ -101,11 +101,11 @@ class _ZerosFirst:
             out[:2] = 0.0
         return out
 
-    def standard_normal(self, size):
-        return self._first_rows_zero("standard_normal", self.rng.standard_normal(size))
+    def standard_normal(self, size=None, out=None):
+        return self._first_rows_zero("standard_normal", self.rng.standard_normal(size, out=out))
 
-    def chisquare(self, df, size):
-        return self._first_rows_zero("chisquare", self.rng.chisquare(df, size))
+    def standard_gamma(self, shape, size=None, out=None):
+        return self._first_rows_zero("standard_gamma", self.rng.standard_gamma(shape, size, out=out))
 
 
 class TestSampling:
@@ -139,9 +139,13 @@ class TestSampling:
         # the full vector (g, rest) / norm has unit length in R^n
         assert_allclose(np.sum(rows * rows, axis=1) + t / sq_norm, 1.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("into_buffer", [False, True])
     @pytest.mark.parametrize("d, n", [(4, 4), (2, 5)])
-    def test_zero_rows_are_redrawn(self, d, n):
-        block = _sphere_block(_ZerosFirst(), 16, d, n)
+    def test_zero_rows_are_redrawn(self, d, n, into_buffer):
+        out = np.full(16 * (d + 2) + 3, np.nan) if into_buffer else None
+        block = _sphere_block(_ZerosFirst(), 16, d, n, out=out)
+        if into_buffer:
+            assert np.shares_memory(block, out)
         assert np.all(np.isfinite(block))
         assert np.all(np.any(block[:2] != 0.0, axis=1))
         if d == n:
@@ -178,6 +182,81 @@ class TestSampling:
         a = _block_rng(*first).standard_normal(8)
         b = _block_rng(*second).standard_normal(8)
         assert not np.any(a == b)
+
+
+class TestDrawIdentities:
+    """The in-place draws of a block have the bits of the allocating calls they replace."""
+
+    M = 4099
+
+    def test_normals_into_a_buffer(self):
+        out = np.empty((self.M, 2))
+        _block_rng(3, 1).standard_normal(out=out)
+        assert np.array_equal(out, _block_rng(3, 1).standard_normal((self.M, 2)))
+
+    @pytest.mark.parametrize("t", [2, 3, 198, 9999])
+    def test_chi_square_is_twice_a_gamma(self, t):
+        out = np.empty(self.M)
+        _block_rng(3, 2).standard_gamma(t / 2, out=out)
+        assert np.array_equal(2.0 * out, _block_rng(3, 2).chisquare(t, self.M))
+
+    @pytest.mark.parametrize("k", [1e-300, 1e-5, 0.75, 3.0, 1e150, 8e307])
+    def test_uniform_biases_into_a_buffer(self, k):
+        out = np.empty(self.M)
+        assert montecarlo._uniform(_block_rng(3, 3), k, out) is out
+        assert np.array_equal(out, _block_rng(3, 3).uniform(-k, k, self.M))
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (2, 2), (2, 5), (1, 200), (2, 200)])
+    def test_sphere_block_into_a_buffer(self, d, n):
+        buf = np.full(self.M * (d + 2) + 7, np.nan)
+        rows = _sphere_block(_block_rng(3, 4), self.M, d, n, out=buf)
+        assert rows.base is buf
+        assert np.array_equal(rows, _sphere_block(_block_rng(3, 4), self.M, d, n))
+
+
+class TestWorkspace:
+    """One call draws and tests every block in the same buffers."""
+
+    def test_every_block_reuses_the_call_buffers(self, monkeypatch):
+        owners = {}
+
+        def recording(name, fn):
+            def wrapper(*args, out, **kwargs):
+                buffers = out if isinstance(out, tuple) else (out,)
+                # the arrays that own the memory of this call's buffers
+                owners.setdefault(name, []).append(
+                    tuple(buf if buf.base is None else buf.base for buf in buffers)
+                )
+                result = fn(*args, out=out, **kwargs)
+                assert any(np.shares_memory(result, buf) for buf in buffers)
+                return result
+
+            monkeypatch.setattr(montecarlo, name, wrapper)
+
+        for name in ("_sphere_block", "separates_batch", "exists_separating_bias_batch"):
+            recording(name, getattr(montecarlo, name))
+        rng = np.random.default_rng(4)
+        instances = [general_pose(rng, 5, 0.3) for _ in range(2)]
+        cfg = McConfig(samples=3 * 21845 + 7, seed=2)
+        montecarlo.estimate_modes(instances, 3, ("fully-random", "random-weight"), cfg)
+        # four blocks, the last one short; each predicate runs once per pair in each
+        counts = {name: len(seen) for name, seen in owners.items()}
+        assert counts == {"_sphere_block": 4, "separates_batch": 8, "exists_separating_bias_batch": 8}
+        for name, seen in owners.items():
+            assert all(all(a is b for a, b in zip(call, seen[0])) for call in seen), name
+
+    def test_calls_without_out_return_new_arrays(self):
+        inst = canonical_plane()
+        weights = _sphere_block(_block_rng(1, 0), 64, 2, 2)
+        biases = _block_rng(1, 1).uniform(-2.0, 2.0, 64)
+        for run in (
+            lambda: _sphere_block(_block_rng(1, 0), 64, 2, 2),
+            lambda: separates_batch(weights, biases, inst),
+            lambda: exists_separating_bias_batch(weights, inst),
+        ):
+            first, second = run(), run()
+            assert np.array_equal(first, second)
+            assert not np.shares_memory(first, second)
 
 
 class TestDeterminism:
@@ -299,6 +378,39 @@ class TestParentStreams:
         pinned = {"fully-random": 0.2360857142857143, "random-weight": 0.9576571428571429}
         for mode, mean in pinned.items():
             assert estimate_all_pairs([inst, other], 3, mode, cfg).mean == mean
+
+
+class TestMultiPairStreams:
+    """All-pairs means over three full blocks and a partial one, pinned with ==.
+
+    The cores are full rank at n = 3 and of dimension 4 and 16 at n = 50,
+    and every plane is tested against every pair, so a mask shared
+    between pairs changes these values.
+    """
+
+    @pytest.mark.parametrize(
+        "n, pairs, width, full, weight",
+        [
+            (3, 2, 1, 0.004440194697197032, 0.9017562419575511),
+            (3, 2, 3, 0.027189502593835825, 0.9997863899908452),
+            (3, 2, 96, 0.985372988785958, 1.0),
+            (3, 8, 1, 0.0, 0.6674126329388189),
+            (3, 8, 3, 9.1547146780592e-05, 0.9989472078120232),
+            (3, 8, 96, 0.9829351535836177, 1.0),
+            (50, 2, 1, 0.0034026234277489283, 0.7909293892062071),
+            (50, 2, 3, 0.011687519072322246, 0.9971925541653952),
+            (50, 2, 96, 0.7913213066796685, 1.0),
+            (50, 8, 1, 0.0, 0.39322425271981),
+            (50, 8, 3, 0.0, 0.9894110466890449),
+            (50, 8, 96, 0.21014139444173574, 1.0),
+        ],
+    )
+    def test_all_pairs_pinned(self, n, pairs, width, full, weight):
+        rng = np.random.default_rng([n, pairs, 10])
+        instances = [general_pose(rng, n, 0.05 if n == 3 else 0.02) for _ in range(pairs)]
+        cfg = McConfig(samples=3 * (65536 // width) + 5, seed=11)
+        assert estimate_all_pairs(instances, width, "fully-random", cfg).mean == full
+        assert estimate_all_pairs(instances, width, "random-weight", cfg).mean == weight
 
 
 class TestRankOneCore:

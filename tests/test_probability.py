@@ -59,6 +59,12 @@ class TestClosedForms:
         inst = make_instance(Ball([-3.0, 0.0], 0.5), Ball([3.0, 0.0], 1.5), 10.0)
         assert p_random_bias(inst) == inst.gap / 20.0
 
+    def test_bias_and_full_survive_an_overflowing_range(self):
+        # 2k overflows at k = 1e308, but gap/(2k) = 1e-308 is a double
+        inst = make_instance(Ball([-1.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0), 1e308)
+        assert p_random_bias(inst) == 1e-308
+        assert 0.0 < p_fully_random(inst) < p_random_bias(inst)
+
     def test_weight_matches_quadrature(self):
         for n in (2, 3, 7, 20, 51):
             for s in (0.3, 0.5, 0.8):
