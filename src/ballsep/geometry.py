@@ -235,7 +235,7 @@ def separates_batch(
     off_a -= biases
     _project(weights, inst.ball_b.center, off_b)
     off_b -= biases
-    return separates_offsets(off_a, off_b, inst, out=masks)
+    return separates_offsets(off_a, off_b, inst, masks)
 
 
 def _scratch(out, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +257,13 @@ def _project(weights: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.nda
     return np.matmul(weights, vector, out=out)
 
 
-def separates_offsets(off_a, off_b, inst: SeparationInstance, *, out=None) -> np.ndarray:
+def separates_offsets(off_a, off_b, inst: SeparationInstance, out: np.ndarray) -> np.ndarray:
     """The separation predicate on the offsets (w|c) - b and (w|x) - b.
 
-    `out`, if given, is a bool array of shape (3, >= m) whose leading m
-    columns take the comparisons; the result is a view of it.
+    `out` is a bool array of shape (3, >= m) whose leading m columns take
+    the comparisons; the result is a view of it.
     """
-    m = len(off_a)
-    hit, low, high = np.empty((3, m), dtype=bool) if out is None else out[:, :m]
+    hit, low, high = out[:, : len(off_a)]
     a, b = inst.ball_a, inst.ball_b
     # ((off_a > r) & (off_b < -p)) | ((off_a < -r) & (off_b > p))
     np.greater(off_a, a.radius, out=hit)

@@ -27,8 +27,9 @@ I(q; (n-1)/2, 1/2); a row costs d normals and one chi-square draw
 instead of n normals.
 
 Each `estimate_modes` call allocates one workspace, sized for a full
-block, and every block of its passes draws and tests its planes in it,
-so no block allocates or faults in fresh pages.  The in-place draws
+block, and every block of its passes draws and tests its planes in it:
+its weights, biases, offsets and masks reuse those arrays, and only the
+rare redraw of a near-zero direction allocates.  The in-place draws
 have the bits of the allocating calls they stand for, so every stream
 is the one those calls gave: `standard_normal(out=)` fills the rows
 that `standard_normal((m, d))` returns; a chi-square(t) tail is
@@ -149,14 +150,16 @@ def _full_norms(rng: np.random.Generator, draws: np.ndarray, n: int, out=None) -
 def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int, *, out=None) -> np.ndarray:
     """First d coordinates of m uniform unit vectors in R^n, an (m, d) array.
 
-    At d = n the rows are the unit vectors themselves.  `out`, a float
-    array of at least m * (d + 2) entries, holds the draws and their norms
-    instead of a new array, and the rows are then a view of it.
+    At d = n the rows are the unit vectors themselves.  `out`, if given,
+    is a pair of float arrays of shapes (>= m, d) and (2, >= m).  The rows
+    are written into the leading m rows of the first and returned as a
+    view of it.  The second is scratch for their norms, free for the
+    caller again once the rows come back.
     """
-    buf = np.empty(m * (d + 2)) if out is None else out
-    draws = buf[: m * d].reshape(m, d)
+    draws, scratch = (np.empty((m, d)), np.empty((2, m))) if out is None else out
+    draws = draws[:m]
     rng.standard_normal(out=draws)
-    norms = _full_norms(rng, draws, n, buf[m * d : m * (d + 2)].reshape(2, m))
+    norms = _full_norms(rng, draws, n, scratch[:, :m])
     # a near-zero Gaussian vector has no usable direction; redraw it
     while norms.min() < _NORM_FLOOR:
         bad = norms < _NORM_FLOOR
@@ -227,18 +230,18 @@ def _uniform(rng: np.random.Generator, k: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int, joint: np.ndarray) -> int:
+def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int, out: np.ndarray) -> int:
     """How many of m trials of `width` planes split every pair, from each pair's plane hits.
 
-    The trials that split every pair so far collect in the leading m
-    entries of `joint`.  It shares no memory with the hits, so every pair's
-    hits may come in one reused mask.
+    `out`, a bool array of shape (2, >= m), takes the trials that split
+    every pair so far and one pair's trial hits.  It shares no memory with
+    the plane hits, so every pair's hits may come in one reused mask.
     """
-    joint = joint[:m]
+    joint, split = out[:, :m]
     joint.fill(True)
     for hit in per_pair:
         # at width 1 every plane is a trial of its own
-        joint &= hit if width == 1 else hit.reshape(m, width).any(axis=1)
+        joint &= hit if width == 1 else hit.reshape(m, width).any(axis=1, out=split)
     return np.count_nonzero(joint)
 
 
@@ -305,13 +308,11 @@ def estimate_modes(
     block = max(1, _BLOCK // width)
     rows = block * width
     # One workspace serves every block of both passes; a short block uses
-    # its leading rows.  It holds the biases, then room for the weights and
-    # norms of `_sphere_block`, whose norms part takes the predicate's
-    # offsets once the weights are drawn.
-    floats = np.empty(rows * (d + 3))
-    biases, sphere = floats[:rows], floats[rows:]
-    scratch = (sphere[rows * d :].reshape(2, rows), np.empty((3, rows), dtype=bool))
-    joint = np.empty(block, dtype=bool)
+    # its leading rows.  The predicates' (offsets, masks) pair is `scratch`,
+    # and its offsets are also `_sphere_block`'s scratch for the norms.
+    biases, weights = np.empty(rows), np.empty((rows, d))
+    scratch = (np.empty((2, rows)), np.empty((3, rows), dtype=bool))
+    trials = np.empty((2, block), dtype=bool)
     estimates = {}
     if "random-bias" in modes:
         (inst,) = instances
@@ -322,21 +323,21 @@ def estimate_modes(
             off_a, off_b = scratch[0][:, : m * width]
             np.subtract(proj_a, drawn, out=off_a)
             np.subtract(proj_b, drawn, out=off_b)
-            split = separates_offsets(off_a, off_b, inst, out=scratch[1])
-            return (_trial_hits([split], m, width, joint),)
+            split = separates_offsets(off_a, off_b, inst, scratch[1])
+            return (_trial_hits([split], m, width, trials),)
 
         (estimates["random-bias"],) = bernoulli_estimate(cfg, bias_hits, block)
     if weight_modes:
 
         def hits(rng: np.random.Generator, m: int) -> tuple[int, ...]:
-            weights = _sphere_block(rng, m * width, d, n, out=sphere)
-            split = {"random-weight": partial(exists_separating_bias_batch, weights, out=scratch)}
+            unit = _sphere_block(rng, m * width, d, n, out=(weights, scratch[0]))
+            split = {"random-weight": partial(exists_separating_bias_batch, unit, out=scratch)}
             if "fully-random" in weight_modes:
                 # drawn after the weights, so both modes share them
                 drawn = _uniform(rng, k_draw, biases[: m * width])
-                split["fully-random"] = partial(separates_batch, weights, drawn, out=scratch)
+                split["fully-random"] = partial(separates_batch, unit, drawn, out=scratch)
             return tuple(
-                _trial_hits(map(split[mode], cores), m, width, joint) for mode in weight_modes
+                _trial_hits(map(split[mode], cores), m, width, trials) for mode in weight_modes
             )
 
         estimates.update(zip(weight_modes, bernoulli_estimate(cfg, hits, block)))
