@@ -16,15 +16,13 @@ domain error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 
 from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
-from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
+from .geometry import Ball, SeparationInstance, _radius, make_instance, symmetric_instance
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
 from .probability import _report_rows, asymptotic_envelope, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
@@ -122,13 +120,14 @@ def _instance_from_args(args) -> SeparationInstance:
     return inst
 
 
-def _csv_text(columns, records) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for record in records:
-        writer.writerow([record[name] for name in columns])
-    return buffer.getvalue()
+def _csv_cell(value) -> str:
+    # what csv.writer writes for these types; no field ballsep writes needs quoting
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_text(columns, lines) -> str:
+    """The CSV header of columns, then each line of the iterable lines."""
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _json_safe(record) -> dict:
@@ -181,33 +180,25 @@ def _write(args, columns, output, table=None) -> int:
     if args.format == "json":
         text = _json_lines(records, indent=2 if single else None)
     elif args.format == "csv":
-        text = _csv_text(columns, records)
+        text = _csv_text(columns, (",".join([_csv_cell(r[c]) for c in columns]) for r in records))
     else:
         text = _key_value_text(output) if single else table(records)
     _emit(text, args.out)
     return 0
 
 
-def _exact_record(inst: SeparationInstance, n: int, p_bias, p_weight, p_full) -> dict:
-    return {
-        "n": n,
-        "delta": inst.gap,
-        "r": inst.ball_a.radius,
-        "p": inst.ball_b.radius,
-        "k": inst.bias_half_range,
-        "sin_phi": inst.sin_phi,
-        "q": inst.q_value,
-        "p_bias": p_bias,
-        "p_weight": p_weight,
-        "p_full": p_full,
-    }
+def _gap_values(inst: SeparationInstance, p_bias: float) -> tuple:
+    """The columns delta to p_bias, which depend on the gap and not on n."""
+    radii = inst.ball_a.radius, inst.ball_b.radius
+    return inst.gap, *radii, inst.bias_half_range, inst.sin_phi, inst.q_value, p_bias
 
 
 def cmd_exact(args) -> int:
     inst = _instance_from_args(args)
     report = separation_report(inst)
-    probabilities = (report.p_random_bias, report.p_random_weight, report.p_fully_random)
-    return _write(args, _EXACT_COLUMNS, _exact_record(inst, inst.dimension, *probabilities))
+    gap = _gap_values(inst, report.p_random_bias)
+    values = (inst.dimension, *gap, report.p_random_weight, report.p_fully_random)
+    return _write(args, _EXACT_COLUMNS, dict(zip(_EXACT_COLUMNS, values)))
 
 
 def cmd_estimate(args) -> int:
@@ -254,23 +245,33 @@ def cmd_sweep(args) -> int:
     # the closed forms see the dimension only through the incomplete beta's
     # shape, and |c - x|, |c|, |x| of a center on the first axis are the same
     # in R^2 as in R^n, so each gap is validated once as a planar instance
+    for radius in (args.r, args.p):  # a bad radius is named before centers are built from it
+        _radius(radius)
     planar = []
     for delta in deltas:
-        if not delta > 0.0:
-            raise ArgumentOutOfRange(f"--delta entries must be positive, got {delta!r}")
+        if not 0.0 < delta < math.inf:
+            bound = "finite" if delta > 0.0 else "positive"
+            raise ArgumentOutOfRange(f"--delta entries must be {bound}, got {delta!r}")
         if dims[0] < 2:
             raise DimensionTooSmall(f"balls need dimension >= 2, got {dims[0]}")
         distance = args.r + args.p + delta
         k = args.k if args.k is not None else args.k_factor * 0.5 * distance
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
-    rows = iter(_report_rows(dims, planar))
-    records = []
-    for n in dims:
-        envelope = asymptotic_envelope(n)
-        for inst in planar:
-            records.append({**_exact_record(inst, n, *next(rows)), "envelope": envelope})
-    return _write(args, _SWEEP_COLUMNS, records)
+    rows = _report_rows(dims, planar)
+    gaps = [_gap_values(inst, p_bias) for inst, (p_bias, _, _) in zip(planar, rows)]
+    envelopes = [asymptotic_envelope(n) for n in dims]
+    if args.format == "json":
+        grid = ((n, gap, envelope) for n, envelope in zip(dims, envelopes) for gap in gaps)
+        values = ((n, *gap, w, f, envelope) for (n, gap, envelope), (_, w, f) in zip(grid, rows))
+        return _write(args, _SWEEP_COLUMNS, [dict(zip(_SWEEP_COLUMNS, v)) for v in values])
+    # each gap's columns and each envelope are rendered once; the probabilities by repr
+    prefixes = [",".join(map(_csv_cell, gap)) for gap in gaps]
+    tails = map(_csv_cell, envelopes)
+    grid = ((n, prefix, tail) for n, tail in zip(dims, tails) for prefix in prefixes)
+    lines = (f"{n},{prefix},{w!r},{f!r},{tail}" for (n, prefix, tail), (_, w, f) in zip(grid, rows))
+    _emit(_csv_text(_SWEEP_COLUMNS, lines), args.out)
+    return 0
 
 
 def cmd_tessellate(args) -> int:

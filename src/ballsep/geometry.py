@@ -16,6 +16,7 @@ so everything here is safe to share across threads or processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,23 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v.v) as np.linalg.norm computes it, or max|v_i| |v / max|v_i|| where v.v
+    is not a finite normal double.  Call it with numpy's overflow warnings off."""
+    sq = float(v.dot(v))
+    if sys.float_info.min <= sq < math.inf:
+        return math.sqrt(sq)
+    top = float(np.abs(v).max())  # 0 and inf are their own norm
+    return top * math.sqrt(float(np.dot(v / top, v / top))) if 0.0 < top < math.inf else top
+
+
+def _radius(value) -> float:
+    radius = float(value)
+    if not 0.0 < radius < math.inf:
+        raise ArgumentOutOfRange(f"ball radius must be positive and finite, got {value!r}")
+    return radius
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -56,11 +74,8 @@ class Ball:
         center = _as_vector(self.center, "ball center")
         if center.size < 2:
             raise DimensionTooSmall(f"balls need dimension >= 2, got {center.size}")
-        radius = float(self.radius)
-        if not radius > 0.0:
-            raise ArgumentOutOfRange(f"ball radius must be positive, got {self.radius!r}")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _radius(self.radius))
 
     @property
     def dimension(self) -> int:
@@ -93,8 +108,7 @@ class SeparationInstance:
                 f"balls have different dimensions {a.dimension} and {b.dimension}"
             )
         with np.errstate(over="ignore"):
-            # what np.linalg.norm computes for a real vector, without its dispatch
-            norms = [math.sqrt(v.dot(v)) for v in (a.center - b.center, a.center, b.center)]
+            norms = [_norm(v) for v in (a.center - b.center, a.center, b.center)]
         for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
             if norm == math.inf:
                 raise ArgumentOutOfRange(f"{label} overflows double precision")
@@ -194,7 +208,7 @@ def symmetric_instance(
         raise ArgumentOutOfRange(f"k_factor must be >= 1, got {k_factor!r}")
     if dim < 2:
         raise DimensionTooSmall(f"dimension must be >= 2, got {dim}")
-    half = 0.5 * (r + p) / sin_phi
+    half = 0.5 * (_radius(r) + _radius(p)) / sin_phi
     c = np.zeros(dim)
     c[0] = -half
     x = np.zeros(dim)

@@ -68,12 +68,6 @@ def p_random_weight(inst: SeparationInstance) -> float:
     return separation_report(inst).p_random_weight
 
 
-def _first_term(q: float, n: int) -> float:
-    """q^a / (a * B(a, 1/2)) with a = (n - 1)/2, evaluated in log space."""
-    a = 0.5 * (n - 1)
-    return math.exp(a * math.log(q) - math.log(a) - log_beta(a, 0.5))
-
-
 def p_fully_random(inst: SeparationInstance) -> float:
     """Probability that an independent uniform (weight, bias) pair separates.
 
@@ -103,9 +97,9 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
     if n < 2:
         raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
     a = 0.5 * (n - 1)
-    cos_sq = math.cos(alpha) ** 2
-    upper = reg_inc_beta(BetaArgs(cos_sq, a, 0.5))
-    mid = math.exp((n - 1) * math.log(math.cos(alpha)) - math.log(a) - log_beta(a, 0.5))
+    args = BetaArgs(math.cos(alpha) ** 2, a, 0.5)
+    upper = reg_inc_beta(args)
+    mid = math.exp((n - 1) * math.log(math.cos(alpha)) - math.log(a) - args._log_beta)
     lower = upper * math.sin(alpha)
     return lower, mid, upper
 
@@ -150,8 +144,11 @@ def separation_report(inst: SeparationInstance) -> SeparationReport:
     """All three closed forms for one validated instance, with one incomplete beta."""
     n, q, k = inst.dimension, inst.q_value, inst.bias_half_range
     p_bias = _bias_probability(inst.gap, k)
-    beta = reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5))
-    p_weight, p_full = _weight_and_full(n, q, inst.sin_phi, inst.center_distance, k, beta)
+    args = BetaArgs(q, 0.5 * (n - 1), 0.5)
+    beta = reg_inc_beta(args)
+    shape = (args.y, math.log(args.y), args._log_beta)
+    scale = 0.5 * inst.center_distance / k
+    p_weight, p_full = _weight_and_full(beta, math.log(q), shape, inst.sin_phi, scale)
     return SeparationReport(p_bias, p_weight, p_full)
 
 
@@ -160,30 +157,41 @@ def _report_rows(dims: list, instances: list) -> list:
 
     Rows run n-major, as in `sweep`.  Each instance's geometry stands in for
     every dimension (the closed forms read n only through the incomplete
-    beta's shape), so every n must be at least 2.  The incomplete betas of
-    all rows are one array continued fraction with the scalar's bits, and
-    each row gets `separation_report`'s range and ordering checks.
+    beta's shape), so every n must be at least 2.  The logs are taken once
+    per dimension and once per instance, the incomplete betas of all rows
+    are one array continued fraction with the scalar's bits, and each row
+    gets `separation_report`'s range and ordering checks.
     """
-    geometry = [
-        (inst.q_value, inst.sin_phi, inst.center_distance, inst.bias_half_range)
-        for inst in instances
+    gaps = []
+    for inst in instances:
+        q, k = inst.q_value, inst.bias_half_range
+        # I(1; a, 1/2) = 1 reads no logs, and log(1 - q) has none at q = 1
+        ln_comp = math.log1p(-q) if q < 1.0 else None
+        scale = 0.5 * inst.center_distance / k
+        gaps.append((q, math.log(q), ln_comp, inst.sin_phi, scale, _bias_probability(inst.gap, k)))
+    shapes = [(a, math.log(a), log_beta(a, 0.5)) for a in (0.5 * (n - 1) for n in dims)]
+    cells = [
+        (q, a, 0.5, ln_q, ln_comp, ln_beta)
+        for a, _, ln_beta in shapes
+        for q, ln_q, ln_comp, *_ in gaps
     ]
-    biases = [_bias_probability(inst.gap, inst.bias_half_range) for inst in instances]
-    betas = _reg_inc_betas([(q, 0.5 * (n - 1), 0.5) for n in dims for q, _, _, _ in geometry])
-    cells = ((n, scalars, p_bias) for n in dims for scalars, p_bias in zip(geometry, biases))
+    betas = iter(_reg_inc_betas(cells))
     rows = []
-    for (n, scalars, p_bias), beta in zip(cells, betas):
-        p_weight, p_full = _weight_and_full(n, *scalars, beta)
-        _check_ordering(p_bias, p_weight, p_full)
-        rows.append((p_bias, p_weight, p_full))
+    for shape in shapes:
+        for (_, ln_q, _, sin_phi, scale, p_bias), beta in zip(gaps, betas):
+            p_weight, p_full = _weight_and_full(beta, ln_q, shape, sin_phi, scale)
+            _check_ordering(p_bias, p_weight, p_full)
+            rows.append((p_bias, p_weight, p_full))
     return rows
 
 
 def _weight_and_full(
-    n: int, q: float, sin_phi: float, distance: float, k: float, beta: float
+    beta: float, ln_q: float, shape: tuple, sin_phi: float, scale: float
 ) -> tuple:
-    """Range-checked random-weight and fully random probabilities from I(q; a, 1/2)."""
+    """Range-checked p_weight and p_full from beta = I(q; a, 1/2), log q,
+    shape = (a, log a, log B(a, 1/2)) and scale = |c - x| / (2 k)."""
+    a, ln_a, ln_beta = shape
     p_weight = _check_unit_interval(beta, "random-weight probability")
-    bracket = _first_term(q, n) - sin_phi * p_weight
-    p_full = _check_unit_interval((0.5 * distance) / k * bracket, "fully random probability")
+    bracket = math.exp(a * ln_q - ln_a - ln_beta) - sin_phi * p_weight  # q^a / (a B) - s I
+    p_full = _check_unit_interval(scale * bracket, "fully random probability")
     return p_weight, p_full

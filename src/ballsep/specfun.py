@@ -15,8 +15,9 @@ calls, and an array kernel, `_lentz_fractions`, for `_reg_inc_betas`.  The
 array kernel's values equal the scalar's with `==`: it repeats the
 scalar's + - * /, abs and comparisons per element in the same order, and
 these are correctly rounded in numpy as in Python.  `lgamma`, `log`,
-`log1p` and `exp` stay per-element `math` calls on both paths, because
-numpy's differ from them in the last bit for some arguments.
+`log1p` and `exp` stay `math` calls on both paths, because numpy's differ
+from them in the last bit for some arguments; a grid takes the logs once
+per kappa and per shape, and only the `exp` per cell.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class BetaArgs:
     kappa must lie in [0, 1]; values within 1e-14 outside that interval
     (from upstream float arithmetic) are clamped to the nearest endpoint,
     anything further is rejected.  The shape parameters y and z must be
-    positive.
+    positive.  Construction also takes log B(y, z) once, as `_log_beta`, for
+    `reg_inc_beta` and for callers whose other terms need it too.
     """
 
     kappa: float
@@ -67,9 +69,10 @@ class BetaArgs:
             raise ArgumentOutOfRange(f"kappa must lie in [0, 1], got {self.kappa!r}")
         if not (y > 0.0 and z > 0.0):
             raise ArgumentOutOfRange(f"shape parameters must be positive, got y={y!r}, z={z!r}")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        # frozen, so the normalized fields are stored past __setattr__
+        stored = self.__dict__
+        stored["kappa"], stored["y"], stored["z"] = kappa, y, z
+        stored["_log_beta"] = log_beta(y, z)
 
 
 def reg_inc_beta(args: BetaArgs) -> float:
@@ -81,18 +84,20 @@ def reg_inc_beta(args: BetaArgs) -> float:
     exact = _endpoint(kappa)
     if exact is not None:
         return exact
-    front, a, b, x, reflected = _fraction_setup(kappa, y, z)
+    front, a, b, x, reflected = _fraction_setup(
+        kappa, y, z, math.log(kappa), math.log1p(-kappa), args._log_beta
+    )
     return _assemble(front, _lentz_fraction(a, b, x), a, reflected)
 
 
 def _reg_inc_betas(cells: list) -> list:
-    """`reg_inc_beta` of each (kappa, y, z) in cells, with the same bits.
+    """`reg_inc_beta` of each cell in cells, with the same bits.
 
-    The cells must hold valid `BetaArgs` fields (kappa in [0, 1], y and z
-    positive); they are not checked.  All continued fractions run
-    as one array iteration, in the order of the cells.
+    A cell is (kappa, y, z, log kappa, log(1 - kappa), log B(y, z)) for valid
+    `BetaArgs` fields; it is not checked, and at kappa 0 or 1 its logs are
+    not read.  All continued fractions run as one array iteration, in order.
     """
-    values = [_endpoint(kappa) for kappa, _, _ in cells]
+    values = [_endpoint(cell[0]) for cell in cells]
     inside = [i for i, value in enumerate(values) if value is None]
     if inside:
         setups = [_fraction_setup(*cells[i]) for i in inside]
@@ -112,13 +117,16 @@ def _endpoint(kappa: float):
     return None
 
 
-def _fraction_setup(kappa: float, y: float, z: float) -> tuple:
+def _fraction_setup(
+    kappa: float, y: float, z: float, ln_kappa: float, ln_comp: float, ln_beta: float
+) -> tuple:
     """(front, a, b, x, reflected) of I(kappa; y, z) for 0 < kappa < 1.
 
-    I(kappa; y, z) is front * F(a, b, x) / a, where F is the continued
-    fraction, or 1 minus that when reflected.
+    The logs are log kappa, log(1 - kappa) and log B(y, z).  I(kappa; y, z)
+    is front * F(a, b, x) / a, where F is the continued fraction, or 1 minus
+    that when reflected.
     """
-    ln_front = y * math.log(kappa) + z * math.log1p(-kappa) - log_beta(y, z)
+    ln_front = y * ln_kappa + z * ln_comp - ln_beta
     if kappa < (y + 1.0) / (y + z + 2.0):
         return math.exp(ln_front), y, z, kappa, False
     return math.exp(ln_front), z, y, 1.0 - kappa, True

@@ -17,7 +17,7 @@ from ballsep.cli import main
 from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
-from ballsep.specfun import BetaArgs, reg_inc_beta
+from ballsep.specfun import BetaArgs, log_beta, reg_inc_beta
 
 CANONICAL = ["--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2"]
 # a valid instance whose bias range [-k, k] is wider than the largest double
@@ -100,6 +100,36 @@ class TestExact:
         code, out, err = run(capsys, ["exact", *argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--r", "nan"], "ball radius must be positive and finite, got nan"),
+            (["--r", "inf"], "ball radius must be positive and finite, got inf"),
+            (["--p", "-1"], "ball radius must be positive and finite, got -1.0"),
+        ],
+    )
+    def test_bad_radius_is_named_before_centers_are_built(self, capsys, argv, message):
+        code, out, err = run(capsys, ["exact", "--dim", "2", "--sinphi", "0.5", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # (an instance whose squared norms leave the double range, the same
+    # instance at unit scale); the closed forms agree within 2 ulp
+    SCALED = [
+        ("--c -1e200,0 --x 1e200,0 --r 1e199 --p 1e199 --k 1e200",
+         "--c -1,0 --x 1,0 --r 0.1 --p 0.1 --k 1"),
+        ("--c 0,0 --x 4e-300,0 --r 1e-300 --p 1e-300 --k 1e-299",
+         "--c 0,0 --x 4,0 --r 1 --p 1 --k 10"),
+    ]
+
+    @pytest.mark.parametrize("scaled, unit", SCALED)
+    def test_scale_free_closed_forms(self, capsys, scaled, unit):
+        code, out, _ = run(capsys, ["exact", *scaled.split(), "--format", "json"])
+        assert code == 0
+        got = json.loads(out)
+        want = json.loads(run(capsys, ["exact", *unit.split(), "--format", "json"])[1])
+        for key in ("sin_phi", "q", "p_bias", "p_weight", "p_full"):
+            assert abs(got[key] - want[key]) <= 2 * math.ulp(want[key]), key
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, err = run(capsys, ["exact", "--bogus", "1"])
         assert code == 2
@@ -127,7 +157,7 @@ class TestExact:
         # run under -W error: a RuntimeWarning from the norm would abort
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
-        argv = ["exact", "--c", "-1e155,0", "--x", "1e155,0", "--k", "1e156"]
+        argv = ["exact", "--c", "-1e308,0", "--x", "1e308,0", "--k", "1e308"]
         done = subprocess.run(
             [sys.executable, "-W", "error", "-m", "ballsep", *argv],
             capture_output=True, text=True, env=env, timeout=60,
@@ -353,6 +383,9 @@ class TestSweep:
             ("--dim", "2,x", "could not parse --dim list from '2,x'"),
             ("--dim", ",", "--dim list is empty"),
             ("--delta", ",", "--delta list is empty"),
+            ("--delta", "inf", "--delta entries must be finite, got inf"),
+            ("--r", "inf", "ball radius must be positive and finite, got inf"),
+            ("--p", "nan", "ball radius must be positive and finite, got nan"),
         ],
     )
     def test_bad_lists_exit_two(self, capsys, flag, text, message):
@@ -409,6 +442,16 @@ class TestSweep:
         # the counters see the scalar path that single calls take
         assert run(capsys, ["exact", "--dim", "3", "--sinphi", "0.5"])[0] == 0
         assert calls == ["reg_inc_beta", "_lentz_fraction"]
+
+    def test_one_log_beta_per_dimension(self, capsys, monkeypatch):
+        # 3 lgamma for log B(a, 1/2) and 2 for the envelope per dimension,
+        # however many gaps share it
+        calls = []
+        original = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or original(x))
+        code, out, _ = run(capsys, ["sweep", "--dim", "2..41", "--delta", "0.1,0.5,1,2,7"])
+        assert (code, len(parse_csv(out))) == (0, 200)
+        assert len(calls) == (3 + 2) * 40
 
     def test_out_of_range_fraction_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "_lentz_fractions", lambda a, b, x: np.full(a.shape, np.inf))
@@ -472,6 +515,73 @@ class TestSweep:
     def test_output_pinned(self, capsys, argv):
         code, out, err = run(capsys, ["sweep", *argv])
         assert (code, hashlib.sha1(out.encode()).hexdigest(), err) == self.PINNED[argv]
+
+
+def _writer_text(columns, records):
+    # the csv.writer rendering that `--format csv` used to come from
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([record[name] for name in columns])
+    return buffer.getvalue()
+
+
+def _json_records(text):
+    # one indented object or one object per line; JSON round-trips every double
+    text = text.strip()
+    if text.startswith("{\n"):
+        return [json.loads(text)]
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestCsvRendering:
+    # each command's CSV against csv.writer fed the records its JSON holds
+    SWEEPS = [
+        ("--dim", "2,3,50", "--delta", "0.5,2", "--k", "1e308"),  # subnormal p_bias, p_full
+        ("--dim", "2,7", "--delta", "1e-300,3e-300", "--r", "1e-300", "--p", "1e-300"),
+        ("--dim", "2,1000,100000000", "--delta", "0.1,7"),
+        ("--dim", "4", "--delta", "1"),
+        ("--dim", "5,3,3,2", "--delta", "2,0.5,2,0.5"),
+        ("--dim", "2..300", "--delta", "0.5,1,2", "--r", "0.5", "--p", "2", "--k-factor", "1.5"),
+    ]
+    COMMANDS = [
+        ("exact", *CANONICAL),
+        ("exact", "--dim", "7", "--sinphi", "0.3", "--r", "0.5", "--p", "2", "--k", "1e308"),
+        ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "20000", "--seed", "7"),
+        ("estimate", "--dim", "2000", "--sinphi", "0.5", "--samples", "1000", "--which", "full"),
+        ("tessellate", *CANONICAL, "--target", "0.99"),
+        ("tessellate", "--dim", "50", "--sinphi", "0.2", "--width", "3", "--samples", "2000"),
+    ]
+    COLUMNS = {
+        "sweep": cli._SWEEP_COLUMNS,
+        "exact": cli._EXACT_COLUMNS,
+        "estimate": cli._ESTIMATE_COLUMNS,
+        "tessellate": cli._TESSELLATE_COLUMNS,
+    }
+
+    @pytest.mark.parametrize(
+        "argv", [("sweep", *a) for a in SWEEPS] + COMMANDS, ids=lambda argv: " ".join(argv)
+    )
+    def test_csv_matches_csv_writer(self, capsys, argv):
+        code, out, err = run(capsys, [*argv, "--format", "csv"])
+        assert (code, err) == (0, "")
+        records = _json_records(run(capsys, [*argv, "--format", "json"])[1])
+        assert out == _writer_text(self.COLUMNS[argv[0]], records)
+
+    def test_sweep_renders_exponents_and_subnormals(self, capsys):
+        _, out, _ = run(capsys, ["sweep", *self.SWEEPS[0]])
+        assert any(float(row["p_full"]) < 2.2250738585072014e-308 for row in parse_csv(out))
+        _, out, _ = run(capsys, ["sweep", *self.SWEEPS[1]])
+        assert "e-300" in out.splitlines()[1]
+
+    def test_sweep_out_file_matches_csv_writer(self, capsys, tmp_path):
+        argv = ["sweep", "--dim", "9,2", "--delta", "3,0.25"]
+        target = tmp_path / "sweep.csv"
+        assert run(capsys, [*argv, "--out", str(target)]) == (0, "", "")
+        records = _json_records(run(capsys, [*argv, "--format", "json"])[1])
+        expected = _writer_text(cli._SWEEP_COLUMNS, records)
+        assert target.read_bytes() == expected.encode("utf-8")
 
 
 class TestTessellate:
@@ -578,7 +688,7 @@ class TestValidate:
             n = inst.dimension
             a = 0.5 * (n - 1)
             incomplete = reg_inc_beta(BetaArgs(inst.q_value, a, 0.5))
-            first = probability._first_term(inst.q_value, n)
+            first = math.exp(a * math.log(inst.q_value) - math.log(a) - log_beta(a, 0.5))
             scale = inst.center_distance / (2.0 * inst.bias_half_range)
             return scale * (first + inst.sin_phi * incomplete)
 

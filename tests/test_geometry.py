@@ -128,9 +128,9 @@ class TestInstanceValidation:
     @pytest.mark.parametrize(
         "c, x, label",
         [
-            ([-1e155, 0.0], [1e155, 0.0], "|c - x|"),
-            ([1e155, 0.0], [1.1e155, 0.0], "|c|"),
-            ([0.0, 1.0], [1e300, 1e300], "|c - x|"),
+            ([0.0, 1.0], [1.3e308, 1.3e308], "|c - x|"),
+            ([1.5e308, 1.5e308], [1.5e308, 1.4e308], "|c|"),
+            ([1.7e308, 0.0], [-1.7e308, 0.0], "|c - x|"),
             ([-1e308, 0.0], [1e308, 0.0], "|c - x|"),
         ],
     )
@@ -139,6 +139,30 @@ class TestInstanceValidation:
             warnings.simplefilter("error")
             with pytest.raises(ArgumentOutOfRange, match=re.escape(f"{label} overflows")):
                 make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e307)
+
+    @pytest.mark.parametrize(
+        "c, x",
+        [
+            # v.v overflows: the norm is taken on v over its largest entry
+            ([-1e155, 0.0], [1e155, 0.0]),
+            ([1e155, 0.0], [1.1e155, 0.0]),
+            ([0.0, 1.0], [3e300, 4e300]),
+            # v.v underflows to 0 or to a subnormal
+            ([0.0, 0.0], [4e-300, 0.0]),
+            ([3e-160, 0.0], [0.0, 4e-160]),
+        ],
+    )
+    def test_norms_whose_square_leaves_the_normal_range(self, c, x):
+        dist = math.hypot(*np.subtract(c, x))
+        k = max(math.hypot(*c), math.hypot(*x))
+        radius = 0.25 * dist
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = make_instance(Ball(c, radius), Ball(x, radius), k)
+        assert inst.center_distance == pytest.approx(dist, rel=4e-16, abs=0.0)
+        # |c| and |x| are right too: k passes and a k just below it does not
+        with pytest.raises(KInsufficient):
+            make_instance(Ball(c, radius), Ball(x, radius), 0.999 * k)
 
     def test_large_finite_norms_unchanged(self):
         c, x = np.array([-3e153, 1e153]), np.array([4e153, -2e152])

@@ -291,3 +291,32 @@ class TestReportRows:
         monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [0.0] * len(cells))
         with pytest.raises(InternalConsistencyError, match="exceeds random-weight"):
             probability._report_rows([2], [inst])
+
+
+class TestLogBetaOncePerDimension:
+    # log B(a, 1/2) is three lgamma; each dimension takes it once and hands
+    # it to both the incomplete beta and the first term q^a / (a B(a, 1/2))
+    @pytest.fixture
+    def lgammas(self, monkeypatch):
+        calls = []
+        original = math.lgamma
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        return calls
+
+    def test_separation_report(self, lgammas):
+        separation_report(canonical_space())
+        assert len(lgammas) == 3
+
+    def test_lemma_bounds(self, lgammas):
+        lemma_bounds(0.4, 7)
+        assert len(lgammas) == 3
+
+    def test_report_rows(self, lgammas):
+        dims, planar = [2, 3, 50, 1000], [symmetric_instance(2, s) for s in _ROW_SINES]
+        probability._report_rows(dims, planar)
+        assert len(lgammas) == 3 * len(dims)

@@ -102,20 +102,28 @@ SWEEP_DIMS = sorted(
 SWEEP_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-8)
 
 
+def _cell(kappa, y, z):
+    # a `_reg_inc_betas` cell: the arguments, then the logs a sweep hoists
+    # (not read at kappa 0 or 1)
+    logs = (math.log(kappa), math.log1p(-kappa)) if 0.0 < kappa < 1.0 else (None, None)
+    return (kappa, y, z, *logs, log_beta(y, z))
+
+
 def _sweep_cells():
     return [
-        (1.0 - s * s, 0.5 * (n - 1), 0.5) for n in SWEEP_DIMS for s in SWEEP_SINES
+        _cell(1.0 - s * s, 0.5 * (n - 1), 0.5) for n in SWEEP_DIMS for s in SWEEP_SINES
     ]
 
 
 class TestArrayKernel:
     def test_cells_equal_scalar_bits(self):
         cells = _sweep_cells()
-        assert specfun._reg_inc_betas(cells) == [reg_inc_beta(BetaArgs(*c)) for c in cells]
+        want = [reg_inc_beta(BetaArgs(*c[:3])) for c in cells]
+        assert specfun._reg_inc_betas(cells) == want
         inside = [c for c in cells if 0.0 < c[0] < 1.0]
-        reflected = [y for q, y, z in inside if not q < (y + 1.0) / (y + z + 2.0)]
+        reflected = [y for q, y, z, *_ in inside if not q < (y + 1.0) / (y + z + 2.0)]
         assert 0 < len(reflected) < len(inside)
-        assert any(q == 1.0 for q, _, _ in cells)
+        assert any(c[0] == 1.0 for c in cells)
 
     def test_fractions_equal_scalar_kernel(self):
         rng = np.random.default_rng(5)
@@ -142,6 +150,6 @@ class TestArrayKernel:
         with pytest.raises(NoConvergence) as scalar:
             reg_inc_beta(BetaArgs(*cells[1]))
         with pytest.raises(NoConvergence) as array:
-            specfun._reg_inc_betas(cells)
+            specfun._reg_inc_betas([_cell(*c) for c in cells])
         assert str(array.value) == str(scalar.value)
         assert "did not converge in 2 iterations (x=0.5, a=9.0, b=8.0)" in str(array.value)
