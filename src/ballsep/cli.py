@@ -24,7 +24,7 @@ from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, _radius, make_instance, symmetric_instance
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
-from .probability import _report_rows, asymptotic_envelope, separation_report
+from .probability import _gap, _report_rows, _shape, asymptotic_envelope, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
@@ -255,10 +255,13 @@ def cmd_sweep(args) -> int:
         if dims[0] < 2:
             raise DimensionTooSmall(f"balls need dimension >= 2, got {dims[0]}")
         distance = args.r + args.p + delta
+        if distance == math.inf:
+            raise ArgumentOutOfRange("|c - x| overflows double precision")
         k = args.k if args.k is not None else args.k_factor * 0.5 * distance
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
-    rows = _report_rows(dims, planar)
+    shapes, logs = [_shape(n) for n in dims], [_gap(inst) for inst in planar]
+    rows = _report_rows([(shape, gap) for shape in shapes for gap in logs])
     gaps = [_gap_values(inst, p_bias) for inst, (p_bias, _, _) in zip(planar, rows)]
     envelopes = [asymptotic_envelope(n) for n in dims]
     if args.format == "json":

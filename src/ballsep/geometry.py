@@ -209,6 +209,8 @@ def symmetric_instance(
     if dim < 2:
         raise DimensionTooSmall(f"dimension must be >= 2, got {dim}")
     half = 0.5 * (_radius(r) + _radius(p)) / sin_phi
+    if half == math.inf:  # named before the centers are built from it
+        raise ArgumentOutOfRange("|c - x| overflows double precision")
     c = np.zeros(dim)
     c[0] = -half
     x = np.zeros(dim)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentOutOfRange, InternalConsistencyError
 from .geometry import SeparationInstance
-from .specfun import BetaArgs, _reg_inc_betas, log_beta, reg_inc_beta
+from .specfun import BetaArgs, _kappa_logs, _reg_inc_betas, log_beta, reg_inc_beta
 
 # probabilities assembled from independently rounded pieces may land a
 # few ulp outside [0, 1] or break the pairwise ordering by float noise;
@@ -92,16 +92,39 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
 
     and lower <= mid <= upper holds for every alpha in (0, pi/2), n >= 2.
     """
-    if not 0.0 < alpha < 0.5 * math.pi:
-        raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
+    kappa = _lemma_kappa(alpha)
     if n < 2:
         raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
     a = 0.5 * (n - 1)
-    args = BetaArgs(math.cos(alpha) ** 2, a, 0.5)
-    upper = reg_inc_beta(args)
-    mid = math.exp((n - 1) * math.log(math.cos(alpha)) - math.log(a) - args._log_beta)
-    lower = upper * math.sin(alpha)
-    return lower, mid, upper
+    args = BetaArgs(kappa, a, 0.5)
+    return _sandwich(reg_inc_beta(args), alpha, (a, math.log(a), args._log_beta))
+
+
+def _lemma_rows(cells: list) -> list:
+    """`lemma_bounds(alpha, n)` of each (alpha, `_shape(n)`) in cells, with its bits."""
+    kernel = [(*_kappa_logs(_lemma_kappa(alpha)), a, 0.5, ln_b) for alpha, (a, _, ln_b) in cells]
+    return [_sandwich(upper, *cell) for upper, cell in zip(_reg_inc_betas(kernel), cells)]
+
+
+def _lemma_kappa(alpha: float) -> float:
+    if not 0.0 < alpha < 0.5 * math.pi:
+        raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
+    return math.cos(alpha) ** 2
+
+
+def _sandwich(upper: float, alpha: float, shape: tuple) -> tuple:
+    # lemma_bounds from its upper bound; 2 a = n - 1 exactly
+    a, ln_a, ln_beta = shape
+    mid = math.exp(2.0 * a * math.log(math.cos(alpha)) - ln_a - ln_beta)
+    return upper * math.sin(alpha), mid, upper
+
+
+def _shape(n: int) -> tuple:
+    """(a, log a, log B(a, 1/2)), a = (n - 1)/2: what the closed forms read of n >= 2."""
+    if n < 2:
+        raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
+    a = 0.5 * (n - 1)
+    return a, math.log(a), log_beta(a, 0.5)
 
 
 def asymptotic_envelope(n: int) -> float:
@@ -148,41 +171,29 @@ def separation_report(inst: SeparationInstance) -> SeparationReport:
     beta = reg_inc_beta(args)
     shape = (args.y, math.log(args.y), args._log_beta)
     scale = 0.5 * inst.center_distance / k
-    p_weight, p_full = _weight_and_full(beta, math.log(q), shape, inst.sin_phi, scale)
+    p_weight, p_full = _weight_and_full(beta, args._ln_kappa, shape, inst.sin_phi, scale)
     return SeparationReport(p_bias, p_weight, p_full)
 
 
-def _report_rows(dims: list, instances: list) -> list:
-    """`separation_report`'s (p_bias, p_weight, p_full) for each n in dims and each instance.
+def _gap(inst: SeparationInstance) -> tuple:
+    """(q, log q, log(1 - q), sin phi, |c - x| / (2 k), p_bias): what the closed
+    forms read of an instance besides its dimension."""
+    k = inst.bias_half_range
+    scale = 0.5 * inst.center_distance / k
+    return *_kappa_logs(inst.q_value), inst.sin_phi, scale, _bias_probability(inst.gap, k)
 
-    Rows run n-major, as in `sweep`.  Each instance's geometry stands in for
-    every dimension (the closed forms read n only through the incomplete
-    beta's shape), so every n must be at least 2.  The logs are taken once
-    per dimension and once per instance, the incomplete betas of all rows
-    are one array continued fraction with the scalar's bits, and each row
-    gets `separation_report`'s range and ordering checks.
-    """
-    gaps = []
-    for inst in instances:
-        q, k = inst.q_value, inst.bias_half_range
-        # I(1; a, 1/2) = 1 reads no logs, and log(1 - q) has none at q = 1
-        ln_comp = math.log1p(-q) if q < 1.0 else None
-        scale = 0.5 * inst.center_distance / k
-        gaps.append((q, math.log(q), ln_comp, inst.sin_phi, scale, _bias_probability(inst.gap, k)))
-    shapes = [(a, math.log(a), log_beta(a, 0.5)) for a in (0.5 * (n - 1) for n in dims)]
-    cells = [
-        (q, a, 0.5, ln_q, ln_comp, ln_beta)
-        for a, _, ln_beta in shapes
-        for q, ln_q, ln_comp, *_ in gaps
-    ]
-    betas = iter(_reg_inc_betas(cells))
-    rows = []
-    for shape in shapes:
-        for (_, ln_q, _, sin_phi, scale, p_bias), beta in zip(gaps, betas):
-            p_weight, p_full = _weight_and_full(beta, ln_q, shape, sin_phi, scale)
-            _check_ordering(p_bias, p_weight, p_full)
-            rows.append((p_bias, p_weight, p_full))
-    return rows
+
+def _report_rows(rows: list) -> list:
+    """`separation_report`'s (p_bias, p_weight, p_full) of inst in dimension n, with its
+    bits and checks, for each (`_shape(n)`, `_gap(inst)`) in rows; a caller takes each
+    shape once per dimension and each gap once per instance."""
+    kernel = [(q, ln_q, ln_c, a, 0.5, ln_b) for (a, _, ln_b), (q, ln_q, ln_c, _, _, _) in rows]
+    reports = []
+    for (shape, (_, ln_q, _, sin_phi, scale, p_bias)), beta in zip(rows, _reg_inc_betas(kernel)):
+        p_weight, p_full = _weight_and_full(beta, ln_q, shape, sin_phi, scale)
+        _check_ordering(p_bias, p_weight, p_full)
+        reports.append((p_bias, p_weight, p_full))
+    return reports
 
 
 def _weight_and_full(

@@ -10,11 +10,16 @@ Four independent consistency batteries, each returning a CheckResult:
   and reproduce two hand-computable reference instances.
 
 Every comparison here pits two different computational routes against
-each other, so a sign or factor slip in any one route fails loudly.
+each other, so a sign or factor slip in any one route fails loudly.  The
+first three run their incomplete betas as array continued fractions, _CHUNK
+cells at a time, with the scalar kernel's bits; the analytic reductions stay
+on the scalar `separation_report` and `reg_inc_beta`, which they test.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,11 +29,14 @@ from . import probability
 from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
 from .errors import ArgumentOutOfRange
 from .montecarlo import DEFAULT_SEED, _check_seed, _sphere_block
-from .specfun import BetaArgs, reg_inc_beta
+from .specfun import _kappa_logs, _reg_inc_betas, log_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
 GRID_SIN_PHI = (0.3, 0.5, 0.8)
 GRID_K_FACTORS = (1.0, 2.0)
+
+# cells per array continued fraction; it bounds a battery's memory, not its values
+_CHUNK = 1024
 
 
 @dataclass
@@ -53,27 +61,30 @@ class CheckResult:
         )
 
 
-def _record(result: CheckResult, label: str, violation: float):
-    result.worst = max(result.worst, violation)
-    if violation > result.tolerance:
-        result.failures.append(f"{label}: violation {violation:.6e}")
+def _measure(result: CheckResult, cells, violations, label) -> CheckResult:
+    """Record in result the violation of each of the iterable cells, which violations(chunk)
+    gives for a list of up to _CHUNK of them; label(cell) names a failing cell."""
+    cells = iter(cells)
+    while chunk := list(itertools.islice(cells, _CHUNK)):
+        for cell, violation in zip(chunk, violations(chunk)):
+            result.worst = max(result.worst, violation)
+            if violation > result.tolerance:
+                result.failures.append(f"{label(cell)}: violation {violation:.6e}")
+    return result
 
 
 def check_lemma_sandwich(alpha_points: int = 100, n_max: int = 200, tol: float = 1e-12) -> CheckResult:
     """lower <= mid <= upper across a dense angle-by-dimension grid."""
-    alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, alpha_points)
-    result = CheckResult(
-        name="sandwich bounds",
-        cells=alpha_points * (n_max - 1),
-        tolerance=tol,
-        worst=-math.inf,
-    )
-    for n in range(2, n_max + 1):
-        for alpha in alphas:
-            lower, mid, upper = probability.lemma_bounds(float(alpha), n)
-            violation = max(lower - mid, mid - upper)
-            _record(result, f"alpha={alpha:.6f} n={n}", violation)
-    return result
+    alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, alpha_points).tolist()
+    result = CheckResult("sandwich bounds", alpha_points * (n_max - 1), tol, -math.inf)
+    shapes = ((n, probability._shape(n)) for n in range(2, n_max + 1))
+
+    def violations(chunk):
+        rows = probability._lemma_rows([(alpha, shape) for _, alpha, shape in chunk])
+        return [max(lower - mid, mid - upper) for lower, mid, upper in rows]
+
+    cells = ((n, alpha, shape) for n, shape in shapes for alpha in alphas)
+    return _measure(result, cells, violations, lambda cell: f"alpha={cell[1]:.6f} n={cell[0]}")
 
 
 def grid_instances() -> list:
@@ -95,26 +106,22 @@ def random_instance(rng: np.random.Generator) -> SeparationInstance:
     axis = _sphere_block(rng, 1, n, n)[0]
     c = rng.standard_normal(n) * float(rng.uniform(0.1, 3.0))
     x = c + (r + p + delta) * axis
-    k_min = max(float(np.linalg.norm(c)), float(np.linalg.norm(x)))
+    k_min = math.sqrt(max(c.dot(c), x.dot(x)))  # np.linalg.norm, bit for bit
     return make_instance(Ball(c, r), Ball(x, p), k_min * float(rng.uniform(1.0, 3.0)))
 
 
-def _chain_violation(inst: SeparationInstance) -> float:
-    # every probability is pulled through the module attribute so a
-    # deliberately broken implementation is observed, not a stale alias
-    lower, mid, upper = probability.lemma_bounds(math.asin(inst.sin_phi), inst.dimension)
-    p_full = probability.p_fully_random(inst)
-    p_bias = probability.p_random_bias(inst)
-    p_weight = probability.p_random_weight(inst)
+def _chain_violation(bounds: tuple, report: tuple) -> float:
+    (lower, mid, _), (p_bias, p_weight, p_full) = bounds, report
     bracket = mid - lower
-    return max(
-        -p_full,
-        p_full - bracket,
-        bracket - mid,
-        mid - p_weight,
-        p_full - p_weight,
-        p_full - p_bias,
-    )
+    gaps = (p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias)
+    return max(-p_full, *gaps)
+
+
+def _chain_label(cell) -> str:
+    i, n, k, gap = cell
+    if i is None:
+        return f"grid n={n} sin_phi={gap[3]:.3f} k={k:.4g}"
+    return f"random[{i}] n={n} sin_phi={gap[3]:.4f}"
 
 
 def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:
@@ -122,48 +129,47 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
 
     Runs the fixed grid first (there the bias-range prefactor can be
     exactly 1, which pins down sign and factor errors deterministically)
-    and then `samples` random instances, drawn from `seed`.
+    and then `samples` random instances, drawn from `seed`, each kept only
+    as the scalars its lemma bounds and report read.
     """
     if type(samples) is not int or samples < 0:
         raise ArgumentOutOfRange(f"samples must be a non-negative int, got {samples!r}")
     _check_seed(seed)
     fixed = grid_instances()
-    result = CheckResult(
-        name="ordering chain",
-        cells=len(fixed) + samples,
-        tolerance=tol,
-        worst=-math.inf,
-    )
-    for inst in fixed:
-        label = f"grid n={inst.dimension} sin_phi={inst.sin_phi:.3f} k={inst.bias_half_range:.4g}"
-        _record(result, label, _chain_violation(inst))
+    result = CheckResult("ordering chain", len(fixed) + samples, tol, -math.inf)
+    # every probability is pulled through the module attribute so a
+    # deliberately broken implementation is observed, not a stale alias
+    shape = functools.cache(probability._shape)
     rng = np.random.default_rng(seed)
-    for i in range(samples):
-        inst = random_instance(rng)
-        label = f"random[{i}] n={inst.dimension} sin_phi={inst.sin_phi:.4f}"
-        _record(result, label, _chain_violation(inst))
-    return result
+    drawn = ((i, random_instance(rng)) for i in range(samples))
+    tagged = itertools.chain(((None, inst) for inst in fixed), drawn)
+
+    def violations(chunk):
+        rows = [(shape(n), gap) for _, n, _, gap in chunk]
+        bounds = probability._lemma_rows([(math.asin(gap[3]), s) for s, gap in rows])
+        return list(map(_chain_violation, bounds, probability._report_rows(rows)))
+
+    cells = ((i, x.dimension, x.bias_half_range, probability._gap(x)) for i, x in tagged)
+    return _measure(result, cells, violations, _chain_label)
 
 
 def check_beta_symmetry(tol: float = 1e-11) -> CheckResult:
     """I(kappa; y, z) + I(1 - kappa; z, y) = 1 on a parameter grid."""
-    kappas = np.linspace(0.01, 0.99, 99)
+    kappas = np.linspace(0.01, 0.99, 99).tolist()
     shapes = (0.5, 1.0, 2.5, 10.0, 50.0)
-    result = CheckResult(
-        name="beta reflection",
-        cells=len(kappas) * len(shapes) * len(shapes),
-        tolerance=tol,
-        worst=-math.inf,
-    )
-    for y in shapes:
-        for z in shapes:
-            for kappa in kappas:
-                kappa = float(kappa)
-                total = reg_inc_beta(BetaArgs(kappa, y, z)) + reg_inc_beta(
-                    BetaArgs(1.0 - kappa, z, y)
-                )
-                _record(result, f"kappa={kappa:.2f} y={y} z={z}", abs(total - 1.0))
-    return result
+    result = CheckResult("beta reflection", len(kappas) * len(shapes) ** 2, tol, -math.inf)
+    # B(y, z) and B(z, y) are the same sum of lgammas, bit for bit
+    pairs = [(y, z, log_beta(y, z)) for y in shapes for z in shapes]
+
+    def violations(chunk):
+        kernel = []
+        for kappa, y, z, ln_b in chunk:
+            kernel += (*_kappa_logs(kappa), y, z, ln_b), (*_kappa_logs(1.0 - kappa), z, y, ln_b)
+        values = _reg_inc_betas(kernel)
+        return [abs(total + mirror - 1.0) for total, mirror in zip(values[::2], values[1::2])]
+
+    cells = ((kappa, y, z, ln_beta) for y, z, ln_beta in pairs for kappa in kappas)
+    return _measure(result, cells, violations, lambda c: f"kappa={c[0]:.2f} y={c[1]} z={c[2]}")
 
 
 def check_analytic_reductions() -> CheckResult:

@@ -49,8 +49,9 @@ class BetaArgs:
     kappa must lie in [0, 1]; values within 1e-14 outside that interval
     (from upstream float arithmetic) are clamped to the nearest endpoint,
     anything further is rejected.  The shape parameters y and z must be
-    positive.  Construction also takes log B(y, z) once, as `_log_beta`, for
-    `reg_inc_beta` and for callers whose other terms need it too.
+    positive.  Construction also takes the logs `reg_inc_beta` reads: those
+    of `_kappa_logs` and log B(y, z), as `_log_beta`, for callers whose other
+    terms need it too.
     """
 
     kappa: float
@@ -58,21 +59,30 @@ class BetaArgs:
     z: float
 
     def __post_init__(self):
-        kappa = float(self.kappa)
+        kappa, ln_kappa, ln_comp = _kappa_logs(self.kappa)
         y = float(self.y)
         z = float(self.z)
-        if -_KAPPA_SLACK <= kappa < 0.0:
-            kappa = 0.0
-        elif 1.0 < kappa <= 1.0 + _KAPPA_SLACK:
-            kappa = 1.0
-        if not 0.0 <= kappa <= 1.0:
-            raise ArgumentOutOfRange(f"kappa must lie in [0, 1], got {self.kappa!r}")
         if not (y > 0.0 and z > 0.0):
             raise ArgumentOutOfRange(f"shape parameters must be positive, got y={y!r}, z={z!r}")
         # frozen, so the normalized fields are stored past __setattr__
         stored = self.__dict__
         stored["kappa"], stored["y"], stored["z"] = kappa, y, z
+        stored["_ln_kappa"], stored["_ln_comp"] = ln_kappa, ln_comp
         stored["_log_beta"] = log_beta(y, z)
+
+
+def _kappa_logs(value) -> tuple:
+    """(kappa, log kappa, log(1 - kappa)), the head of a `_reg_inc_betas` cell, with
+    kappa clamped into [0, 1] from within 1e-14 of it; a log is None where it is -inf."""
+    kappa = float(value)
+    if -_KAPPA_SLACK <= kappa < 0.0:
+        kappa = 0.0
+    elif 1.0 < kappa <= 1.0 + _KAPPA_SLACK:
+        kappa = 1.0
+    if not 0.0 <= kappa <= 1.0:
+        raise ArgumentOutOfRange(f"kappa must lie in [0, 1], got {value!r}")
+    ln_kappa = math.log(kappa) if kappa > 0.0 else None
+    return kappa, ln_kappa, math.log1p(-kappa) if kappa < 1.0 else None
 
 
 def reg_inc_beta(args: BetaArgs) -> float:
@@ -80,12 +90,12 @@ def reg_inc_beta(args: BetaArgs) -> float:
 
     Endpoints are exact: I(0) = 0 and I(1) = 1 with no floating error.
     """
-    kappa, y, z = args.kappa, args.y, args.z
+    kappa = args.kappa
     exact = _endpoint(kappa)
     if exact is not None:
         return exact
     front, a, b, x, reflected = _fraction_setup(
-        kappa, y, z, math.log(kappa), math.log1p(-kappa), args._log_beta
+        kappa, args._ln_kappa, args._ln_comp, args.y, args.z, args._log_beta
     )
     return _assemble(front, _lentz_fraction(a, b, x), a, reflected)
 
@@ -93,9 +103,10 @@ def reg_inc_beta(args: BetaArgs) -> float:
 def _reg_inc_betas(cells: list) -> list:
     """`reg_inc_beta` of each cell in cells, with the same bits.
 
-    A cell is (kappa, y, z, log kappa, log(1 - kappa), log B(y, z)) for valid
-    `BetaArgs` fields; it is not checked, and at kappa 0 or 1 its logs are
-    not read.  All continued fractions run as one array iteration, in order.
+    A cell is (kappa, log kappa, log(1 - kappa), y, z, log B(y, z)): the
+    first three from `_kappa_logs`, and y and z valid `BetaArgs` fields.  It
+    is not checked here.  All continued fractions run as one array
+    iteration, in order.
     """
     values = [_endpoint(cell[0]) for cell in cells]
     inside = [i for i, value in enumerate(values) if value is None]
@@ -118,7 +129,7 @@ def _endpoint(kappa: float):
 
 
 def _fraction_setup(
-    kappa: float, y: float, z: float, ln_kappa: float, ln_comp: float, ln_beta: float
+    kappa: float, ln_kappa: float, ln_comp: float, y: float, z: float, ln_beta: float
 ) -> tuple:
     """(front, a, b, x, reflected) of I(kappa; y, z) for 0 < kappa < 1.
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsep import cli, montecarlo, probability, specfun
+from ballsep import cli, montecarlo, probability, selfcheck, specfun
 from ballsep.cli import main
 from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
-from ballsep.specfun import BetaArgs, log_beta, reg_inc_beta
+from ballsep.specfun import BetaArgs, reg_inc_beta
 
 CANONICAL = ["--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2"]
 # a valid instance whose bias range [-k, k] is wider than the largest double
@@ -106,6 +106,7 @@ class TestExact:
             (["--r", "nan"], "ball radius must be positive and finite, got nan"),
             (["--r", "inf"], "ball radius must be positive and finite, got inf"),
             (["--p", "-1"], "ball radius must be positive and finite, got -1.0"),
+            (["--sinphi", "1e-300", "--r", "1e10"], "|c - x| overflows double precision"),
         ],
     )
     def test_bad_radius_is_named_before_centers_are_built(self, capsys, argv, message):
@@ -322,6 +323,23 @@ def p_random_weight_of_half():
     return p_random_weight(symmetric_instance(3, 0.5))
 
 
+def scalar_beta_calls(monkeypatch) -> list:
+    """The names of the scalar incomplete-beta kernels as ballsep calls them, in order."""
+    calls = []
+    for name in ("reg_inc_beta", "_lentz_fraction"):
+        original = getattr(specfun, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("ballsep"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestSweep:
     def test_sorted_records_and_header(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--dim", "5,2,3", "--delta", "2,0.5"])
@@ -393,6 +411,10 @@ class TestSweep:
         code, out, err = run(capsys, ["sweep", *(f"{k}={v}" for k, v in argv.items())])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_overflowing_center_distance_exits_two(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--dim", "2", "--delta", "1e308", "--r", "1e308"])
+        assert (code, out, err) == (2, "", "error: |c - x| overflows double precision\n")
+
     def test_trailing_comma_is_ignored(self, capsys):
         _, trailing, _ = run(capsys, ["sweep", "--dim", "2,3,", "--delta", "1"])
         _, plain, _ = run(capsys, ["sweep", "--dim", "2,3", "--delta", "1"])
@@ -425,18 +447,7 @@ class TestSweep:
 
     def test_sweep_runs_no_scalar_incomplete_beta(self, capsys, monkeypatch):
         # every incomplete beta of a sweep is one array continued fraction
-        calls = []
-        for name in ("reg_inc_beta", "_lentz_fraction"):
-            original = getattr(specfun, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-
-            for module in list(sys.modules.values()):
-                if module and module.__name__.startswith("ballsep"):
-                    if getattr(module, name, None) is original:
-                        monkeypatch.setattr(module, name, counted)
+        calls = scalar_beta_calls(monkeypatch)
         code, out, _ = run(capsys, ["sweep", "--dim", "2..50", "--delta", "0.5,2"])
         assert (code, len(parse_csv(out)), calls) == (0, 98, [])
         # the counters see the scalar path that single calls take
@@ -683,20 +694,33 @@ class TestValidate:
         code, out, err = run(capsys, ["validate", *argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
-        def flipped(inst):
-            n = inst.dimension
-            a = 0.5 * (n - 1)
-            incomplete = reg_inc_beta(BetaArgs(inst.q_value, a, 0.5))
-            first = math.exp(a * math.log(inst.q_value) - math.log(a) - log_beta(a, 0.5))
-            scale = inst.center_distance / (2.0 * inst.bias_half_range)
-            return scale * (first + inst.sin_phi * incomplete)
+    def test_only_the_analytic_reductions_run_scalar_incomplete_betas(self, capsys, monkeypatch):
+        # the grid batteries run theirs as array continued fractions
+        calls = scalar_beta_calls(monkeypatch)
+        code, out, _ = run(capsys, ["validate", "--samples", "300"])
+        assert (code, "all 4 checks passed" in out) == (0, True)
+        in_validate = list(calls)
+        calls.clear()
+        selfcheck.check_analytic_reductions()
+        assert in_validate == calls
+        assert calls.count("reg_inc_beta") == 18
 
-        monkeypatch.setattr(probability, "p_fully_random", flipped)
+    def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
+        # the fully random probability with the subtracted term added instead,
+        # in the batch report the chain reads
+        def flipped(rows):
+            reports = []
+            for (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) in rows:
+                incomplete = reg_inc_beta(BetaArgs(q, a, 0.5))
+                first = math.exp(a * ln_q - ln_a - ln_beta)
+                reports.append((p_bias, incomplete, scale * (first + sin_phi * incomplete)))
+            return reports
+
+        monkeypatch.setattr(probability, "_report_rows", flipped)
         code, out, _ = run(capsys, ["validate", "--samples", "50"])
         assert code == 1
-        assert "ordering chain" in out
-        assert "failing cell" in out
+        assert "ordering chain: FAIL" in out
+        assert "\n  ordering chain failing cell: grid " in out
 
 
 class TestOutputPinned:
@@ -759,6 +783,8 @@ class TestOutputPinned:
             0, "b10237e33ad7497f7170d5b0c6ac62d2a15f68e6", ""),
         ("validate", "--samples", "2000", "--seed", "1"): (
             0, "9c5e50b0784e7ec3bd64b412399a63c6153b3476", ""),
+        ("validate", "--samples", "10000", "--seed", "7"): (
+            0, "421b58279fba34077378d5110a04fcb4c3dced0a", ""),
         ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "0"): (
             2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
             "error: samples must be >= 1\n"),

@@ -258,11 +258,18 @@ _ROW_DIMS = sorted(
 _ROW_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-8)
 
 
+def _rows(dims, instances):
+    # the rows of sweep: one shape per dimension and one gap per instance, n-major
+    shapes = [probability._shape(n) for n in dims]
+    gaps = [probability._gap(inst) for inst in instances]
+    return probability._report_rows([(shape, gap) for shape in shapes for gap in gaps])
+
+
 class TestReportRows:
     def test_rows_equal_scalar_reports(self):
         # one row per (n, instance), n-major, as sweep prints them
         planar = [symmetric_instance(2, s) for s in _ROW_SINES]
-        rows = probability._report_rows(_ROW_DIMS, planar)
+        rows = _rows(_ROW_DIMS, planar)
         cells = [(n, s) for n in _ROW_DIMS for s in _ROW_SINES]
         assert len(rows) == len(cells)
         for (n, s), row in zip(cells, rows):
@@ -274,7 +281,7 @@ class TestReportRows:
     def test_rows_equal_separation_report(self, n):
         # an n-dimensional symmetric instance has the planar one's geometry
         planar = [symmetric_instance(2, s) for s in _ROW_SINES]
-        for inst, row in zip(planar, probability._report_rows([n], planar)):
+        for inst, row in zip(planar, _rows([n], planar)):
             spread = symmetric_instance(n, inst.sin_phi)
             assert (spread.q_value, spread.sin_phi) == (inst.q_value, inst.sin_phi)
             report = separation_report(spread)
@@ -284,13 +291,13 @@ class TestReportRows:
         inst = canonical_plane()
         monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [1.5] * len(cells))
         with pytest.raises(InternalConsistencyError, match="random-weight probability = 1.5"):
-            probability._report_rows([2, 3], [inst])
+            _rows([2, 3], [inst])
         monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [1.0 + 1e-13] * len(cells))
-        assert [row[1] for row in probability._report_rows([2], [inst])] == [1.0]
+        assert [row[1] for row in _rows([2], [inst])] == [1.0]
         # a fully random probability above the random-weight one breaks the ordering
         monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [0.0] * len(cells))
         with pytest.raises(InternalConsistencyError, match="exceeds random-weight"):
-            probability._report_rows([2], [inst])
+            _rows([2], [inst])
 
 
 class TestLogBetaOncePerDimension:
@@ -318,5 +325,5 @@ class TestLogBetaOncePerDimension:
 
     def test_report_rows(self, lgammas):
         dims, planar = [2, 3, 50, 1000], [symmetric_instance(2, s) for s in _ROW_SINES]
-        probability._report_rows(dims, planar)
+        _rows(dims, planar)
         assert len(lgammas) == 3 * len(dims)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ballsep import probability
+from ballsep import probability, selfcheck
 from ballsep.errors import ArgumentOutOfRange
 from ballsep.selfcheck import (
     check_analytic_reductions,
@@ -14,7 +15,7 @@ from ballsep.selfcheck import (
     random_instance,
     run_all,
 )
-from ballsep.specfun import BetaArgs, log_beta, reg_inc_beta
+from ballsep.specfun import BetaArgs, reg_inc_beta
 
 
 def test_all_batteries_pass_on_fresh_build():
@@ -69,26 +70,95 @@ def test_ordering_chain_rejects_bad_samples_and_seed(kwargs):
 def test_sign_flip_fault_is_caught(monkeypatch):
     # rebuild the fully random probability with the subtracted term
     # added instead; the ordering chain must reject it on the fixed grid
-    def flipped(inst):
-        n = inst.dimension
-        a = 0.5 * (n - 1)
-        incomplete = reg_inc_beta(BetaArgs(inst.q_value, a, 0.5))
-        first = math.exp(a * math.log(inst.q_value) - math.log(a) - log_beta(a, 0.5))
-        scale = inst.center_distance / (2.0 * inst.bias_half_range)
-        return scale * (first + inst.sin_phi * incomplete)
+    def flipped(rows):
+        reports = []
+        for (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) in rows:
+            incomplete = reg_inc_beta(BetaArgs(q, a, 0.5))
+            first = math.exp(a * ln_q - ln_a - ln_beta)
+            reports.append((p_bias, incomplete, scale * (first + sin_phi * incomplete)))
+        return reports
 
-    monkeypatch.setattr(probability, "p_fully_random", flipped)
+    monkeypatch.setattr(probability, "_report_rows", flipped)
     result = check_ordering_chain(samples=50)
     assert not result.passed
     assert any("grid" in cell for cell in result.failures)
 
 
 def test_prefactor_fault_is_caught(monkeypatch):
-    original = probability.p_fully_random
+    original = probability._report_rows
 
-    def doubled(inst):
-        return min(1.0, 2.0 * original(inst))
+    def doubled(rows):
+        return [(p_bias, p_weight, min(1.0, 2.0 * p_full)) for p_bias, p_weight, p_full in original(rows)]
 
-    monkeypatch.setattr(probability, "p_fully_random", doubled)
+    monkeypatch.setattr(probability, "_report_rows", doubled)
     result = check_ordering_chain(samples=50)
     assert not result.passed
+
+
+def _recorded(monkeypatch, module, name):
+    # the values a battery gets from module.name, in call order
+    values, original = [], getattr(module, name)
+
+    def record(cells):
+        out = original(cells)
+        values.extend(out)
+        return out
+
+    monkeypatch.setattr(module, name, record)
+    return values
+
+
+class TestBatchesEqualScalarBits:
+    @pytest.mark.parametrize("seed, chunk", [(42, None), (1, 97)])
+    def test_ordering_chain(self, monkeypatch, seed, chunk):
+        if chunk:
+            monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
+        reports = _recorded(monkeypatch, probability, "_report_rows")
+        bounds = _recorded(monkeypatch, probability, "_lemma_rows")
+        assert check_ordering_chain(samples=500, seed=seed).passed
+        rng = np.random.default_rng(seed)
+        instances = grid_instances() + [random_instance(rng) for _ in range(500)]
+        assert len(reports) == len(bounds) == len(instances)
+        for inst, report, bound in zip(instances, reports, bounds):
+            scalar = probability.separation_report(inst)
+            assert report == (scalar.p_random_bias, scalar.p_random_weight, scalar.p_fully_random)
+            assert bound == probability.lemma_bounds(math.asin(inst.sin_phi), inst.dimension)
+
+    def test_lemma_sandwich(self, monkeypatch):
+        # alpha at both ends of the battery's range and at its middle
+        bounds = _recorded(monkeypatch, probability, "_lemma_rows")
+        assert check_lemma_sandwich(alpha_points=3).passed
+        alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, 3).tolist()
+        cells = [(n, alpha) for n in range(2, 201) for alpha in alphas]
+        assert len(bounds) == len(cells)
+        for (n, alpha), bound in zip(cells, bounds):
+            if n in (2, 3, 50, 200):
+                assert bound == probability.lemma_bounds(alpha, n)
+
+    def test_beta_reflection(self, monkeypatch):
+        values = _recorded(monkeypatch, selfcheck, "_reg_inc_betas")
+        assert check_beta_symmetry().passed
+        shapes = (0.5, 1.0, 2.5, 10.0, 50.0)
+        kappas = np.linspace(0.01, 0.99, 99).tolist()
+        scalar = [
+            reg_inc_beta(args)
+            for y in shapes
+            for z in shapes
+            for kappa in kappas
+            for args in (BetaArgs(kappa, y, z), BetaArgs(1.0 - kappa, z, y))
+        ]
+        assert values == scalar
+
+
+def test_ordering_chain_memory_does_not_grow_with_samples():
+    # the chain evaluates its cells in fixed-size chunks and keeps no instances
+    check_ordering_chain(samples=10)
+    peaks = []
+    for samples in (1000, 4000):
+        tracemalloc.start()
+        try:
+            check_ordering_chain(samples=samples, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]

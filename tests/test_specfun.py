@@ -103,10 +103,10 @@ SWEEP_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1
 
 
 def _cell(kappa, y, z):
-    # a `_reg_inc_betas` cell: the arguments, then the logs a sweep hoists
-    # (not read at kappa 0 or 1)
+    # a `_reg_inc_betas` cell: kappa and the logs a sweep hoists (not read
+    # at kappa 0 or 1), then the shapes and log B
     logs = (math.log(kappa), math.log1p(-kappa)) if 0.0 < kappa < 1.0 else (None, None)
-    return (kappa, y, z, *logs, log_beta(y, z))
+    return (kappa, *logs, y, z, log_beta(y, z))
 
 
 def _sweep_cells():
@@ -118,10 +118,10 @@ def _sweep_cells():
 class TestArrayKernel:
     def test_cells_equal_scalar_bits(self):
         cells = _sweep_cells()
-        want = [reg_inc_beta(BetaArgs(*c[:3])) for c in cells]
+        want = [reg_inc_beta(BetaArgs(c[0], *c[3:5])) for c in cells]
         assert specfun._reg_inc_betas(cells) == want
         inside = [c for c in cells if 0.0 < c[0] < 1.0]
-        reflected = [y for q, y, z, *_ in inside if not q < (y + 1.0) / (y + z + 2.0)]
+        reflected = [y for q, _, _, y, z, _ in inside if not q < (y + 1.0) / (y + z + 2.0)]
         assert 0 < len(reflected) < len(inside)
         assert any(c[0] == 1.0 for c in cells)
 
