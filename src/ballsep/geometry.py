@@ -107,22 +107,7 @@ class SeparationInstance:
             raise DimensionMismatch(
                 f"balls have different dimensions {a.dimension} and {b.dimension}"
             )
-        with np.errstate(over="ignore"):
-            norms = [_norm(v) for v in (a.center - b.center, a.center, b.center)]
-        for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
-            if norm == math.inf:
-                raise ArgumentOutOfRange(f"{label} overflows double precision")
-        dist, norm_c, norm_x = norms
-        if dist <= a.radius + b.radius:
-            raise BallsOverlapOrTouch("balls overlap or touch (delta <= 0)")
-        k = float(self.bias_half_range)
-        if not math.isfinite(k):
-            raise ArgumentOutOfRange(f"bias half range must be finite, got {k!r}")
-        k_min = max(norm_c, norm_x)
-        if not k >= k_min:
-            raise KInsufficient(
-                f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}"
-            )
+        dist, k = _pair_checks(a.center, a.radius, b.center, b.radius, self.bias_half_range)
         object.__setattr__(self, "bias_half_range", k)
         object.__setattr__(self, "center_distance", dist)
 
@@ -133,7 +118,7 @@ class SeparationInstance:
     @cached_property
     def gap(self) -> float:
         """Distance between the two spheres along the axis (delta > 0)."""
-        return self.center_distance - self.ball_a.radius - self.ball_b.radius
+        return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[0]
 
     @cached_property
     def axis_dir(self) -> np.ndarray:
@@ -144,12 +129,40 @@ class SeparationInstance:
     @cached_property
     def sin_phi(self) -> float:
         """sin of the cone half angle: (p + r) / (p + r + gap), in (0, 1)."""
-        return (self.ball_a.radius + self.ball_b.radius) / self.center_distance
+        return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[1]
 
     @cached_property
     def q_value(self) -> float:
         """q = 1 - sin^2(phi) = cos^2(phi), in (0, 1)."""
-        return 1.0 - self.sin_phi * self.sin_phi
+        return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[2]
+
+
+def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k) -> tuple[float, float]:
+    """(|c - x|, float(k)) of balls B(c, r), B(x, p) and bias half range k, or the error
+    `SeparationInstance` raises for them; a center that is not finite fails here too."""
+    with np.errstate(over="ignore"):
+        norms = [_norm(v) for v in (c - x, c, x)]
+    for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
+        if norm == math.inf:
+            raise ArgumentOutOfRange(f"{label} overflows double precision")
+        if norm != norm:
+            raise ArgumentOutOfRange(f"{label} is not a number")
+    dist, norm_c, norm_x = norms
+    if dist <= r + p:
+        raise BallsOverlapOrTouch("balls overlap or touch (delta <= 0)")
+    k = float(k)
+    if not math.isfinite(k):
+        raise ArgumentOutOfRange(f"bias half range must be finite, got {k!r}")
+    k_min = max(norm_c, norm_x)
+    if not k >= k_min:
+        raise KInsufficient(f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}")
+    return dist, k
+
+
+def _cone(dist: float, r: float, p: float) -> tuple[float, float, float]:
+    """(gap, sin phi, q = 1 - sin^2 phi) of balls of radii r, p with centers dist apart."""
+    sin_phi = (r + p) / dist
+    return dist - r - p, sin_phi, 1.0 - sin_phi * sin_phi
 
 
 def projected_instance(inst: SeparationInstance, center_a, center_b) -> SeparationInstance:

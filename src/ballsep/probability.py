@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentOutOfRange, InternalConsistencyError
-from .geometry import SeparationInstance
+from .geometry import SeparationInstance, _cone
 from .specfun import BetaArgs, _kappa_logs, _reg_inc_betas, log_beta, reg_inc_beta
 
 # probabilities assembled from independently rounded pieces may land a
@@ -178,9 +178,13 @@ def separation_report(inst: SeparationInstance) -> SeparationReport:
 def _gap(inst: SeparationInstance) -> tuple:
     """(q, log q, log(1 - q), sin phi, |c - x| / (2 k), p_bias): what the closed
     forms read of an instance besides its dimension."""
-    k = inst.bias_half_range
-    scale = 0.5 * inst.center_distance / k
-    return *_kappa_logs(inst.q_value), inst.sin_phi, scale, _bias_probability(inst.gap, k)
+    return _cell(inst.center_distance, inst.ball_a.radius, inst.ball_b.radius, inst.bias_half_range)
+
+
+def _cell(dist: float, r: float, p: float, k: float) -> tuple:
+    """`_gap` of a checked instance whose balls have radii r and p, centers dist apart."""
+    gap, sin_phi, q = _cone(dist, r, p)
+    return *_kappa_logs(q), sin_phi, 0.5 * dist / k, _bias_probability(gap, k)
 
 
 def _report_rows(rows: list) -> list:

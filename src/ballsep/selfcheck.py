@@ -13,7 +13,9 @@ Every comparison here pits two different computational routes against
 each other, so a sign or factor slip in any one route fails loudly.  The
 first three run their incomplete betas as array continued fractions, _CHUNK
 cells at a time, with the scalar kernel's bits; the analytic reductions stay
-on the scalar `separation_report` and `reg_inc_beta`, which they test.
+on the scalar `separation_report` and `reg_inc_beta`, which they test.  The
+chain builds no instance objects for its random cells: each is drawn as
+`random_instance` draws it and checked as `SeparationInstance` checks it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import probability
-from .geometry import Ball, SeparationInstance, make_instance, symmetric_instance
-from .errors import ArgumentOutOfRange
+from .geometry import Ball, SeparationInstance, _pair_checks, make_instance, symmetric_instance
+from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
 from .montecarlo import DEFAULT_SEED, _check_seed, _sphere_block
 from .specfun import _kappa_logs, _reg_inc_betas, log_beta
 
@@ -98,16 +100,42 @@ def grid_instances() -> list:
 
 
 def random_instance(rng: np.random.Generator) -> SeparationInstance:
-    """Well-posed instance with random dimension, radii, gap, and pose."""
+    """Well-posed instance with random dimension, radii, gap, and pose.
+
+    Its generator calls, in order: integers(2, 201) for n; random(3) for the
+    radii r, p in [0.1, 5) and the gap in [1e-3, 10); `_sphere_block` for the
+    axis; standard_normal(n) for the center c; random(2) for c's scale in
+    [0.1, 3) and for k in [1, 3) times max(|c|, |x|).
+    """
+    n, r, p, c, x, k = _draw(rng)
+    return make_instance(Ball(c, r), Ball(x, p), k)
+
+
+def _draw(rng: np.random.Generator) -> tuple:
+    """(n, r, p, c, x, k) of `random_instance`, unchecked.  Each uniform on [lo, hi) is
+    lo + (hi - lo) u, which is how rng.uniform(lo, hi) computes it from rng.random()."""
     n = int(rng.integers(2, 201))
-    r = float(rng.uniform(0.1, 5.0))
-    p = float(rng.uniform(0.1, 5.0))
-    delta = float(rng.uniform(1e-3, 10.0))
+    lows, highs = (0.1, 0.1, 1e-3), (5.0, 5.0, 10.0)
+    r, p, delta = (lo + (hi - lo) * u for lo, hi, u in zip(lows, highs, rng.random(3).tolist()))
     axis = _sphere_block(rng, 1, n, n)[0]
-    c = rng.standard_normal(n) * float(rng.uniform(0.1, 3.0))
+    c = rng.standard_normal(n)
+    scale, k_factor = rng.random(2).tolist()
+    c *= 0.1 + (3.0 - 0.1) * scale
     x = c + (r + p + delta) * axis
     k_min = math.sqrt(max(c.dot(c), x.dot(x)))  # np.linalg.norm, bit for bit
-    return make_instance(Ball(c, r), Ball(x, p), k_min * float(rng.uniform(1.0, 3.0)))
+    return n, r, p, c, x, k_min * (1.0 + (3.0 - 1.0) * k_factor)
+
+
+def _random_cells(rng: np.random.Generator, samples: int):
+    """(i, n, k, `probability._gap`) of `samples` random instances drawn from rng, with
+    every check of `SeparationInstance` but no instance; a draw that fails one is a bug."""
+    for i in range(samples):
+        n, r, p, c, x, k = _draw(rng)
+        try:
+            dist, k = _pair_checks(c, r, x, p, k)
+        except BallsepError as exc:
+            raise InternalConsistencyError(f"random[{i}] n={n}: {exc}") from exc
+        yield i, n, k, probability._cell(dist, r, p, k)
 
 
 def _chain_violation(bounds: tuple, report: tuple) -> float:
@@ -140,16 +168,14 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
     # every probability is pulled through the module attribute so a
     # deliberately broken implementation is observed, not a stale alias
     shape = functools.cache(probability._shape)
-    rng = np.random.default_rng(seed)
-    drawn = ((i, random_instance(rng)) for i in range(samples))
-    tagged = itertools.chain(((None, inst) for inst in fixed), drawn)
+    grid = ((None, x.dimension, x.bias_half_range, probability._gap(x)) for x in fixed)
+    cells = itertools.chain(grid, _random_cells(np.random.default_rng(seed), samples))
 
     def violations(chunk):
         rows = [(shape(n), gap) for _, n, _, gap in chunk]
         bounds = probability._lemma_rows([(math.asin(gap[3]), s) for s, gap in rows])
         return list(map(_chain_violation, bounds, probability._report_rows(rows)))
 
-    cells = ((i, x.dimension, x.bias_half_range, probability._gap(x)) for i, x in tagged)
     return _measure(result, cells, violations, _chain_label)
 
 

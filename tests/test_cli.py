@@ -722,6 +722,21 @@ class TestValidate:
         assert "ordering chain: FAIL" in out
         assert "\n  ordering chain failing cell: grid " in out
 
+    @pytest.mark.parametrize(
+        "radius, k, message",
+        [
+            (1.0, 5.0, "random[0] n=3: balls overlap or touch (delta <= 0)"),
+            (0.5, 1.0, "random[0] n=3: bias half range 1.0 is below max(|c|, |x|) = 2.0"),
+        ],
+    )
+    def test_bad_random_draw_is_internal_error(self, monkeypatch, radius, k, message):
+        # the chain draws its own instances, so one that fails a check is a bug, not exit 2
+        draw = (3, radius, radius, np.zeros(3), np.array([2.0, 0.0, 0.0]), k)
+        monkeypatch.setattr(selfcheck, "_draw", lambda rng: draw)
+        with pytest.raises(InternalConsistencyError) as raised:
+            main(["validate", "--samples", "3"])
+        assert str(raised.value) == message
+
 
 class TestOutputPinned:
     # (exit code, SHA-1 of stdout, stderr) of each argument set in the

@@ -15,7 +15,9 @@ from ballsep.selfcheck import (
     random_instance,
     run_all,
 )
-from ballsep.specfun import BetaArgs, reg_inc_beta
+from ballsep.geometry import Ball, SeparationInstance, make_instance
+from ballsep.montecarlo import _sphere_block
+from ballsep.specfun import BetaArgs, _kappa_logs, reg_inc_beta
 
 
 def test_all_batteries_pass_on_fresh_build():
@@ -46,6 +48,46 @@ def test_random_instances_are_well_posed():
         assert inst.bias_half_range >= max(
             np.linalg.norm(inst.ball_a.center), np.linalg.norm(inst.ball_b.center)
         )
+
+
+def _parent_draw(rng):
+    # random_instance with one generator call per value, each uniform from
+    # rng.uniform: the stream the draw must reproduce bit for bit
+    n = int(rng.integers(2, 201))
+    r = float(rng.uniform(0.1, 5.0))
+    p = float(rng.uniform(0.1, 5.0))
+    delta = float(rng.uniform(1e-3, 10.0))
+    axis = _sphere_block(rng, 1, n, n)[0]
+    c = rng.standard_normal(n) * float(rng.uniform(0.1, 3.0))
+    x = c + (r + p + delta) * axis
+    k_min = math.sqrt(max(c.dot(c), x.dot(x)))
+    return make_instance(Ball(c, r), Ball(x, p), k_min * float(rng.uniform(1.0, 3.0)))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 1 << 63])
+def test_random_draws_keep_their_stream(seed):
+    want, got, drawn = (np.random.default_rng(seed) for _ in range(3))
+    cells = selfcheck._random_cells(drawn, 2000)
+    for i in range(2000):
+        ref, inst = _parent_draw(want), random_instance(got)
+        assert inst.dimension == ref.dimension
+        assert (inst.ball_a.radius, inst.ball_b.radius) == (ref.ball_a.radius, ref.ball_b.radius)
+        assert np.array_equal(inst.ball_a.center, ref.ball_a.center)
+        assert np.array_equal(inst.ball_b.center, ref.ball_b.center)
+        assert inst.bias_half_range == ref.bias_half_range
+        # probability._gap with the gap, sin_phi and q_value formulas written out
+        dist, r, p, k = ref.center_distance, ref.ball_a.radius, ref.ball_b.radius, ref.bias_half_range
+        sin_phi = (r + p) / dist
+        gap = (*_kappa_logs(1.0 - sin_phi * sin_phi), sin_phi, 0.5 * dist / k, 0.5 * (dist - r - p) / k)
+        assert next(cells) == (i, ref.dimension, k, gap)
+
+
+def test_ordering_chain_builds_only_its_grid_instances(monkeypatch):
+    calls = []
+    original = SeparationInstance.__post_init__
+    monkeypatch.setattr(SeparationInstance, "__post_init__", lambda inst: calls.append(1) or original(inst))
+    assert check_ordering_chain(samples=10000).passed
+    assert len(calls) == len(grid_instances()) == 30
 
 
 def test_beta_symmetry_battery():
