@@ -41,10 +41,9 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _norm(v: np.ndarray) -> float:
-    """sqrt(v.v) as np.linalg.norm computes it, or max|v_i| |v / max|v_i|| where v.v
-    is not a finite normal double.  Call it with numpy's overflow warnings off."""
-    sq = float(v.dot(v))
+def _norm(v: np.ndarray, sq: float) -> float:
+    """|v| from sq = float(v.dot(v)): sqrt(sq) as np.linalg.norm computes it, or
+    max|v_i| |v / max|v_i|| where sq is not a finite normal double."""
     if sys.float_info.min <= sq < math.inf:
         return math.sqrt(sq)
     top = float(np.abs(v).max())  # 0 and inf are their own norm
@@ -107,7 +106,10 @@ class SeparationInstance:
             raise DimensionMismatch(
                 f"balls have different dimensions {a.dimension} and {b.dimension}"
             )
-        dist, k = _pair_checks(a.center, a.radius, b.center, b.radius, self.bias_half_range)
+        c, x = a.center, b.center
+        with np.errstate(over="ignore"):
+            squares = float(c.dot(c)), float(x.dot(x))
+            dist, k = _pair_checks(c, a.radius, x, b.radius, self.bias_half_range, *squares)
         object.__setattr__(self, "bias_half_range", k)
         object.__setattr__(self, "center_distance", dist)
 
@@ -137,11 +139,13 @@ class SeparationInstance:
         return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[2]
 
 
-def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k) -> tuple[float, float]:
+def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k, cc: float, xx: float):
     """(|c - x|, float(k)) of balls B(c, r), B(x, p) and bias half range k, or the error
-    `SeparationInstance` raises for them; a center that is not finite fails here too."""
-    with np.errstate(over="ignore"):
-        norms = [_norm(v) for v in (c - x, c, x)]
+    `SeparationInstance` raises for them, from cc = float(c.dot(c)) and xx = float(x.dot(x));
+    a center that is not finite fails here too.  Call it with numpy's overflow warnings
+    off where a coordinate can be large enough to overflow."""
+    diff = c - x
+    norms = [_norm(v, sq) for v, sq in ((diff, float(diff.dot(diff))), (c, cc), (x, xx))]
     for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
         if norm == math.inf:
             raise ArgumentOutOfRange(f"{label} overflows double precision")
@@ -224,10 +228,11 @@ def symmetric_instance(
     half = 0.5 * (_radius(r) + _radius(p)) / sin_phi
     if half == math.inf:  # named before the centers are built from it
         raise ArgumentOutOfRange("|c - x| overflows double precision")
-    c = np.zeros(dim)
-    c[0] = -half
-    x = np.zeros(dim)
-    x[0] = half
+    try:
+        c, x = np.zeros((2, dim))
+    except (ValueError, MemoryError) as exc:  # how numpy refuses a size it cannot allocate
+        raise ArgumentOutOfRange(f"dimension {dim} is too large to allocate") from exc
+    c[0], x[0] = -half, half
     return make_instance(Ball(c, r), Ball(x, p), k_factor * half)
 
 

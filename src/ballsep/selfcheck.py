@@ -15,7 +15,8 @@ first three run their incomplete betas as array continued fractions, _CHUNK
 cells at a time, with the scalar kernel's bits; the analytic reductions stay
 on the scalar `separation_report` and `reg_inc_beta`, which they test.  The
 chain builds no instance objects for its random cells: each is drawn as
-`random_instance` draws it and checked as `SeparationInstance` checks it.
+`random_instance` draws it, its axis by `montecarlo._unit_vector`, and checked
+as `SeparationInstance` checks it, from the squared norms the draw took.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import probability
 from .geometry import Ball, SeparationInstance, _pair_checks, make_instance, symmetric_instance
 from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
-from .montecarlo import DEFAULT_SEED, _check_seed, _sphere_block
+from .montecarlo import DEFAULT_SEED, _check_seed, _unit_vector
 from .specfun import _kappa_logs, _reg_inc_betas, log_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
@@ -103,36 +104,38 @@ def random_instance(rng: np.random.Generator) -> SeparationInstance:
     """Well-posed instance with random dimension, radii, gap, and pose.
 
     Its generator calls, in order: integers(2, 201) for n; random(3) for the
-    radii r, p in [0.1, 5) and the gap in [1e-3, 10); `_sphere_block` for the
-    axis; standard_normal(n) for the center c; random(2) for c's scale in
-    [0.1, 3) and for k in [1, 3) times max(|c|, |x|).
+    radii r, p in [0.1, 5) and the gap in [1e-3, 10); `montecarlo._unit_vector`
+    for the axis, which makes `_sphere_block(rng, 1, n, n)`'s calls and bits;
+    standard_normal(n) for the center c; random(2) for c's scale in [0.1, 3)
+    and for k in [1, 3) times max(|c|, |x|).
     """
-    n, r, p, c, x, k = _draw(rng)
+    _, r, p, c, x, k, _, _ = _draw(rng)
     return make_instance(Ball(c, r), Ball(x, p), k)
 
 
 def _draw(rng: np.random.Generator) -> tuple:
-    """(n, r, p, c, x, k) of `random_instance`, unchecked.  Each uniform on [lo, hi) is
-    lo + (hi - lo) u, which is how rng.uniform(lo, hi) computes it from rng.random()."""
+    """(n, r, p, c, x, k, c.c, x.x) of `random_instance`, unchecked.  Each uniform on [lo, hi)
+    is lo + (hi - lo) u, which is how rng.uniform(lo, hi) computes it from rng.random()."""
     n = int(rng.integers(2, 201))
     lows, highs = (0.1, 0.1, 1e-3), (5.0, 5.0, 10.0)
     r, p, delta = (lo + (hi - lo) * u for lo, hi, u in zip(lows, highs, rng.random(3).tolist()))
-    axis = _sphere_block(rng, 1, n, n)[0]
+    axis = _unit_vector(rng, n)
     c = rng.standard_normal(n)
     scale, k_factor = rng.random(2).tolist()
     c *= 0.1 + (3.0 - 0.1) * scale
     x = c + (r + p + delta) * axis
-    k_min = math.sqrt(max(c.dot(c), x.dot(x)))  # np.linalg.norm, bit for bit
-    return n, r, p, c, x, k_min * (1.0 + (3.0 - 1.0) * k_factor)
+    cc, xx = float(c.dot(c)), float(x.dot(x))
+    k_min = math.sqrt(max(cc, xx))  # np.linalg.norm, bit for bit
+    return n, r, p, c, x, k_min * (1.0 + (3.0 - 1.0) * k_factor), cc, xx
 
 
 def _random_cells(rng: np.random.Generator, samples: int):
     """(i, n, k, `probability._gap`) of `samples` random instances drawn from rng, with
     every check of `SeparationInstance` but no instance; a draw that fails one is a bug."""
     for i in range(samples):
-        n, r, p, c, x, k = _draw(rng)
-        try:
-            dist, k = _pair_checks(c, r, x, p, k)
+        n, r, p, c, x, k, cc, xx = _draw(rng)
+        try:  # no coordinate of a draw comes near overflow
+            dist, k = _pair_checks(c, r, x, p, k, cc, xx)
         except BallsepError as exc:
             raise InternalConsistencyError(f"random[{i}] n={n}: {exc}") from exc
         yield i, n, k, probability._cell(dist, r, p, k)

@@ -167,6 +167,16 @@ class TestExact:
         assert done.stdout == ""
         assert done.stderr == "error: |c - x| overflows double precision\n"
 
+    @pytest.mark.parametrize("dim", [1 << 61, 1 << 63])
+    @pytest.mark.parametrize(
+        "command", [["exact"], ["estimate", "--samples", "10"], ["tessellate", "--width", "2"]]
+    )
+    def test_unallocatable_dimension_exits_two(self, capsys, command, dim):
+        # numpy refuses both sizes without allocating: 2^61 doubles overflow the
+        # byte count and 2^63 is past its largest dimension
+        code, out, err = run(capsys, [*command, "--dim", str(dim), "--sinphi", "0.5"])
+        assert (code, out, err) == (2, "", f"error: dimension {dim} is too large to allocate\n")
+
     def test_internal_value_error_is_not_bad_input(self, monkeypatch):
         def broken(inst):
             raise ValueError("math domain error")
@@ -731,7 +741,7 @@ class TestValidate:
     )
     def test_bad_random_draw_is_internal_error(self, monkeypatch, radius, k, message):
         # the chain draws its own instances, so one that fails a check is a bug, not exit 2
-        draw = (3, radius, radius, np.zeros(3), np.array([2.0, 0.0, 0.0]), k)
+        draw = (3, radius, radius, np.zeros(3), np.array([2.0, 0.0, 0.0]), k, 0.0, 4.0)
         monkeypatch.setattr(selfcheck, "_draw", lambda rng: draw)
         with pytest.raises(InternalConsistencyError) as raised:
             main(["validate", "--samples", "3"])

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ballsep import probability, selfcheck
-from ballsep.errors import ArgumentOutOfRange
+from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
 from ballsep.selfcheck import (
     check_analytic_reductions,
     check_beta_symmetry,
@@ -80,6 +81,18 @@ def test_random_draws_keep_their_stream(seed):
         sin_phi = (r + p) / dist
         gap = (*_kappa_logs(1.0 - sin_phi * sin_phi), sin_phi, 0.5 * dist / k, 0.5 * (dist - r - p) / k)
         assert next(cells) == (i, ref.dimension, k, gap)
+
+
+@pytest.mark.parametrize("near, far", [(0, 1), (1, 0)])
+def test_random_cells_check_k_against_both_centers(monkeypatch, near, far):
+    # k covers one center but not the other, and the checks read each center's
+    # squared norm from the draw
+    centers, squares = (np.array([1.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])), (1.0, 9.0)
+    c, x, cc, xx = centers[near], centers[far], squares[near], squares[far]
+    monkeypatch.setattr(selfcheck, "_draw", lambda rng: (3, 0.5, 0.5, c, x, 2.0, cc, xx))
+    with pytest.raises(InternalConsistencyError) as raised:
+        next(selfcheck._random_cells(np.random.default_rng(0), 1))
+    assert str(raised.value) == "random[0] n=3: bias half range 2.0 is below max(|c|, |x|) = 3.0"
 
 
 def test_ordering_chain_builds_only_its_grid_instances(monkeypatch):
@@ -193,10 +206,13 @@ class TestBatchesEqualScalarBits:
 
 
 def test_ordering_chain_memory_does_not_grow_with_samples():
-    # the chain evaluates its cells in fixed-size chunks and keeps no instances
+    # the chain evaluates its cells in fixed-size chunks and keeps no instances;
+    # a full collection inside a run would empty the float and tuple free lists
+    # and trace their refill, so each run starts from a collected heap
     check_ordering_chain(samples=10)
     peaks = []
     for samples in (1000, 4000):
+        gc.collect()
         tracemalloc.start()
         try:
             check_ordering_chain(samples=samples, seed=3)
