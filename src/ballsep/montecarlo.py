@@ -170,17 +170,6 @@ def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int, *, out=None)
     return draws
 
 
-def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One uniform unit vector in R^n: `_sphere_block(rng, 1, n, n)[0]` from the same
-    generator calls, bit for bit (a 1-D einsum sums as its row einsum; BLAS `dot` does not)."""
-    norm = 0.0
-    while norm < _NORM_FLOOR:
-        g = rng.standard_normal(n)
-        norm = math.sqrt(np.einsum("i,i->", g, g))
-    g /= norm
-    return g
-
-
 def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInstance]:
     """The instances in coordinates of an orthonormal basis of their centers' span.
 

@@ -92,31 +92,32 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
 
     and lower <= mid <= upper holds for every alpha in (0, pi/2), n >= 2.
     """
-    kappa = _lemma_kappa(alpha)
+    angle = _angle(alpha)
     if n < 2:
         raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
     a = 0.5 * (n - 1)
-    args = BetaArgs(kappa, a, 0.5)
-    return _sandwich(reg_inc_beta(args), alpha, (a, math.log(a), args._log_beta))
+    args = BetaArgs(angle[0], a, 0.5)
+    return _sandwich(reg_inc_beta(args), angle, (a, math.log(a), args._log_beta))
 
 
 def _lemma_rows(cells: list) -> list:
-    """`lemma_bounds(alpha, n)` of each (alpha, `_shape(n)`) in cells, with its bits."""
-    kernel = [(*_kappa_logs(_lemma_kappa(alpha)), a, 0.5, ln_b) for alpha, (a, _, ln_b) in cells]
+    """`lemma_bounds(alpha, n)` of each (`_angle(alpha)`, `_shape(n)`) in cells, with its bits."""
+    kernel = [(kappa, ln_k, ln_c, a, 0.5, ln_b) for (kappa, ln_k, ln_c, *_), (a, _, ln_b) in cells]
     return [_sandwich(upper, *cell) for upper, cell in zip(_reg_inc_betas(kernel), cells)]
 
 
-def _lemma_kappa(alpha: float) -> float:
+def _angle(alpha: float) -> tuple:
+    """(kappa, log kappa, log(1 - kappa), log cos, sin) of alpha in (0, pi/2), kappa = cos^2."""
     if not 0.0 < alpha < 0.5 * math.pi:
         raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
-    return math.cos(alpha) ** 2
+    return *_kappa_logs(math.cos(alpha) ** 2), math.log(math.cos(alpha)), math.sin(alpha)
 
 
-def _sandwich(upper: float, alpha: float, shape: tuple) -> tuple:
+def _sandwich(upper: float, angle: tuple, shape: tuple) -> tuple:
     # lemma_bounds from its upper bound; 2 a = n - 1 exactly
-    a, ln_a, ln_beta = shape
-    mid = math.exp(2.0 * a * math.log(math.cos(alpha)) - ln_a - ln_beta)
-    return upper * math.sin(alpha), mid, upper
+    (*_, ln_cos, sin_alpha), (a, ln_a, ln_beta) = angle, shape
+    mid = math.exp(2.0 * a * ln_cos - ln_a - ln_beta)
+    return upper * sin_alpha, mid, upper
 
 
 def _shape(n: int) -> tuple:

@@ -14,9 +14,8 @@ each other, so a sign or factor slip in any one route fails loudly.  The
 first three run their incomplete betas as array continued fractions, _CHUNK
 cells at a time, with the scalar kernel's bits; the analytic reductions stay
 on the scalar `separation_report` and `reg_inc_beta`, which they test.  The
-chain builds no instance objects for its random cells: each is drawn as
-`random_instance` draws it, its axis by `montecarlo._unit_vector`, and checked
-as `SeparationInstance` checks it, from the squared norms the draw took.
+chain draws its random instances as arrays in their two-dimensional core and
+checks them as `SeparationInstance` would, with no instance objects.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from . import probability
 from .geometry import Ball, SeparationInstance, _pair_checks, make_instance, symmetric_instance
 from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
-from .montecarlo import DEFAULT_SEED, _check_seed, _unit_vector
+from .montecarlo import DEFAULT_SEED, _check_seed
 from .specfun import _kappa_logs, _reg_inc_betas, log_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
@@ -40,6 +39,7 @@ GRID_K_FACTORS = (1.0, 2.0)
 
 # cells per array continued fraction; it bounds a battery's memory, not its values
 _CHUNK = 1024
+_DRAW = 1024  # random chain instances per draw; it bounds memory, and the values follow it
 
 
 @dataclass
@@ -79,14 +79,15 @@ def _measure(result: CheckResult, cells, violations, label) -> CheckResult:
 def check_lemma_sandwich(alpha_points: int = 100, n_max: int = 200, tol: float = 1e-12) -> CheckResult:
     """lower <= mid <= upper across a dense angle-by-dimension grid."""
     alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, alpha_points).tolist()
+    angles = [(alpha, probability._angle(alpha)) for alpha in alphas]
     result = CheckResult("sandwich bounds", alpha_points * (n_max - 1), tol, -math.inf)
     shapes = ((n, probability._shape(n)) for n in range(2, n_max + 1))
 
     def violations(chunk):
-        rows = probability._lemma_rows([(alpha, shape) for _, alpha, shape in chunk])
+        rows = probability._lemma_rows([(angle, shape) for _, _, angle, shape in chunk])
         return [max(lower - mid, mid - upper) for lower, mid, upper in rows]
 
-    cells = ((n, alpha, shape) for n, shape in shapes for alpha in alphas)
+    cells = ((n, alpha, angle, shape) for n, shape in shapes for alpha, angle in angles)
     return _measure(result, cells, violations, lambda cell: f"alpha={cell[1]:.6f} n={cell[0]}")
 
 
@@ -101,44 +102,53 @@ def grid_instances() -> list:
 
 
 def random_instance(rng: np.random.Generator) -> SeparationInstance:
-    """Well-posed instance with random dimension, radii, gap, and pose.
-
-    Its generator calls, in order: integers(2, 201) for n; random(3) for the
-    radii r, p in [0.1, 5) and the gap in [1e-3, 10); `montecarlo._unit_vector`
-    for the axis, which makes `_sphere_block(rng, 1, n, n)`'s calls and bits;
-    standard_normal(n) for the center c; random(2) for c's scale in [0.1, 3)
-    and for k in [1, 3) times max(|c|, |x|).
-    """
-    _, r, p, c, x, k, _, _ = _draw(rng)
-    return make_instance(Ball(c, r), Ball(x, p), k)
+    """Well-posed instance with random dimension, radii, gap, and pose: the one
+    instance of `_draw(rng, 1)`, in R^n with zeros past its second coordinate."""
+    return _embedded(_draw(rng, 1), 0)
 
 
-def _draw(rng: np.random.Generator) -> tuple:
-    """(n, r, p, c, x, k, c.c, x.x) of `random_instance`, unchecked.  Each uniform on [lo, hi)
-    is lo + (hi - lo) u, which is how rng.uniform(lo, hi) computes it from rng.random()."""
-    n = int(rng.integers(2, 201))
-    lows, highs = (0.1, 0.1, 1e-3), (5.0, 5.0, 10.0)
-    r, p, delta = (lo + (hi - lo) * u for lo, hi, u in zip(lows, highs, rng.random(3).tolist()))
-    axis = _unit_vector(rng, n)
-    c = rng.standard_normal(n)
-    scale, k_factor = rng.random(2).tolist()
-    c *= 0.1 + (3.0 - 0.1) * scale
-    x = c + (r + p + delta) * axis
-    cc, xx = float(c.dot(c)), float(x.dot(x))
-    k_min = math.sqrt(max(cc, xx))  # np.linalg.norm, bit for bit
-    return n, r, p, c, x, k_min * (1.0 + (3.0 - 1.0) * k_factor), cc, xx
+def _embedded(draw: tuple, i: int) -> SeparationInstance:
+    """The instance of row i of a `_draw`, in R^n with zeros past its second coordinate."""
+    n, r, p, c, x, k, _, _ = draw
+    pad = (0, int(n[i]) - 2)
+    return make_instance(Ball(np.pad(c[:, i], pad), r[i]), Ball(np.pad(x[:, i], pad), p[i]), k[i])
+
+
+def _draw(rng: np.random.Generator, m: int) -> tuple:
+    """(n, r, p, c, x, k, c.c, x.x) of m random instances, unchecked: n uniform on 2..200,
+    radii r, p in [0.1, 5), a gap in [1e-3, 10), centers c = s g and x = c + (r + p + gap) e1
+    for g standard normal in R^n and s in [0.1, 3), and k in [1, 3) times max(|c|, |x|).  c, x
+    are (2, m) arrays of coordinates along e1 and across it; g's are a normal and a chi(n - 1)."""
+    lows = np.array([0.1, 0.1, 1e-3, 0.1, 1.0])[:, None]
+    spans = np.array([5.0, 5.0, 10.0, 3.0, 3.0])[:, None] - lows
+    n = rng.integers(2, 201, size=m)
+    r, p, delta = lows[:3] + spans[:3] * rng.random((3, m))
+    g = np.array([rng.standard_normal(m), np.sqrt(2.0 * rng.standard_gamma((n - 1) / 2.0))])
+    scale, k_factor = lows[3:] + spans[3:] * rng.random((2, m))
+    c = scale * g
+    x = np.array([c[0] + (r + p + delta), c[1]])
+    cc, xx = np.square(c).sum(axis=0), np.square(x).sum(axis=0)
+    return n, r, p, c, x, np.sqrt(np.maximum(cc, xx)) * k_factor, cc, xx
 
 
 def _random_cells(rng: np.random.Generator, samples: int):
-    """(i, n, k, `probability._gap`) of `samples` random instances drawn from rng, with
-    every check of `SeparationInstance` but no instance; a draw that fails one is a bug."""
-    for i in range(samples):
-        n, r, p, c, x, k, cc, xx = _draw(rng)
-        try:  # no coordinate of a draw comes near overflow
-            dist, k = _pair_checks(c, r, x, p, k, cc, xx)
-        except BallsepError as exc:
-            raise InternalConsistencyError(f"random[{i}] n={n}: {exc}") from exc
-        yield i, n, k, probability._cell(dist, r, p, k)
+    """(i, n, k, `probability._gap`) of `samples` random instances, _DRAW at a time from rng,
+    with every check of `SeparationInstance` but no instance; a draw that fails one is a bug."""
+    for start in range(0, samples, _DRAW):
+        n, r, p, c, x, k, cc, xx = _draw(rng, min(_DRAW, samples - start))
+        squares = np.array([np.square(c - x).sum(axis=0), cc, xx])
+        dist, norm_c, norm_x = np.sqrt(squares)
+        # np.sqrt is `_pair_checks`'s norm where each square is a finite normal double
+        fine = np.all((np.finfo(float).tiny <= squares) & (squares < math.inf), axis=0)
+        fine &= (dist > r + p) & np.isfinite(k) & (k >= np.maximum(norm_c, norm_x))
+        for i in np.flatnonzero(~fine).tolist():
+            try:
+                dist[i], k[i] = _pair_checks(c[:, i], r[i], x[:, i], p[i], k[i], cc[i], xx[i])
+            except BallsepError as exc:
+                raise InternalConsistencyError(f"random[{start + i}] n={n[i]}: {exc}") from exc
+        rows = zip(n.tolist(), dist.tolist(), r.tolist(), p.tolist(), k.tolist())
+        for i, (dim, dist_i, r_i, p_i, k_i) in enumerate(rows, start):
+            yield i, dim, k_i, probability._cell(dist_i, r_i, p_i, k_i)
 
 
 def _chain_violation(bounds: tuple, report: tuple) -> float:
@@ -176,7 +186,7 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
 
     def violations(chunk):
         rows = [(shape(n), gap) for _, n, _, gap in chunk]
-        bounds = probability._lemma_rows([(math.asin(gap[3]), s) for s, gap in rows])
+        bounds = probability._lemma_rows([(probability._angle(math.asin(gap[3])), s) for s, gap in rows])
         return list(map(_chain_violation, bounds, probability._report_rows(rows)))
 
     return _measure(result, cells, violations, _chain_label)

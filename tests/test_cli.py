@@ -741,8 +741,10 @@ class TestValidate:
     )
     def test_bad_random_draw_is_internal_error(self, monkeypatch, radius, k, message):
         # the chain draws its own instances, so one that fails a check is a bug, not exit 2
-        draw = (3, radius, radius, np.zeros(3), np.array([2.0, 0.0, 0.0]), k, 0.0, 4.0)
-        monkeypatch.setattr(selfcheck, "_draw", lambda rng: draw)
+        # (n, r, p, c, x, k, c.c, x.x) of one instance, its centers in the core
+        core = (np.array([[0.5], [0.0]]), np.array([[2.0], [0.0]]), np.array([k]), [0.25], [4.0])
+        draw = (np.array([3]), np.array([radius]), np.array([radius]), *map(np.array, core))
+        monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: draw)
         with pytest.raises(InternalConsistencyError) as raised:
             main(["validate", "--samples", "3"])
         assert str(raised.value) == message
@@ -810,6 +812,7 @@ class TestOutputPinned:
             0, "9c5e50b0784e7ec3bd64b412399a63c6153b3476", ""),
         ("validate", "--samples", "10000", "--seed", "7"): (
             0, "421b58279fba34077378d5110a04fcb4c3dced0a", ""),
+        ("validate", "--samples", "0"): (0, "93c9fb2349e51d8e1a0cde7de643d468a7818d2f", ""),
         ("estimate", "--dim", "3", "--sinphi", "0.5", "--samples", "0"): (
             2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
             "error: samples must be >= 1\n"),

@@ -20,7 +20,6 @@ from ballsep.montecarlo import (
     _block_rng,
     _planar_core,
     _sphere_block,
-    _unit_vector,
     estimate_p_bias,
     estimate_p_full,
     estimate_p_weight,
@@ -109,22 +108,6 @@ class _ZerosFirst:
         return self._first_rows_zero("standard_gamma", self.rng.standard_gamma(shape, size, out=out))
 
 
-class _ZeroVectorFirst:
-    """Generator stand-in whose first standard_normal draw comes out all
-    zeros, whatever its shape; it counts its standard_normal calls."""
-
-    def __init__(self):
-        self.rng = np.random.default_rng(0)
-        self.calls = 0
-
-    def standard_normal(self, size=None, out=None):
-        self.calls += 1
-        drawn = self.rng.standard_normal(size, out=out)
-        if self.calls == 1:
-            drawn[...] = 0.0
-        return drawn
-
-
 class TestSampling:
     def test_sphere_samples_are_unit(self):
         rng = _block_rng(DEFAULT_SEED, 0)
@@ -168,28 +151,10 @@ class TestSampling:
         if d == n:
             assert_allclose(np.linalg.norm(block, axis=1), 1.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("rng_of", [lambda seed: _block_rng(seed, 3), np.random.default_rng])
-    def test_unit_vector_is_a_one_row_block(self, rng_of):
-        for seed in (1, 7, 1 << 63):
-            want, got = rng_of(seed), rng_of(seed)
-            for n in range(2, 201):
-                assert np.array_equal(_unit_vector(got, n), _sphere_block(want, 1, n, n)[0])
-            assert got.random() == want.random()
-
-    @pytest.mark.parametrize("n", [2, 5, 200])
-    def test_unit_vector_redraws_as_the_block_does(self, n):
-        single, block = _ZeroVectorFirst(), _ZeroVectorFirst()
-        v = _unit_vector(single, n)
-        assert np.array_equal(v, _sphere_block(block, 1, n, n)[0])
-        assert single.calls == block.calls == 2
-        assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
-
     def test_single_draw_helpers(self):
         # a single direction is a one-row block, with the bits of the
-        # one-point sampler it replaced; validate's random instances draw
-        # it with `_unit_vector`, which makes the same calls
+        # one-point sampler it replaced
         v = _sphere_block(_block_rng(9, 0), 1, 5, 5)[0]
-        assert np.array_equal(_unit_vector(_block_rng(9, 0), 5), v)
         assert v.tolist() == [
             0.2978815438915242,
             -0.546482055118942,

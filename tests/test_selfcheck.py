@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ballsep import probability, selfcheck
 from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
@@ -16,9 +18,9 @@ from ballsep.selfcheck import (
     random_instance,
     run_all,
 )
-from ballsep.geometry import Ball, SeparationInstance, make_instance
+from ballsep.geometry import SeparationInstance
 from ballsep.montecarlo import _sphere_block
-from ballsep.specfun import BetaArgs, _kappa_logs, reg_inc_beta
+from ballsep.specfun import BetaArgs, reg_inc_beta
 
 
 def test_all_batteries_pass_on_fresh_build():
@@ -51,48 +53,114 @@ def test_random_instances_are_well_posed():
         )
 
 
-def _parent_draw(rng):
-    # random_instance with one generator call per value, each uniform from
-    # rng.uniform: the stream the draw must reproduce bit for bit
-    n = int(rng.integers(2, 201))
-    r = float(rng.uniform(0.1, 5.0))
-    p = float(rng.uniform(0.1, 5.0))
-    delta = float(rng.uniform(1e-3, 10.0))
-    axis = _sphere_block(rng, 1, n, n)[0]
-    c = rng.standard_normal(n) * float(rng.uniform(0.1, 3.0))
-    x = c + (r + p + delta) * axis
-    k_min = math.sqrt(max(c.dot(c), x.dot(x)))
-    return make_instance(Ball(c, r), Ball(x, p), k_min * float(rng.uniform(1.0, 3.0)))
+def _chain_instances(seed, samples):
+    # the instances check_ordering_chain(samples, seed) evaluates, drawn _DRAW at a time
+    rng, instances = np.random.default_rng(seed), []
+    for start in range(0, samples, selfcheck._DRAW):
+        draw = selfcheck._draw(rng, min(selfcheck._DRAW, samples - start))
+        instances += [selfcheck._embedded(draw, i) for i in range(len(draw[0]))]
+    return instances
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1 << 63])
-def test_random_draws_keep_their_stream(seed):
-    want, got, drawn = (np.random.default_rng(seed) for _ in range(3))
-    cells = selfcheck._random_cells(drawn, 2000)
-    for i in range(2000):
-        ref, inst = _parent_draw(want), random_instance(got)
-        assert inst.dimension == ref.dimension
-        assert (inst.ball_a.radius, inst.ball_b.radius) == (ref.ball_a.radius, ref.ball_b.radius)
-        assert np.array_equal(inst.ball_a.center, ref.ball_a.center)
-        assert np.array_equal(inst.ball_b.center, ref.ball_b.center)
-        assert inst.bias_half_range == ref.bias_half_range
-        # probability._gap with the gap, sin_phi and q_value formulas written out
-        dist, r, p, k = ref.center_distance, ref.ball_a.radius, ref.ball_b.radius, ref.bias_half_range
-        sin_phi = (r + p) / dist
-        gap = (*_kappa_logs(1.0 - sin_phi * sin_phi), sin_phi, 0.5 * dist / k, 0.5 * (dist - r - p) / k)
-        assert next(cells) == (i, ref.dimension, k, gap)
+def test_random_cells_are_their_instances_gaps(seed):
+    # 2000 samples span two draws; each cell is what the scalar path reads of its instance
+    cells = selfcheck._random_cells(np.random.default_rng(seed), 2000)
+    for i, inst in enumerate(_chain_instances(seed, 2000)):
+        assert next(cells) == (i, inst.dimension, inst.bias_half_range, probability._gap(inst))
+        assert not inst.ball_a.center[2:].any() and not inst.ball_b.center[2:].any()
+    first = next(selfcheck._random_cells(np.random.default_rng(seed), 1))
+    inst = random_instance(np.random.default_rng(seed))
+    assert first == (0, inst.dimension, inst.bias_half_range, probability._gap(inst))
+
+
+def test_random_cells_keep_their_stream():
+    # the chain's values depend on (seed, samples) alone
+    cells = list(selfcheck._random_cells(np.random.default_rng(7), 2000))
+    assert hashlib.sha1(repr(cells).encode()).hexdigest() == "6a06ae0e8b33918b166cdb15c828e8679e9acb21"
+
+
+def _parent_draw(rng, n):
+    # the full-coordinate draw the chain used before it drew in the two-dimensional
+    # core: an axis uniform on the sphere and c a scaled standard normal in R^n
+    r, p, delta = (float(rng.uniform(lo, hi)) for lo, hi in ((0.1, 5.0), (0.1, 5.0), (1e-3, 10.0)))
+    axis = _sphere_block(rng, 1, n, n)[0]
+    c = rng.standard_normal(n) * float(rng.uniform(0.1, 3.0))
+    x = c + (r + p + delta) * axis
+    k = math.sqrt(max(c.dot(c), x.dot(x))) * float(rng.uniform(1.0, 3.0))
+    return np.linalg.norm(c), np.linalg.norm(x), np.linalg.norm(c - x), k
+
+
+class _FixedDimension:
+    """Generator stand-in whose integers are all n; it passes every other call to a
+    default_rng(seed)."""
+
+    def __init__(self, seed, n):
+        self.rng, self.n = np.random.default_rng(seed), n
+
+    def integers(self, low, high, size):
+        return np.full(size, self.n)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+# fixed seeds make each comparison deterministic; under one law, 12 comparisons
+# would all clear this floor with probability about 0.99
+_LAW_P_FLOOR = 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 200])
+def test_random_draws_keep_the_full_coordinate_law(n):
+    # |c|/D, |x|/D and k/D, D = |c - x|, of the core draw and of the full-coordinate one,
+    # 20,000 draws each: the population the chain checks must not drift
+    _, _, _, c, x, k, cc, xx = selfcheck._draw(_FixedDimension(n, n), 20000)
+    dist = np.abs(c[0] - x[0])
+    core = np.sqrt(cc) / dist, np.sqrt(xx) / dist, k / dist
+    rng = np.random.default_rng(1000 + n)
+    norm_c, norm_x, dist, k = np.array([_parent_draw(rng, n) for _ in range(20000)]).T
+    for got, want in zip(core, (norm_c / dist, norm_x / dist, k / dist)):
+        assert ks_2samp(got, want).pvalue >= _LAW_P_FLOOR
+
+
+def _one_draw(c, x, r, k, n=3):
+    # a one-instance `_draw` with core centers c, x, radii r and bias half range k
+    c, x = np.array([c], dtype=float).T, np.array([x], dtype=float).T
+    return np.array([n]), np.array([r]), np.array([r]), c, x, np.array([k]), *np.square([c, x]).sum(axis=1)
 
 
 @pytest.mark.parametrize("near, far", [(0, 1), (1, 0)])
 def test_random_cells_check_k_against_both_centers(monkeypatch, near, far):
     # k covers one center but not the other, and the checks read each center's
     # squared norm from the draw
-    centers, squares = (np.array([1.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])), (1.0, 9.0)
-    c, x, cc, xx = centers[near], centers[far], squares[near], squares[far]
-    monkeypatch.setattr(selfcheck, "_draw", lambda rng: (3, 0.5, 0.5, c, x, 2.0, cc, xx))
+    centers = ([1.0, 0.0], [3.0, 0.0])
+    draw = _one_draw(centers[near], centers[far], 0.5, 2.0)
+    monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: draw)
     with pytest.raises(InternalConsistencyError) as raised:
         next(selfcheck._random_cells(np.random.default_rng(0), 1))
     assert str(raised.value) == "random[0] n=3: bias half range 2.0 is below max(|c|, |x|) = 3.0"
+
+
+def test_random_cells_check_k_is_finite(monkeypatch):
+    monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: _one_draw([0.5, 0.0], [2.0, 0.0], 0.5, math.inf))
+    with pytest.raises(InternalConsistencyError) as raised:
+        next(selfcheck._random_cells(np.random.default_rng(0), 1))
+    assert str(raised.value) == "random[0] n=3: bias half range must be finite, got inf"
+
+
+def test_random_cells_name_a_failing_cell_by_its_index(monkeypatch):
+    # the second draw's first row is the third instance; the first draw's centers at 0
+    # take the norm's slow path, and pass
+    good = _one_draw([0.0, 0.0], [2.0, 0.0], 0.5, 2.0)
+    pair = tuple(np.concatenate([v, v], axis=-1) for v in good)
+    draws = iter([pair, _one_draw([0.5, 0.0], [2.0, 0.0], 1.0, 2.0, n=7)])
+    monkeypatch.setattr(selfcheck, "_DRAW", 2)
+    monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: next(draws))
+    cells = selfcheck._random_cells(np.random.default_rng(0), 3)
+    assert [next(cells)[:2] for _ in range(2)] == [(0, 3), (1, 3)]
+    with pytest.raises(InternalConsistencyError) as raised:
+        next(cells)
+    assert str(raised.value) == "random[2] n=7: balls overlap or touch (delta <= 0)"
 
 
 def test_ordering_chain_builds_only_its_grid_instances(monkeypatch):
@@ -171,8 +239,7 @@ class TestBatchesEqualScalarBits:
         reports = _recorded(monkeypatch, probability, "_report_rows")
         bounds = _recorded(monkeypatch, probability, "_lemma_rows")
         assert check_ordering_chain(samples=500, seed=seed).passed
-        rng = np.random.default_rng(seed)
-        instances = grid_instances() + [random_instance(rng) for _ in range(500)]
+        instances = grid_instances() + _chain_instances(seed, 500)
         assert len(reports) == len(bounds) == len(instances)
         for inst, report, bound in zip(instances, reports, bounds):
             scalar = probability.separation_report(inst)
