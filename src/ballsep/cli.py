@@ -24,7 +24,7 @@ from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, _radius, make_instance, symmetric_instance
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
-from .probability import _gap, _report_rows, _shape, asymptotic_envelope, separation_report
+from .probability import _gap, _grid_columns, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
@@ -257,22 +257,24 @@ def cmd_sweep(args) -> int:
         distance = args.r + args.p + delta
         if distance == math.inf:
             raise ArgumentOutOfRange("|c - x| overflows double precision")
+        if distance <= args.r + args.p:
+            raise ArgumentOutOfRange(f"--delta {delta!r} is lost in r + p + delta = {distance!r}")
         k = args.k if args.k is not None else args.k_factor * 0.5 * distance
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
-    shapes, logs = [_shape(n) for n in dims], [_gap(inst) for inst in planar]
-    rows = _report_rows([(shape, gap) for shape in shapes for gap in logs])
-    gaps = [_gap_values(inst, p_bias) for inst, (p_bias, _, _) in zip(planar, rows)]
-    envelopes = [asymptotic_envelope(n) for n in dims]
+    logs = [_gap(inst) for inst in planar]
+    (_, weights, fulls), envelopes = _grid_columns(dims, logs)
+    rows = zip(weights.tolist(), fulls.tolist())
+    gaps = [_gap_values(inst, gap[-1]) for inst, gap in zip(planar, logs)]
     if args.format == "json":
         grid = ((n, gap, envelope) for n, envelope in zip(dims, envelopes) for gap in gaps)
-        values = ((n, *gap, w, f, envelope) for (n, gap, envelope), (_, w, f) in zip(grid, rows))
+        values = ((n, *gap, w, f, envelope) for (n, gap, envelope), (w, f) in zip(grid, rows))
         return _write(args, _SWEEP_COLUMNS, [dict(zip(_SWEEP_COLUMNS, v)) for v in values])
     # each gap's columns and each envelope are rendered once; the probabilities by repr
     prefixes = [",".join(map(_csv_cell, gap)) for gap in gaps]
     tails = map(_csv_cell, envelopes)
     grid = ((n, prefix, tail) for n, tail in zip(dims, tails) for prefix in prefixes)
-    lines = (f"{n},{prefix},{w!r},{f!r},{tail}" for (n, prefix, tail), (_, w, f) in zip(grid, rows))
+    lines = (f"{n},{prefix},{w!r},{f!r},{tail}" for (n, prefix, tail), (w, f) in zip(grid, rows))
     _emit(_csv_text(_SWEEP_COLUMNS, lines), args.out)
     return 0
 

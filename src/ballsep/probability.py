@@ -13,6 +13,16 @@ the cone half angle phi, and the regularized incomplete beta function
 at q = cos^2(phi).  The fully random probability is bounded above by
 both partial ones, and the same beta-function sandwich that drives the
 proofs is exposed directly as `lemma_bounds`.
+
+`separation_report` and `lemma_bounds` evaluate one instance or angle on
+floats.  `_report_columns` and `_lemma_rows` evaluate a batch as float64
+columns, one per field of `_shape(n)`, `_gap(inst)` and `_angle(alpha)`,
+with the same bits.  Each formula is written once, in a helper that takes
+floats or columns (`_weight_and_full`, `_sandwich`), and only the
+transcendental step differs: its `exp` is `math.exp` on floats and
+`math.exp` mapped over the elements on columns (`_exp_each`), because
+numpy's `exp`, `log` and `lgamma` differ from `math`'s in the last bit for
+some arguments.
 """
 
 from __future__ import annotations
@@ -20,14 +30,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArgumentOutOfRange, InternalConsistencyError
 from .geometry import SeparationInstance, _cone
-from .specfun import BetaArgs, _kappa_logs, _reg_inc_betas, log_beta, reg_inc_beta
+from .specfun import (
+    BetaArgs,
+    _exp_each,
+    _kappa_logs,
+    _log_beta_sum,
+    _mapped,
+    _reg_inc_betas,
+    log_beta,
+    reg_inc_beta,
+)
 
 # probabilities assembled from independently rounded pieces may land a
 # few ulp outside [0, 1] or break the pairwise ordering by float noise;
 # anything beyond this slack is treated as a genuine implementation bug
 _CONSISTENCY_SLACK = 1e-12
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def _check_unit_interval(value: float, label: str) -> float:
@@ -40,6 +62,14 @@ def _check_unit_interval(value: float, label: str) -> float:
             raise InternalConsistencyError(f"{label} = {value!r} exceeds 1")
         return 1.0
     return value
+
+
+def _check_column(values: np.ndarray, label: str) -> np.ndarray:
+    """`_check_unit_interval` of each element of a column; the first past the slack raises."""
+    outside = (values < -_CONSISTENCY_SLACK) | (values > 1.0 + _CONSISTENCY_SLACK)
+    if outside.any():
+        _check_unit_interval(float(values[outside.argmax()]), label)
+    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
 
 
 def p_random_bias(inst: SeparationInstance) -> float:
@@ -101,9 +131,13 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
 
 
 def _lemma_rows(cells: list) -> list:
-    """`lemma_bounds(alpha, n)` of each (`_angle(alpha)`, `_shape(n)`) in cells, with its bits."""
-    kernel = [(kappa, ln_k, ln_c, a, 0.5, ln_b) for (kappa, ln_k, ln_c, *_), (a, _, ln_b) in cells]
-    return [_sandwich(upper, *cell) for upper, cell in zip(_reg_inc_betas(kernel), cells)]
+    """`lemma_bounds(alpha, n)` of each (`_angle(alpha)`, `_shape(n)`) in cells, with its bits,
+    from one column per field."""
+    columns = _columns([(*angle, *shape) for angle, shape in cells], 8)
+    kappa, ln_kappa, ln_comp, _, _, a, _, ln_beta = columns
+    upper = _reg_inc_betas(kappa, ln_kappa, ln_comp, a, 0.5, ln_beta)
+    bounds = _sandwich(upper, columns[:5], columns[5:], exp=_exp_each)
+    return list(zip(*(column.tolist() for column in bounds)))
 
 
 def _angle(alpha: float) -> tuple:
@@ -113,10 +147,11 @@ def _angle(alpha: float) -> tuple:
     return *_kappa_logs(math.cos(alpha) ** 2), math.log(math.cos(alpha)), math.sin(alpha)
 
 
-def _sandwich(upper: float, angle: tuple, shape: tuple) -> tuple:
-    # lemma_bounds from its upper bound; 2 a = n - 1 exactly
+def _sandwich(upper, angle, shape, exp=math.exp) -> tuple:
+    """lemma_bounds from its upper bound, `_angle(alpha)` and `_shape(n)`: floats, or
+    columns with exp `_exp_each`."""
     (*_, ln_cos, sin_alpha), (a, ln_a, ln_beta) = angle, shape
-    mid = math.exp(2.0 * a * ln_cos - ln_a - ln_beta)
+    mid = exp(2.0 * a * ln_cos - ln_a - ln_beta)  # 2 a = n - 1 exactly
     return upper * sin_alpha, mid, upper
 
 
@@ -137,7 +172,12 @@ def asymptotic_envelope(n: int) -> float:
     """
     if n < 2:
         raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
-    return math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n + 1))) / math.sqrt(math.pi)
+    return _envelope(math.lgamma(0.5 * n), math.lgamma(0.5 * (n + 1)))
+
+
+def _envelope(lgamma_half: float, lgamma_next: float) -> float:
+    # asymptotic_envelope(n) from log Gamma(n/2) and log Gamma((n+1)/2)
+    return math.exp(lgamma_half - lgamma_next) / _SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -192,22 +232,56 @@ def _report_rows(rows: list) -> list:
     """`separation_report`'s (p_bias, p_weight, p_full) of inst in dimension n, with its
     bits and checks, for each (`_shape(n)`, `_gap(inst)`) in rows; a caller takes each
     shape once per dimension and each gap once per instance."""
-    kernel = [(q, ln_q, ln_c, a, 0.5, ln_b) for (a, _, ln_b), (q, ln_q, ln_c, _, _, _) in rows]
-    reports = []
-    for (shape, (_, ln_q, _, sin_phi, scale, p_bias)), beta in zip(rows, _reg_inc_betas(kernel)):
-        p_weight, p_full = _weight_and_full(beta, ln_q, shape, sin_phi, scale)
-        _check_ordering(p_bias, p_weight, p_full)
-        reports.append((p_bias, p_weight, p_full))
-    return reports
+    columns = _columns([(*shape, *gap) for shape, gap in rows], 9)
+    return list(zip(*(column.tolist() for column in _report_columns(columns[:3], columns[3:]))))
+
+
+def _columns(rows: list, width: int) -> np.ndarray:
+    # the float64 columns of rows of width fields each
+    return np.array(rows, dtype=float).reshape(-1, width).T
+
+
+def _grid_columns(dims: list, gaps: list) -> tuple:
+    """The `_report_columns` of every (n, gap) with n >= 2 in dims and gap a `_gap(inst)` in
+    gaps, n-major, and the `asymptotic_envelope` list of dims.  Each distinct lgamma argument
+    is taken once, so contiguous dimensions share their Gamma(j/2)."""
+    # the lgamma arguments of `_shape(n)` and `asymptotic_envelope(n)`, as they form them
+    a, halves, nexts = ([0.5 * (n + j) for n in dims] for j in (-1, 0, 1))
+    shifted = [y + 0.5 for y in a]
+    lgamma = {x: math.lgamma(x) for x in {0.5, *a, *shifted, *halves, *nexts}}
+    lgamma_a, lgamma_shifted = (np.array([lgamma[x] for x in xs]) for xs in (a, shifted))
+    a = np.array(a)
+    shape = a, _mapped(math.log, a), _log_beta_sum(lgamma_a, lgamma[0.5], lgamma_shifted)
+    envelopes = [_envelope(lgamma[x], lgamma[y]) for x, y in zip(halves, nexts)]
+    repeated = [np.repeat(column, len(gaps)) for column in shape]
+    tiled = [np.tile(column, len(dims)) for column in _columns(gaps, 6)]
+    return _report_columns(repeated, tiled), envelopes
+
+
+def _report_columns(shape, gap) -> tuple:
+    """`separation_report`'s (p_bias, p_weight, p_full) columns, with its bits, of the rows
+    whose `_shape(n)` and `_gap(inst)` fields are the columns of shape and gap.  A row that
+    fails a check raises `separation_report`'s error for it: the first row past p_weight's
+    range, else p_full's, else the first out of order."""
+    a, _, ln_beta = shape
+    q, ln_q, ln_comp, sin_phi, scale, p_bias = gap
+    beta = _reg_inc_betas(q, ln_q, ln_comp, a, 0.5, ln_beta)
+    p_weight, p_full = _weight_and_full(beta, ln_q, shape, sin_phi, scale, _exp_each, _check_column)
+    broken = (p_full > p_weight + _CONSISTENCY_SLACK) | (p_full > p_bias + _CONSISTENCY_SLACK)
+    if broken.any():
+        i = broken.argmax()
+        _check_ordering(float(p_bias[i]), float(p_weight[i]), float(p_full[i]))
+    return p_bias, p_weight, p_full
 
 
 def _weight_and_full(
-    beta: float, ln_q: float, shape: tuple, sin_phi: float, scale: float
+    beta, ln_q, shape: tuple, sin_phi, scale, exp=math.exp, check=_check_unit_interval
 ) -> tuple:
     """Range-checked p_weight and p_full from beta = I(q; a, 1/2), log q,
-    shape = (a, log a, log B(a, 1/2)) and scale = |c - x| / (2 k)."""
+    shape = (a, log a, log B(a, 1/2)) and scale = |c - x| / (2 k): floats, or
+    columns with exp `_exp_each` and check `_check_column`."""
     a, ln_a, ln_beta = shape
-    p_weight = _check_unit_interval(beta, "random-weight probability")
-    bracket = math.exp(a * ln_q - ln_a - ln_beta) - sin_phi * p_weight  # q^a / (a B) - s I
-    p_full = _check_unit_interval(scale * bracket, "fully random probability")
+    p_weight = check(beta, "random-weight probability")
+    bracket = exp(a * ln_q - ln_a - ln_beta) - sin_phi * p_weight  # q^a / (a B) - s I
+    p_full = check(scale * bracket, "fully random probability")
     return p_weight, p_full

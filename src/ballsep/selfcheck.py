@@ -11,8 +11,8 @@ Four independent consistency batteries, each returning a CheckResult:
 
 Every comparison here pits two different computational routes against
 each other, so a sign or factor slip in any one route fails loudly.  The
-first three run their incomplete betas as array continued fractions, _CHUNK
-cells at a time, with the scalar kernel's bits; the analytic reductions stay
+first three run their closed forms as float64 columns, _CHUNK cells at a
+time, with the scalar path's bits; the analytic reductions stay
 on the scalar `separation_report` and `reg_inc_beta`, which they test.  The
 chain draws its random instances as arrays in their two-dimensional core and
 checks them as `SeparationInstance` would, with no instance objects.
@@ -204,7 +204,7 @@ def check_beta_symmetry(tol: float = 1e-11) -> CheckResult:
         kernel = []
         for kappa, y, z, ln_b in chunk:
             kernel += (*_kappa_logs(kappa), y, z, ln_b), (*_kappa_logs(1.0 - kappa), z, y, ln_b)
-        values = _reg_inc_betas(kernel)
+        values = _reg_inc_betas(*np.array(kernel).T).tolist()
         return [abs(total + mirror - 1.0) for total, mirror in zip(values[::2], values[1::2])]
 
     cells = ((kappa, y, z, ln_beta) for y, z, ln_beta in pairs for kappa in kappas)

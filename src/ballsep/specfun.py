@@ -8,16 +8,17 @@ converges quickly.  All prefactors are assembled in log space so large
 shape parameters (y of order 1e4) do not overflow or underflow the
 intermediate products.
 
-The endpoints, the branch choice, the log-space prefactor and the final
-division are written once (`_endpoint`, `_fraction_setup`, `_assemble`);
-the Lentz iteration has a scalar kernel, `_lentz_fraction`, for single
-calls, and an array kernel, `_lentz_fractions`, for `_reg_inc_betas`.  The
-array kernel's values equal the scalar's with `==`: it repeats the
-scalar's + - * /, abs and comparisons per element in the same order, and
-these are correctly rounded in numpy as in Python.  `lgamma`, `log`,
-`log1p` and `exp` stay `math` calls on both paths, because numpy's differ
-from them in the last bit for some arguments; a grid takes the logs once
-per kappa and per shape, and only the `exp` per cell.
+`reg_inc_beta` evaluates one cell on floats; `_reg_inc_betas` evaluates a
+float64 column per argument, one row per cell, with the same bits.  The
+branch choice, the log-space prefactor and the final division are written
+once (`_fraction_setup`, `_assemble`) and take floats or columns, because
++ - * /, abs and comparisons round the same in numpy as in Python.  The
+Lentz iteration has a scalar kernel, `_lentz_fraction`, and an array
+kernel, `_lentz_fractions`, which repeats the scalar's operations per
+element in the same order.  Only the transcendental step differs between
+the paths: `lgamma`, `log`, `log1p` and `exp` are always `math` calls, on
+a column mapped over its elements (`_mapped`, `_exp_each`), because numpy's
+differ from them in the last bit for some arguments.
 """
 
 from __future__ import annotations
@@ -39,7 +40,22 @@ def log_beta(y: float, z: float) -> float:
     """log B(y, z) = log Gamma(y) + log Gamma(z) - log Gamma(y+z) for y, z > 0."""
     if not (y > 0.0 and z > 0.0):
         raise ArgumentOutOfRange(f"log_beta requires y, z > 0, got y={y!r}, z={z!r}")
-    return math.lgamma(y) + math.lgamma(z) - math.lgamma(y + z)
+    return _log_beta_sum(math.lgamma(y), math.lgamma(z), math.lgamma(y + z))
+
+
+def _log_beta_sum(lgamma_y, lgamma_z, lgamma_yz):
+    """log B(y, z) from log Gamma of y, z and y + z: floats or columns."""
+    return lgamma_y + lgamma_z - lgamma_yz
+
+
+def _mapped(function, column) -> np.ndarray:
+    """The float64 column of function (a `math` one) at each element of column."""
+    return np.fromiter(map(function, column.tolist()), float, len(column))
+
+
+def _exp_each(column) -> np.ndarray:
+    """`math.exp` of each element of a float64 column: the column form of a helper's `exp`."""
+    return _mapped(math.exp, column)
 
 
 @dataclass(frozen=True)
@@ -72,8 +88,8 @@ class BetaArgs:
 
 
 def _kappa_logs(value) -> tuple:
-    """(kappa, log kappa, log(1 - kappa)), the head of a `_reg_inc_betas` cell, with
-    kappa clamped into [0, 1] from within 1e-14 of it; a log is None where it is -inf."""
+    """(kappa, log kappa, log(1 - kappa)), the head of a `_reg_inc_betas` row, with
+    kappa clamped into [0, 1] from within 1e-14 of it; log 0 is -inf."""
     kappa = float(value)
     if -_KAPPA_SLACK <= kappa < 0.0:
         kappa = 0.0
@@ -81,8 +97,8 @@ def _kappa_logs(value) -> tuple:
         kappa = 1.0
     if not 0.0 <= kappa <= 1.0:
         raise ArgumentOutOfRange(f"kappa must lie in [0, 1], got {value!r}")
-    ln_kappa = math.log(kappa) if kappa > 0.0 else None
-    return kappa, ln_kappa, math.log1p(-kappa) if kappa < 1.0 else None
+    ln_kappa = math.log(kappa) if kappa > 0.0 else -math.inf
+    return kappa, ln_kappa, math.log1p(-kappa) if kappa < 1.0 else -math.inf
 
 
 def reg_inc_beta(args: BetaArgs) -> float:
@@ -91,61 +107,62 @@ def reg_inc_beta(args: BetaArgs) -> float:
     Endpoints are exact: I(0) = 0 and I(1) = 1 with no floating error.
     """
     kappa = args.kappa
-    exact = _endpoint(kappa)
-    if exact is not None:
-        return exact
+    if not 0.0 < kappa < 1.0:
+        return 1.0 if kappa == 1.0 else 0.0
     front, a, b, x, reflected = _fraction_setup(
         kappa, args._ln_kappa, args._ln_comp, args.y, args.z, args._log_beta
     )
     return _assemble(front, _lentz_fraction(a, b, x), a, reflected)
 
 
-def _reg_inc_betas(cells: list) -> list:
-    """`reg_inc_beta` of each cell in cells, with the same bits.
+def _reg_inc_betas(kappa, ln_kappa, ln_comp, y, z, ln_beta) -> np.ndarray:
+    """`reg_inc_beta` of each row, with the same bits, as a float64 column.
 
-    A cell is (kappa, log kappa, log(1 - kappa), y, z, log B(y, z)): the
-    first three from `_kappa_logs`, and y and z valid `BetaArgs` fields.  It
-    is not checked here.  All continued fractions run as one array
-    iteration, in order.
+    The arguments are float64 columns of one length, or floats that hold for
+    every row: kappa, log kappa and log(1 - kappa) from `_kappa_logs`, valid
+    `BetaArgs` shapes y and z, and log B(y, z).  They are not checked here,
+    and the logs are not read where kappa is 0 or 1.  All continued fractions
+    run as one array iteration, in row order.
     """
-    values = [_endpoint(cell[0]) for cell in cells]
-    inside = [i for i, value in enumerate(values) if value is None]
-    if inside:
-        setups = [_fraction_setup(*cells[i]) for i in inside]
-        _, a, b, x, _ = (np.array(column) for column in zip(*setups))
-        fractions = _lentz_fractions(a, b, x).tolist()
-        for i, (front, shape, _, _, reflected), fraction in zip(inside, setups, fractions):
-            values[i] = _assemble(front, fraction, shape, reflected)
+    kappa, ln_kappa, ln_comp, y, z, ln_beta = np.broadcast_arrays(
+        kappa, ln_kappa, ln_comp, y, z, ln_beta
+    )
+    values = np.where(kappa == 1.0, 1.0, 0.0)  # exact endpoints, as in `reg_inc_beta`
+    inside = np.flatnonzero((0.0 < kappa) & (kappa < 1.0))
+    if inside.size:
+        cells = (column[inside] for column in (kappa, ln_kappa, ln_comp, y, z, ln_beta))
+        front, a, b, x, reflected = _fraction_setup(*cells, exp=_exp_each)
+        values[inside] = _assemble(front, _lentz_fractions(a, b, x), a, reflected)
     return values
 
 
-def _endpoint(kappa: float):
-    """I(kappa; y, z) when kappa is 0 or 1, for every y and z; None between."""
-    if kappa == 0.0:
-        return 0.0
-    if kappa == 1.0:
-        return 1.0
-    return None
-
-
-def _fraction_setup(
-    kappa: float, ln_kappa: float, ln_comp: float, y: float, z: float, ln_beta: float
-) -> tuple:
+def _fraction_setup(kappa, ln_kappa, ln_comp, y, z, ln_beta, exp=math.exp) -> tuple:
     """(front, a, b, x, reflected) of I(kappa; y, z) for 0 < kappa < 1.
 
     The logs are log kappa, log(1 - kappa) and log B(y, z).  I(kappa; y, z)
     is front * F(a, b, x) / a, where F is the continued fraction, or 1 minus
-    that when reflected.
+    that when reflected.  The arguments are floats, or columns with exp
+    `_exp_each`, and then the results are columns too.
     """
-    ln_front = y * ln_kappa + z * ln_comp - ln_beta
-    if kappa < (y + 1.0) / (y + z + 2.0):
-        return math.exp(ln_front), y, z, kappa, False
-    return math.exp(ln_front), z, y, 1.0 - kappa, True
+    front = exp(y * ln_kappa + z * ln_comp - ln_beta)
+    direct = kappa < (y + 1.0) / (y + z + 2.0)
+    if direct is True:
+        return front, y, z, kappa, False
+    if direct is False:
+        return front, z, y, 1.0 - kappa, True
+    x = np.where(direct, kappa, 1.0 - kappa)
+    return front, np.where(direct, y, z), np.where(direct, z, y), x, ~direct
 
 
-def _assemble(front: float, fraction: float, a: float, reflected: bool) -> float:
+def _assemble(front, fraction, a, reflected):
+    """I(kappa; y, z) from `_fraction_setup`'s front, a and reflected and the fraction F:
+    floats, or columns."""
     value = front * fraction / a
-    return 1.0 - value if reflected else value
+    if reflected is False:
+        return value
+    if reflected is True:
+        return 1.0 - value
+    return np.where(reflected, 1.0 - value, value)
 
 
 def _lentz_fraction(a: float, b: float, x: float) -> float:

@@ -60,6 +60,19 @@ def test_public_names_are_the_listed_ones():
     assert len(PUBLIC) == 36
 
 
+# Ceilings on the library's size, which should only go down: lower one when a
+# change shrinks its count, and raise it only for a change that states why.
+MAX_PUBLIC_NAMES = 36
+MAX_SOURCE_LINES = 2125
+
+
+def test_library_size_does_not_grow():
+    assert len(ballsep.__all__) <= MAX_PUBLIC_NAMES
+    sources = sorted(Path(ballsep.__file__).parent.glob("*.py"))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
+    assert lines <= MAX_SOURCE_LINES, f"src/ballsep/*.py holds {lines} lines"
+
+
 def test_benchmark_import_surface_resolves(monkeypatch):
     # perfbench/workloads.py reaches the library through module attributes
     # looked up at call time; a name it uses that a change removes would

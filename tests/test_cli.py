@@ -465,14 +465,15 @@ class TestSweep:
         assert calls == ["reg_inc_beta", "_lentz_fraction"]
 
     def test_one_log_beta_per_dimension(self, capsys, monkeypatch):
-        # 3 lgamma for log B(a, 1/2) and 2 for the envelope per dimension,
-        # however many gaps share it
+        # log B(a, 1/2) and the envelope of n read lgamma at 1/2, (n - 1)/2, n/2
+        # and (n + 1)/2; contiguous dimensions 2..41 share them, so one lgamma
+        # per j/2 for j = 1..42, however many gaps share a dimension
         calls = []
         original = math.lgamma
         monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or original(x))
         code, out, _ = run(capsys, ["sweep", "--dim", "2..41", "--delta", "0.1,0.5,1,2,7"])
         assert (code, len(parse_csv(out))) == (0, 200)
-        assert len(calls) == (3 + 2) * 40
+        assert sorted(calls) == [0.5 * j for j in range(1, 43)]
 
     def test_out_of_range_fraction_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "_lentz_fractions", lambda a, b, x: np.full(a.shape, np.inf))
@@ -530,6 +531,9 @@ class TestSweep:
         ("--dim", "1,2", "--delta", "0,1"): (
             2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
             "error: --delta entries must be positive, got 0.0\n"),
+        ("--dim", "2", "--delta", "1e-17"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: --delta 1e-17 is lost in r + p + delta = 2.0\n"),
     }
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ballsep import probability
@@ -16,7 +17,7 @@ from ballsep.probability import (
     p_random_weight,
     separation_report,
 )
-from ballsep.specfun import reg_inc_beta
+from ballsep.specfun import BetaArgs, _kappa_logs, reg_inc_beta
 
 from _oracles import betainc_quadrature
 
@@ -289,15 +290,115 @@ class TestReportRows:
 
     def test_rows_are_checked(self, monkeypatch):
         inst = canonical_plane()
-        monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [1.5] * len(cells))
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda q, *_: np.full(q.shape, 1.5))
         with pytest.raises(InternalConsistencyError, match="random-weight probability = 1.5"):
             _rows([2, 3], [inst])
-        monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [1.0 + 1e-13] * len(cells))
+        near = 1.0 + 1e-13
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda q, *_: np.full(q.shape, near))
         assert [row[1] for row in _rows([2], [inst])] == [1.0]
         # a fully random probability above the random-weight one breaks the ordering
-        monkeypatch.setattr(probability, "_reg_inc_betas", lambda cells: [0.0] * len(cells))
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda q, *_: np.zeros(q.shape))
         with pytest.raises(InternalConsistencyError, match="exceeds random-weight"):
             _rows([2], [inst])
+
+
+def _scalar_row(n, gap):
+    # separation_report's path for one (n, `_gap`) row: one scalar incomplete beta, then the checks
+    q, ln_q, _, sin_phi, scale, p_bias = gap
+    beta = reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5))
+    shape = probability._shape(n)
+    p_weight, p_full = probability._weight_and_full(beta, ln_q, shape, sin_phi, scale)
+    probability._check_ordering(p_bias, p_weight, p_full)
+    return p_bias, p_weight, p_full
+
+
+def _gap_of(q, scale):
+    # a `_gap` row of q, which `_kappa_logs` clamps, with sin phi = sqrt(1 - q) and
+    # p_bias = scale (1 - sin phi), as a symmetric instance has
+    kappa, ln_q, ln_comp = _kappa_logs(q)
+    sin_phi = math.sqrt(1.0 - kappa)
+    return kappa, ln_q, ln_comp, sin_phi, scale, scale * (1.0 - sin_phi)
+
+
+_DIMENSION = st.floats(math.log(2.0), math.log(1e6)).map(lambda u: round(math.exp(u)))
+# q exactly 0 or 1, and within 1e-14 outside [0, 1], where `_kappa_logs` clamps it
+_ENDS = (0.0, 1.0, -1e-14, -5e-324, 1.0 + 1e-14, math.nextafter(1.0, 2.0))
+
+
+@st.composite
+def _grids(draw):
+    """(dims, gaps): contiguous or scattered dimensions from 2 to about 10^6, and
+    gaps whose q lies on both sides of the branch point, at 0 and 1 and past them."""
+    if draw(st.booleans()):
+        start = draw(_DIMENSION)
+        dims = list(range(start, start + draw(st.integers(1, 30))))
+    else:
+        dims = sorted(draw(st.sets(_DIMENSION, min_size=1, max_size=6)))
+    a = 0.5 * (draw(st.sampled_from(dims)) - 1)
+    branch = (a + 1.0) / (a + 2.5)  # I(q; a, 1/2) reflects from here up
+
+    def near_branch(ulps):
+        q = branch
+        for _ in range(abs(ulps)):
+            q = math.nextafter(q, math.copysign(2.0, ulps))
+        return q
+
+    sines = st.floats(math.log(1e-9), math.log(1.0 - 1e-9)).map(lambda u: 1.0 - math.exp(u) ** 2)
+    qs = st.one_of(sines, st.sampled_from(_ENDS), st.integers(-3, 3).map(near_branch))
+    gaps = draw(st.lists(st.builds(_gap_of, qs, st.floats(0.05, 1.0)), min_size=1, max_size=6))
+    return dims, gaps
+
+
+class TestColumnCore:
+    @settings(max_examples=60, deadline=None)
+    @given(_grids())
+    def test_grid_equals_scalar_rows(self, grid):
+        # sweep's grid, n-major, and the row adapter the validate batteries call
+        dims, gaps = grid
+        want = [_scalar_row(n, gap) for n in dims for gap in gaps]
+        columns, envelopes = probability._grid_columns(dims, gaps)
+        assert list(zip(*(column.tolist() for column in columns))) == want
+        assert envelopes == [asymptotic_envelope(n) for n in dims]
+        rows = [(probability._shape(n), gap) for n in dims for gap in gaps]
+        assert probability._report_rows(rows) == want
+
+    # I(q; a, 1/2) moved on the rows with sin phi above 1/2, on both paths: past 1,
+    # to 1, which makes p_full negative, and to 0, which puts p_full above it
+    BROKEN = {
+        "random-weight probability = 1.5 exceeds 1": lambda beta, s: beta + (s > 0.5) * (1.5 - beta),
+        "fully random probability = .* is negative": lambda beta, s: beta + (s > 0.5) * (1.0 - beta),
+        "exceeds random-weight probability": lambda beta, s: beta * (s <= 0.5),
+    }
+
+    @pytest.mark.parametrize("fault", list(BROKEN))
+    def test_broken_row_raises_the_scalar_error(self, monkeypatch, fault):
+        move = self.BROKEN[fault]
+        scalar_beta, column_beta = reg_inc_beta, probability._reg_inc_betas
+        monkeypatch.setattr(
+            probability, "reg_inc_beta", lambda args: move(scalar_beta(args), math.sqrt(1.0 - args.kappa))
+        )
+        monkeypatch.setattr(
+            probability, "_reg_inc_betas", lambda q, *rest: move(column_beta(q, *rest), np.sqrt(1.0 - q))
+        )
+        instances = [symmetric_instance(n, s) for n in (2, 7, 300) for s in (0.2, 0.4, 0.6, 0.9)]
+        with pytest.raises(InternalConsistencyError, match=fault) as scalar:
+            for inst in instances:
+                separation_report(inst)
+        rows = [(probability._shape(inst.dimension), probability._gap(inst)) for inst in instances]
+        with pytest.raises(InternalConsistencyError) as column:
+            probability._report_rows(rows)
+        assert str(column.value) == str(scalar.value)
+
+    def test_out_of_range_incomplete_beta_raises_the_scalar_error(self, monkeypatch):
+        # q rounds to 1, so I = 1; the first value past the slack is named
+        values = np.array([1.0, 1.0 + 5e-13, 1.0 + 3e-12, 1.5])
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda q, *_: values[: q.size])
+        with pytest.raises(InternalConsistencyError) as scalar:
+            probability._check_unit_interval(1.0 + 3e-12, "random-weight probability")
+        with pytest.raises(InternalConsistencyError) as column:
+            _rows([2], [symmetric_instance(2, 1e-9)] * 4)
+        assert str(column.value) == str(scalar.value)
+        assert str(scalar.value) == "random-weight probability = 1.000000000003 exceeds 1"
 
 
 class TestLogBetaOncePerDimension:

@@ -222,8 +222,8 @@ def _recorded(monkeypatch, module, name):
     # the values a battery gets from module.name, in call order
     values, original = [], getattr(module, name)
 
-    def record(cells):
-        out = original(cells)
+    def record(*args):
+        out = original(*args)
         values.extend(out)
         return out
 

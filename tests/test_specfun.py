@@ -103,10 +103,15 @@ SWEEP_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1
 
 
 def _cell(kappa, y, z):
-    # a `_reg_inc_betas` cell: kappa and the logs a sweep hoists (not read
+    # a `_reg_inc_betas` row: kappa and the logs a sweep hoists (not read
     # at kappa 0 or 1), then the shapes and log B
-    logs = (math.log(kappa), math.log1p(-kappa)) if 0.0 < kappa < 1.0 else (None, None)
+    logs = (math.log(kappa), math.log1p(-kappa)) if 0.0 < kappa < 1.0 else (math.nan, math.nan)
     return (kappa, *logs, y, z, log_beta(y, z))
+
+
+def _columns(cells):
+    # the six float64 argument columns of `_reg_inc_betas`, one row per cell
+    return np.array(cells, dtype=float).reshape(-1, 6).T
 
 
 def _sweep_cells():
@@ -119,7 +124,7 @@ class TestArrayKernel:
     def test_cells_equal_scalar_bits(self):
         cells = _sweep_cells()
         want = [reg_inc_beta(BetaArgs(c[0], *c[3:5])) for c in cells]
-        assert specfun._reg_inc_betas(cells) == want
+        assert specfun._reg_inc_betas(*_columns(cells)).tolist() == want
         inside = [c for c in cells if 0.0 < c[0] < 1.0]
         reflected = [y for q, _, _, y, z, _ in inside if not q < (y + 1.0) / (y + z + 2.0)]
         assert 0 < len(reflected) < len(inside)
@@ -136,11 +141,12 @@ class TestArrayKernel:
         assert got == want
 
     def test_no_cells(self):
-        assert specfun._reg_inc_betas([]) == []
+        assert specfun._reg_inc_betas(*_columns([])).shape == (0,)
         assert specfun._lentz_fractions(*np.empty((3, 0))).shape == (0,)
 
     def test_endpoints_are_exact(self):
-        assert specfun._reg_inc_betas([(0.0, 2.0, 0.5), (1.0, 2.0, 0.5)]) == [0.0, 1.0]
+        cells = [_cell(0.0, 2.0, 0.5), _cell(1.0, 2.0, 0.5)]
+        assert specfun._reg_inc_betas(*_columns(cells)).tolist() == [0.0, 1.0]
 
     def test_iteration_cap_names_first_unconverged_cell(self, monkeypatch):
         # the cap is read at call time; the first cell converges in one step,
@@ -150,6 +156,6 @@ class TestArrayKernel:
         with pytest.raises(NoConvergence) as scalar:
             reg_inc_beta(BetaArgs(*cells[1]))
         with pytest.raises(NoConvergence) as array:
-            specfun._reg_inc_betas([_cell(*c) for c in cells])
+            specfun._reg_inc_betas(*_columns([_cell(*c) for c in cells]))
         assert str(array.value) == str(scalar.value)
         assert "did not converge in 2 iterations (x=0.5, a=9.0, b=8.0)" in str(array.value)
