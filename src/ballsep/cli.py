@@ -250,7 +250,7 @@ def cmd_sweep(args) -> int:
     planar = []
     for delta in deltas:
         if not 0.0 < delta < math.inf:
-            bound = "finite" if delta > 0.0 else "positive"
+            bound = "finite" if delta > 0.0 else "positive" if delta <= 0.0 else "numbers"
             raise ArgumentOutOfRange(f"--delta entries must be {bound}, got {delta!r}")
         if dims[0] < 2:
             raise DimensionTooSmall(f"balls need dimension >= 2, got {dims[0]}")
@@ -260,6 +260,9 @@ def cmd_sweep(args) -> int:
         if distance <= args.r + args.p:
             raise ArgumentOutOfRange(f"--delta {delta!r} is lost in r + p + delta = {distance!r}")
         k = args.k if args.k is not None else args.k_factor * 0.5 * distance
+        if k == math.inf and args.k is None:
+            message = f"--k-factor {args.k_factor!r} overflows k = --k-factor * max(|c|, |x|)"
+            raise ArgumentOutOfRange(message)
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
     logs = [_gap(inst) for inst in planar]

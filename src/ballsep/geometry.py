@@ -228,6 +228,8 @@ def symmetric_instance(
     half = 0.5 * (_radius(r) + _radius(p)) / sin_phi
     if half == math.inf:  # named before the centers are built from it
         raise ArgumentOutOfRange("|c - x| overflows double precision")
+    if k_factor * half == math.inf:  # named here, not as the bias half range it makes
+        raise ArgumentOutOfRange(f"k_factor {k_factor!r} overflows k = k_factor * max(|c|, |x|)")
     try:
         c, x = np.zeros((2, dim))
     except (ValueError, MemoryError) as exc:  # how numpy refuses a size it cannot allocate

@@ -15,18 +15,19 @@ both partial ones, and the same beta-function sandwich that drives the
 proofs is exposed directly as `lemma_bounds`.
 
 `separation_report` and `lemma_bounds` evaluate one instance or angle on
-floats.  `_report_columns` and `_lemma_rows` evaluate a batch as float64
+floats.  `_report_columns` and `_lemma_columns` evaluate a batch as float64
 columns, one per field of `_shape(n)`, `_gap(inst)` and `_angle(alpha)`,
 with the same bits.  Each formula is written once, in a helper that takes
-floats or columns (`_weight_and_full`, `_sandwich`), and only the
-transcendental step differs: its `exp` is `math.exp` on floats and
-`math.exp` mapped over the elements on columns (`_exp_each`), because
-numpy's `exp`, `log` and `lgamma` differ from `math`'s in the last bit for
-some arguments.
+floats or columns (`_weight_and_full`, `_sandwich`, `_cell`), and only the
+transcendental step differs: a `math` call on floats, and the same call
+mapped over the elements on columns (`_exp_each`, `_kappa_columns`,
+`_angle_columns`), because numpy's `exp`, `log`, `lgamma` and `**` differ
+from `math`'s in the last bit for some arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .geometry import SeparationInstance, _cone
 from .specfun import (
     BetaArgs,
     _exp_each,
+    _kappa_columns,
     _kappa_logs,
     _log_beta_sum,
     _mapped,
@@ -82,9 +84,9 @@ def p_random_bias(inst: SeparationInstance) -> float:
     return _bias_probability(inst.gap, inst.bias_half_range)
 
 
-def _bias_probability(gap: float, k: float) -> float:
-    # gap/(2k), correctly rounded even where 2k overflows
-    return _check_unit_interval((0.5 * gap) / k, "random-bias probability")
+def _bias_probability(gap, k, check=_check_unit_interval):
+    # gap/(2k), correctly rounded even where 2k overflows: floats, or columns with `_check_column`
+    return check((0.5 * gap) / k, "random-bias probability")
 
 
 def p_random_weight(inst: SeparationInstance) -> float:
@@ -130,14 +132,13 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
     return _sandwich(reg_inc_beta(args), angle, (a, math.log(a), args._log_beta))
 
 
-def _lemma_rows(cells: list) -> list:
-    """`lemma_bounds(alpha, n)` of each (`_angle(alpha)`, `_shape(n)`) in cells, with its bits,
-    from one column per field."""
-    columns = _columns([(*angle, *shape) for angle, shape in cells], 8)
-    kappa, ln_kappa, ln_comp, _, _, a, _, ln_beta = columns
+def _lemma_columns(angle, shape) -> tuple:
+    """`lemma_bounds`' (lower, mid, upper) columns, with its bits, of the rows whose
+    `_angle(alpha)` and `_shape(n)` fields are the columns of angle and shape."""
+    kappa, ln_kappa, ln_comp, _, _ = angle
+    a, _, ln_beta = shape
     upper = _reg_inc_betas(kappa, ln_kappa, ln_comp, a, 0.5, ln_beta)
-    bounds = _sandwich(upper, columns[:5], columns[5:], exp=_exp_each)
-    return list(zip(*(column.tolist() for column in bounds)))
+    return _sandwich(upper, angle, shape, exp=_exp_each)
 
 
 def _angle(alpha: float) -> tuple:
@@ -145,6 +146,15 @@ def _angle(alpha: float) -> tuple:
     if not 0.0 < alpha < 0.5 * math.pi:
         raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
     return *_kappa_logs(math.cos(alpha) ** 2), math.log(math.cos(alpha)), math.sin(alpha)
+
+
+def _angle_columns(sin_phi: np.ndarray) -> tuple:
+    """The `_angle(math.asin(s))` columns, with its bits, of each s of a column in (0, 1),
+    whose arcsine lies in the range `_angle` checks."""
+    alpha = _mapped(math.asin, sin_phi)
+    cos = _mapped(math.cos, alpha)
+    squares = _mapped(functools.partial(pow, exp=2), cos)  # libm's, as `** 2`, not c * c
+    return *_kappa_columns(squares), _mapped(math.log, cos), _mapped(math.sin, alpha)
 
 
 def _sandwich(upper, angle, shape, exp=math.exp) -> tuple:
@@ -222,23 +232,11 @@ def _gap(inst: SeparationInstance) -> tuple:
     return _cell(inst.center_distance, inst.ball_a.radius, inst.ball_b.radius, inst.bias_half_range)
 
 
-def _cell(dist: float, r: float, p: float, k: float) -> tuple:
-    """`_gap` of a checked instance whose balls have radii r and p, centers dist apart."""
+def _cell(dist, r, p, k, logs=_kappa_logs, check=_check_unit_interval) -> tuple:
+    """`_gap` of a checked instance whose balls have radii r and p, centers dist apart:
+    floats, or columns with logs `_kappa_columns` and check `_check_column`."""
     gap, sin_phi, q = _cone(dist, r, p)
-    return *_kappa_logs(q), sin_phi, 0.5 * dist / k, _bias_probability(gap, k)
-
-
-def _report_rows(rows: list) -> list:
-    """`separation_report`'s (p_bias, p_weight, p_full) of inst in dimension n, with its
-    bits and checks, for each (`_shape(n)`, `_gap(inst)`) in rows; a caller takes each
-    shape once per dimension and each gap once per instance."""
-    columns = _columns([(*shape, *gap) for shape, gap in rows], 9)
-    return list(zip(*(column.tolist() for column in _report_columns(columns[:3], columns[3:]))))
-
-
-def _columns(rows: list, width: int) -> np.ndarray:
-    # the float64 columns of rows of width fields each
-    return np.array(rows, dtype=float).reshape(-1, width).T
+    return *logs(q), sin_phi, 0.5 * dist / k, _bias_probability(gap, k, check)
 
 
 def _grid_columns(dims: list, gaps: list) -> tuple:
@@ -254,7 +252,7 @@ def _grid_columns(dims: list, gaps: list) -> tuple:
     shape = a, _mapped(math.log, a), _log_beta_sum(lgamma_a, lgamma[0.5], lgamma_shifted)
     envelopes = [_envelope(lgamma[x], lgamma[y]) for x, y in zip(halves, nexts)]
     repeated = [np.repeat(column, len(gaps)) for column in shape]
-    tiled = [np.tile(column, len(dims)) for column in _columns(gaps, 6)]
+    tiled = [np.tile(column, len(dims)) for column in np.array(gaps).reshape(-1, 6).T]
     return _report_columns(repeated, tiled), envelopes
 
 

@@ -11,11 +11,12 @@ Four independent consistency batteries, each returning a CheckResult:
 
 Every comparison here pits two different computational routes against
 each other, so a sign or factor slip in any one route fails loudly.  The
-first three run their closed forms as float64 columns, _CHUNK cells at a
-time, with the scalar path's bits; the analytic reductions stay
-on the scalar `separation_report` and `reg_inc_beta`, which they test.  The
-chain draws its random instances as arrays in their two-dimensional core and
-checks them as `SeparationInstance` would, with no instance objects.
+first three form their cells as float64 columns, with no per-cell objects
+or tuples, and one reducer, `_record`, takes the violations of _CHUNK cells
+at a time; the values have the scalar path's bits.  The chain draws its
+random instances as arrays in their two-dimensional core and checks them as
+`SeparationInstance` would.  The analytic reductions stay on the scalar
+`separation_report` and `reg_inc_beta`, which they test.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import probability
 from .geometry import Ball, SeparationInstance, _pair_checks, make_instance, symmetric_instance
 from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
 from .montecarlo import DEFAULT_SEED, _check_seed
-from .specfun import _kappa_logs, _reg_inc_betas, log_beta
+from .specfun import _kappa_columns, _kappa_logs, _reg_inc_betas, log_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
 GRID_SIN_PHI = (0.3, 0.5, 0.8)
@@ -64,31 +65,29 @@ class CheckResult:
         )
 
 
-def _measure(result: CheckResult, cells, violations, label) -> CheckResult:
-    """Record in result the violation of each of the iterable cells, which violations(chunk)
-    gives for a list of up to _CHUNK of them; label(cell) names a failing cell."""
-    cells = iter(cells)
-    while chunk := list(itertools.islice(cells, _CHUNK)):
-        for cell, violation in zip(chunk, violations(chunk)):
-            result.worst = max(result.worst, violation)
-            if violation > result.tolerance:
-                result.failures.append(f"{label(cell)}: violation {violation:.6e}")
-    return result
+def _record(result: CheckResult, violations: np.ndarray, label: str, *columns) -> None:
+    """Record in result a chunk's column of violations, one per cell; a failing cell i is
+    named by label formatted with element i of each of columns."""
+    result.worst = max(result.worst, float(violations.max()))
+    for i in np.flatnonzero(violations > result.tolerance).tolist():
+        name = label.format(*(column[i] for column in columns))
+        result.failures.append(f"{name}: violation {violations[i]:.6e}")
 
 
 def check_lemma_sandwich(alpha_points: int = 100, n_max: int = 200, tol: float = 1e-12) -> CheckResult:
     """lower <= mid <= upper across a dense angle-by-dimension grid."""
-    alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, alpha_points).tolist()
-    angles = [(alpha, probability._angle(alpha)) for alpha in alphas]
+    alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, alpha_points)
+    angles = np.array([probability._angle(alpha) for alpha in alphas.tolist()]).T
+    shapes = np.array([probability._shape(n) for n in range(2, n_max + 1)]).T
     result = CheckResult("sandwich bounds", alpha_points * (n_max - 1), tol, -math.inf)
-    shapes = ((n, probability._shape(n)) for n in range(2, n_max + 1))
-
-    def violations(chunk):
-        rows = probability._lemma_rows([(angle, shape) for _, _, angle, shape in chunk])
-        return [max(lower - mid, mid - upper) for lower, mid, upper in rows]
-
-    cells = ((n, alpha, angle, shape) for n, shape in shapes for alpha, angle in angles)
-    return _measure(result, cells, violations, lambda cell: f"alpha={cell[1]:.6f} n={cell[0]}")
+    # cell j is (n, alpha) = (2 + j // alpha_points, alphas[j % alpha_points]), n-major
+    for start in range(0, result.cells, _CHUNK):
+        cells = np.arange(start, min(start + _CHUNK, result.cells))
+        n_at, alpha_at = np.divmod(cells, alpha_points)
+        lower, mid, upper = probability._lemma_columns(angles[:, alpha_at], shapes[:, n_at])
+        violations = np.maximum(lower - mid, mid - upper)
+        _record(result, violations, "alpha={:.6f} n={}", alphas[alpha_at], n_at + 2)
+    return result
 
 
 def grid_instances() -> list:
@@ -132,8 +131,9 @@ def _draw(rng: np.random.Generator, m: int) -> tuple:
 
 
 def _random_cells(rng: np.random.Generator, samples: int):
-    """(i, n, k, `probability._gap`) of `samples` random instances, _DRAW at a time from rng,
-    with every check of `SeparationInstance` but no instance; a draw that fails one is a bug."""
+    """(start, n, |c - x|, r, p, k) of each draw of _DRAW of `samples` random instances from
+    rng: the index of its first instance, then its columns, with every check of
+    `SeparationInstance` but no instance; a draw that fails one is a bug."""
     for start in range(0, samples, _DRAW):
         n, r, p, c, x, k, cc, xx = _draw(rng, min(_DRAW, samples - start))
         squares = np.array([np.square(c - x).sum(axis=0), cc, xx])
@@ -146,23 +146,7 @@ def _random_cells(rng: np.random.Generator, samples: int):
                 dist[i], k[i] = _pair_checks(c[:, i], r[i], x[:, i], p[i], k[i], cc[i], xx[i])
             except BallsepError as exc:
                 raise InternalConsistencyError(f"random[{start + i}] n={n[i]}: {exc}") from exc
-        rows = zip(n.tolist(), dist.tolist(), r.tolist(), p.tolist(), k.tolist())
-        for i, (dim, dist_i, r_i, p_i, k_i) in enumerate(rows, start):
-            yield i, dim, k_i, probability._cell(dist_i, r_i, p_i, k_i)
-
-
-def _chain_violation(bounds: tuple, report: tuple) -> float:
-    (lower, mid, _), (p_bias, p_weight, p_full) = bounds, report
-    bracket = mid - lower
-    gaps = (p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias)
-    return max(-p_full, *gaps)
-
-
-def _chain_label(cell) -> str:
-    i, n, k, gap = cell
-    if i is None:
-        return f"grid n={n} sin_phi={gap[3]:.3f} k={k:.4g}"
-    return f"random[{i}] n={n} sin_phi={gap[3]:.4f}"
+        yield start, n, dist, r, p, k
 
 
 def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:
@@ -171,7 +155,7 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
     Runs the fixed grid first (there the bias-range prefactor can be
     exactly 1, which pins down sign and factor errors deterministically)
     and then `samples` random instances, drawn from `seed`, each kept only
-    as the scalars its lemma bounds and report read.
+    as the columns its lemma bounds and report read.
     """
     if type(samples) is not int or samples < 0:
         raise ArgumentOutOfRange(f"samples must be a non-negative int, got {samples!r}")
@@ -181,34 +165,53 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
     # every probability is pulled through the module attribute so a
     # deliberately broken implementation is observed, not a stale alias
     shape = functools.cache(probability._shape)
-    grid = ((None, x.dimension, x.bias_half_range, probability._gap(x)) for x in fixed)
-    cells = itertools.chain(grid, _random_cells(np.random.default_rng(seed), samples))
-
-    def violations(chunk):
-        rows = [(shape(n), gap) for _, n, _, gap in chunk]
-        bounds = probability._lemma_rows([(probability._angle(math.asin(gap[3])), s) for s, gap in rows])
-        return list(map(_chain_violation, bounds, probability._report_rows(rows)))
-
-    return _measure(result, cells, violations, _chain_label)
+    fields = np.array(
+        [(x.center_distance, x.ball_a.radius, x.ball_b.radius, x.bias_half_range) for x in fixed]
+    )
+    grid = None, np.array([x.dimension for x in fixed]), *fields.T
+    blocks = itertools.chain([grid], _random_cells(np.random.default_rng(seed), samples))
+    for start, n, dist, r, p, k in blocks:
+        gap = probability._cell(dist, r, p, k, _kappa_columns, probability._check_column)
+        # a grid cell is named by its k, a random one by its index
+        label, first = "grid n={1} sin_phi={2:.3f} k={0:.4g}", k
+        if start is not None:
+            label, first = "random[{0}] n={1} sin_phi={2:.4f}", np.arange(start, start + len(n))
+        for low in range(0, len(n), _CHUNK):
+            rows = slice(low, low + _CHUNK)
+            dims, index = np.unique(n[rows], return_inverse=True)
+            shapes = np.array([shape(dim) for dim in dims.tolist()]).T[:, index]
+            cells = [column[rows] for column in gap]
+            p_bias, p_weight, p_full = probability._report_columns(shapes, cells)
+            angles = probability._angle_columns(cells[3])
+            lower, mid, _ = probability._lemma_columns(angles, shapes)
+            bracket = mid - lower
+            gaps = (
+                p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias
+            )
+            violations = functools.reduce(np.maximum, gaps, -p_full)
+            _record(result, violations, label, first[rows], n[rows], cells[3])
+    return result
 
 
 def check_beta_symmetry(tol: float = 1e-11) -> CheckResult:
     """I(kappa; y, z) + I(1 - kappa; z, y) = 1 on a parameter grid."""
-    kappas = np.linspace(0.01, 0.99, 99).tolist()
+    kappas = np.linspace(0.01, 0.99, 99)
     shapes = (0.5, 1.0, 2.5, 10.0, 50.0)
     result = CheckResult("beta reflection", len(kappas) * len(shapes) ** 2, tol, -math.inf)
+    logs = np.array([(_kappa_logs(kappa), _kappa_logs(1.0 - kappa)) for kappa in kappas.tolist()])
     # B(y, z) and B(z, y) are the same sum of lgammas, bit for bit
     pairs = [(y, z, log_beta(y, z)) for y in shapes for z in shapes]
-
-    def violations(chunk):
-        kernel = []
-        for kappa, y, z, ln_b in chunk:
-            kernel += (*_kappa_logs(kappa), y, z, ln_b), (*_kappa_logs(1.0 - kappa), z, y, ln_b)
-        values = _reg_inc_betas(*np.array(kernel).T).tolist()
-        return [abs(total + mirror - 1.0) for total, mirror in zip(values[::2], values[1::2])]
-
-    cells = ((kappa, y, z, ln_beta) for y, z, ln_beta in pairs for kappa in kappas)
-    return _measure(result, cells, violations, lambda c: f"kappa={c[0]:.2f} y={c[1]} z={c[2]}")
+    params = np.array([((y, z, ln_b), (z, y, ln_b)) for y, z, ln_b in pairs])
+    # cell j is kappas[j % 99] at pairs[j // 99]; its rows (kappa, y, z), (1 - kappa, z, y)
+    for start in range(0, result.cells, _CHUNK):
+        cells = np.arange(start, min(start + _CHUNK, result.cells))
+        pair_at, kappa_at = np.divmod(cells, len(kappas))
+        rows = np.concatenate([logs[kappa_at], params[pair_at]], axis=2).reshape(-1, 6)
+        values = _reg_inc_betas(*rows.T)
+        violations = np.abs(values[::2] + values[1::2] - 1.0)
+        y, z = params[pair_at, 0, :2].T
+        _record(result, violations, "kappa={:.2f} y={} z={}", kappas[kappa_at], y, z)
+    return result
 
 
 def check_analytic_reductions() -> CheckResult:
@@ -219,57 +222,30 @@ def check_analytic_reductions() -> CheckResult:
     to |c - x| (1 - sin(phi))^2 / (4 k).  Two concrete instances with
     hand-checkable values are verified as well.
     """
-    result = CheckResult(
-        name="analytic reductions",
-        cells=0,
-        tolerance=0.0,
-        worst=-math.inf,
-    )
+    result = CheckResult("analytic reductions", 0, 0.0, -math.inf)
 
     def case(label: str, got: float, want: float, tol: float):
         result.cells += 1
         gap = abs(got - want) - tol
         result.worst = max(result.worst, gap)
         if gap > 0.0:
-            result.failures.append(
-                f"{label}: got {got!r}, want {want!r}, off by {abs(got - want):.3e}"
-            )
+            off = abs(got - want)
+            result.failures.append(f"{label}: got {got!r}, want {want!r}, off by {off:.3e}")
 
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-        phi = math.asin(s)
-        flat = symmetric_instance(2, s)
-        case(
-            f"dim2 arcsin s={s}",
-            probability.p_random_weight(flat),
-            1.0 - 2.0 * phi / math.pi,
-            1e-10,
-        )
-        solid = symmetric_instance(3, s)
-        case(
-            f"dim3 weight s={s}",
-            probability.p_random_weight(solid),
-            1.0 - s,
-            1e-12,
-        )
-        case(
-            f"dim3 full s={s}",
-            probability.p_fully_random(solid),
-            solid.center_distance * (1.0 - s) ** 2 / (4.0 * solid.bias_half_range),
-            1e-12,
-        )
+        flat, solid = symmetric_instance(2, s), symmetric_instance(3, s)
+        arcsin = 1.0 - 2.0 * math.asin(s) / math.pi
+        case(f"dim2 arcsin s={s}", probability.p_random_weight(flat), arcsin, 1e-10)
+        case(f"dim3 weight s={s}", probability.p_random_weight(solid), 1.0 - s, 1e-12)
+        full = solid.center_distance * (1.0 - s) ** 2 / (4.0 * solid.bias_half_range)
+        case(f"dim3 full s={s}", probability.p_fully_random(solid), full, 1e-12)
 
     flat_ref = make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), 2.0)
     case("reference dim2 bias", probability.p_random_bias(flat_ref), 0.5, 0.0)
     case("reference dim2 weight", probability.p_random_weight(flat_ref), 2.0 / 3.0, 1e-12)
-    case(
-        "reference dim2 full",
-        probability.p_fully_random(flat_ref),
-        math.sqrt(3.0) / math.pi - 1.0 / 3.0,
-        1e-12,
-    )
-    solid_ref = make_instance(
-        Ball([0.0, 0.0, 0.0], 1.0), Ball([4.0, 0.0, 0.0], 1.0), 4.0
-    )
+    full = math.sqrt(3.0) / math.pi - 1.0 / 3.0
+    case("reference dim2 full", probability.p_fully_random(flat_ref), full, 1e-12)
+    solid_ref = make_instance(Ball([0.0, 0.0, 0.0], 1.0), Ball([4.0, 0.0, 0.0], 1.0), 4.0)
     case("reference dim3 full", probability.p_fully_random(solid_ref), 0.0625, 1e-14)
     return result
 

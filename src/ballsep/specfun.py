@@ -17,8 +17,9 @@ Lentz iteration has a scalar kernel, `_lentz_fraction`, and an array
 kernel, `_lentz_fractions`, which repeats the scalar's operations per
 element in the same order.  Only the transcendental step differs between
 the paths: `lgamma`, `log`, `log1p` and `exp` are always `math` calls, on
-a column mapped over its elements (`_mapped`, `_exp_each`), because numpy's
-differ from them in the last bit for some arguments.
+a column mapped over its elements (`_mapped`, `_exp_each`, and
+`_kappa_columns` for `_kappa_logs`), because numpy's differ from them in
+the last bit for some arguments.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ def _kappa_logs(value) -> tuple:
         raise ArgumentOutOfRange(f"kappa must lie in [0, 1], got {value!r}")
     ln_kappa = math.log(kappa) if kappa > 0.0 else -math.inf
     return kappa, ln_kappa, math.log1p(-kappa) if kappa < 1.0 else -math.inf
+
+
+def _kappa_columns(values: np.ndarray) -> tuple:
+    """`_kappa_logs` of each element of a float64 column, as three columns with its bits;
+    the first element it rejects raises its error."""
+    rejected = ~((-_KAPPA_SLACK <= values) & (values <= 1.0 + _KAPPA_SLACK))
+    if rejected.any():
+        _kappa_logs(float(values[rejected.argmax()]))
+    kappa = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+    ln_kappa, ln_comp = np.full((2, len(kappa)), -math.inf)  # log 0
+    ln_kappa[kappa > 0.0] = _mapped(math.log, kappa[kappa > 0.0])
+    ln_comp[kappa < 1.0] = _mapped(math.log1p, -kappa[kappa < 1.0])
+    return kappa, ln_kappa, ln_comp
 
 
 def reg_inc_beta(args: BetaArgs) -> float:

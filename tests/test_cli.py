@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsep import cli, montecarlo, probability, selfcheck, specfun
+from ballsep import cli, geometry, montecarlo, probability, selfcheck, specfun
 from ballsep.cli import main
 from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
@@ -111,6 +112,15 @@ class TestExact:
     )
     def test_bad_radius_is_named_before_centers_are_built(self, capsys, argv, message):
         code, out, err = run(capsys, ["exact", "--dim", "2", "--sinphi", "0.5", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["exact", "estimate", "tessellate"])
+    @pytest.mark.parametrize("factor", ["1e308", "inf"])
+    def test_overflowing_k_factor_is_named(self, capsys, command, factor):
+        # k = k_factor * max(|c|, |x|) = k_factor * 2 is not a finite double
+        argv = [command, "--dim", "2", "--sinphi", "0.5", "--k-factor", factor]
+        code, out, err = run(capsys, argv + ["--width", "2"] * (command == "tessellate"))
+        message = f"k_factor {float(factor)!r} overflows k = k_factor * max(|c|, |x|)"
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     # (an instance whose squared norms leave the double range, the same
@@ -335,9 +345,14 @@ def p_random_weight_of_half():
 
 def scalar_beta_calls(monkeypatch) -> list:
     """The names of the scalar incomplete-beta kernels as ballsep calls them, in order."""
+    return counted_calls(monkeypatch, specfun, ("reg_inc_beta", "_lentz_fraction"))
+
+
+def counted_calls(monkeypatch, owner, names) -> list:
+    """The names of the functions names of the module owner as ballsep calls them, in order."""
     calls = []
-    for name in ("reg_inc_beta", "_lentz_fraction"):
-        original = getattr(specfun, name)
+    for name in names:
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original):
             calls.append(_name)
@@ -434,6 +449,13 @@ class TestSweep:
     def test_bad_k_factor_exits_two(self, capsys):
         code, _, _ = run(capsys, ["sweep", "--dim", "2", "--delta", "1", "--k-factor", "0.2"])
         assert code == 2
+
+    @pytest.mark.parametrize("factor", ["inf", "1e308"])
+    def test_overflowing_k_factor_is_named(self, capsys, factor):
+        # k = --k-factor * max(|c|, |x|) = --k-factor * 2 is not a finite double
+        code, out, err = run(capsys, ["sweep", "--dim", "2", "--delta", "2", "--k-factor", factor])
+        message = f"--k-factor {float(factor)!r} overflows k = --k-factor * max(|c|, |x|)"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("dims", ["0,2", "-3,2"])
     def test_dimension_below_two_exits_two(self, capsys, dims):
@@ -534,6 +556,9 @@ class TestSweep:
         ("--dim", "2", "--delta", "1e-17"): (
             2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
             "error: --delta 1e-17 is lost in r + p + delta = 2.0\n"),
+        ("--dim", "2", "--delta", "nan"): (
+            2, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "error: --delta entries must be numbers, got nan\n"),
     }
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv))
@@ -719,18 +744,34 @@ class TestValidate:
         assert in_validate == calls
         assert calls.count("reg_inc_beta") == 18
 
+    def test_column_batteries_take_scalars_per_grid_point(self, capsys, monkeypatch):
+        # the sandwich takes an angle per alpha and a shape per n, the chain a shape per
+        # distinct n and its gaps and angles as columns, the reflection kappa's logs per
+        # kappa; each chunk of cells is one array continued fraction per closed form
+        owners = {specfun: ("_kappa_logs", "_reg_inc_betas"), probability: ("_angle", "_shape")}
+        calls = [counted_calls(monkeypatch, owner, names) for owner, names in owners.items()]
+        cones = counted_calls(monkeypatch, geometry, ("_cone",))
+        code, out, _ = run(capsys, ["validate", "--samples", "10000"])
+        assert (code, "all 4 checks passed" in out) == (0, True)
+        counts = collections.Counter(name for names in calls for name in names)
+        # 100 alphas; 199 n in each of the sandwich and the chain; 198 kappa logs of the
+        # reflection and 18 of the analytic reductions' scalar reports; 20 sandwich chunks,
+        # 2 x 11 chain chunks (the grid and 10 draws) and 3 reflection chunks
+        assert counts == {"_angle": 100, "_shape": 398, "_kappa_logs": 316, "_reg_inc_betas": 45}
+        # one per chain chunk, and one per property of each of the reductions' 12 instances
+        assert len(cones) == 11 + 3 * 12
+
     def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
         # the fully random probability with the subtracted term added instead,
         # in the batch report the chain reads
-        def flipped(rows):
-            reports = []
-            for (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) in rows:
-                incomplete = reg_inc_beta(BetaArgs(q, a, 0.5))
-                first = math.exp(a * ln_q - ln_a - ln_beta)
-                reports.append((p_bias, incomplete, scale * (first + sin_phi * incomplete)))
-            return reports
+        def flipped(shape, gap):
+            (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) = shape, gap
+            rows = zip(q.tolist(), a.tolist())
+            incomplete = np.array([reg_inc_beta(BetaArgs(q_i, a_i, 0.5)) for q_i, a_i in rows])
+            first = np.exp(a * ln_q - ln_a - ln_beta)
+            return p_bias, incomplete, scale * (first + sin_phi * incomplete)
 
-        monkeypatch.setattr(probability, "_report_rows", flipped)
+        monkeypatch.setattr(probability, "_report_columns", flipped)
         code, out, _ = run(capsys, ["validate", "--samples", "50"])
         assert code == 1
         assert "ordering chain: FAIL" in out

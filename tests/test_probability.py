@@ -259,11 +259,19 @@ _ROW_DIMS = sorted(
 _ROW_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-8)
 
 
+def _report_rows(rows):
+    # `_report_columns` of the (`_shape(n)`, `_gap(inst)`) rows, one (p_bias, p_weight,
+    # p_full) tuple per row
+    columns = np.array([(*shape, *gap) for shape, gap in rows], dtype=float).reshape(-1, 9).T
+    report = probability._report_columns(columns[:3], columns[3:])
+    return list(zip(*(column.tolist() for column in report)))
+
+
 def _rows(dims, instances):
     # the rows of sweep: one shape per dimension and one gap per instance, n-major
     shapes = [probability._shape(n) for n in dims]
     gaps = [probability._gap(inst) for inst in instances]
-    return probability._report_rows([(shape, gap) for shape in shapes for gap in gaps])
+    return _report_rows([(shape, gap) for shape in shapes for gap in gaps])
 
 
 class TestReportRows:
@@ -353,14 +361,14 @@ class TestColumnCore:
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     def test_grid_equals_scalar_rows(self, grid):
-        # sweep's grid, n-major, and the row adapter the validate batteries call
+        # sweep's grid, n-major, and the same rows as columns, as the validate chain forms them
         dims, gaps = grid
         want = [_scalar_row(n, gap) for n in dims for gap in gaps]
         columns, envelopes = probability._grid_columns(dims, gaps)
         assert list(zip(*(column.tolist() for column in columns))) == want
         assert envelopes == [asymptotic_envelope(n) for n in dims]
         rows = [(probability._shape(n), gap) for n in dims for gap in gaps]
-        assert probability._report_rows(rows) == want
+        assert _report_rows(rows) == want
 
     # I(q; a, 1/2) moved on the rows with sin phi above 1/2, on both paths: past 1,
     # to 1, which makes p_full negative, and to 0, which puts p_full above it
@@ -386,7 +394,7 @@ class TestColumnCore:
                 separation_report(inst)
         rows = [(probability._shape(inst.dimension), probability._gap(inst)) for inst in instances]
         with pytest.raises(InternalConsistencyError) as column:
-            probability._report_rows(rows)
+            _report_rows(rows)
         assert str(column.value) == str(scalar.value)
 
     def test_out_of_range_incomplete_beta_raises_the_scalar_error(self, monkeypatch):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from ballsep import probability, selfcheck
@@ -20,7 +21,7 @@ from ballsep.selfcheck import (
 )
 from ballsep.geometry import SeparationInstance
 from ballsep.montecarlo import _sphere_block
-from ballsep.specfun import BetaArgs, reg_inc_beta
+from ballsep.specfun import BetaArgs, _kappa_columns, reg_inc_beta
 
 
 def test_all_batteries_pass_on_fresh_build():
@@ -62,21 +63,33 @@ def _chain_instances(seed, samples):
     return instances
 
 
+def _cells(rng, samples):
+    # the (i, n, k, `_gap`) of each random instance of the chain, from `_random_cells`' columns
+    cells = []
+    for start, n, dist, r, p, k in selfcheck._random_cells(rng, samples):
+        gap = probability._cell(dist, r, p, k, _kappa_columns, probability._check_column)
+        rows = zip(n.tolist(), k.tolist(), *(column.tolist() for column in gap))
+        cells += [(i, dim, k_i, tuple(fields)) for i, (dim, k_i, *fields) in enumerate(rows, start)]
+    return cells
+
+
 @pytest.mark.parametrize("seed", [1, 7, 42, 1 << 63])
 def test_random_cells_are_their_instances_gaps(seed):
     # 2000 samples span two draws; each cell is what the scalar path reads of its instance
-    cells = selfcheck._random_cells(np.random.default_rng(seed), 2000)
-    for i, inst in enumerate(_chain_instances(seed, 2000)):
-        assert next(cells) == (i, inst.dimension, inst.bias_half_range, probability._gap(inst))
+    cells = _cells(np.random.default_rng(seed), 2000)
+    instances = _chain_instances(seed, 2000)
+    assert len(cells) == len(instances) == 2000
+    for i, (cell, inst) in enumerate(zip(cells, instances)):
+        assert cell == (i, inst.dimension, inst.bias_half_range, probability._gap(inst))
         assert not inst.ball_a.center[2:].any() and not inst.ball_b.center[2:].any()
-    first = next(selfcheck._random_cells(np.random.default_rng(seed), 1))
+    (first,) = _cells(np.random.default_rng(seed), 1)
     inst = random_instance(np.random.default_rng(seed))
     assert first == (0, inst.dimension, inst.bias_half_range, probability._gap(inst))
 
 
 def test_random_cells_keep_their_stream():
     # the chain's values depend on (seed, samples) alone
-    cells = list(selfcheck._random_cells(np.random.default_rng(7), 2000))
+    cells = _cells(np.random.default_rng(7), 2000)
     assert hashlib.sha1(repr(cells).encode()).hexdigest() == "6a06ae0e8b33918b166cdb15c828e8679e9acb21"
 
 
@@ -156,10 +169,11 @@ def test_random_cells_name_a_failing_cell_by_its_index(monkeypatch):
     draws = iter([pair, _one_draw([0.5, 0.0], [2.0, 0.0], 1.0, 2.0, n=7)])
     monkeypatch.setattr(selfcheck, "_DRAW", 2)
     monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: next(draws))
-    cells = selfcheck._random_cells(np.random.default_rng(0), 3)
-    assert [next(cells)[:2] for _ in range(2)] == [(0, 3), (1, 3)]
+    blocks = selfcheck._random_cells(np.random.default_rng(0), 3)
+    start, n, *_ = next(blocks)
+    assert (start, n.tolist()) == (0, [3, 3])
     with pytest.raises(InternalConsistencyError) as raised:
-        next(cells)
+        next(blocks)
     assert str(raised.value) == "random[2] n=7: balls overlap or touch (delta <= 0)"
 
 
@@ -190,30 +204,32 @@ def test_ordering_chain_rejects_bad_samples_and_seed(kwargs):
         check_ordering_chain(**kwargs)
 
 
-def test_sign_flip_fault_is_caught(monkeypatch):
-    # rebuild the fully random probability with the subtracted term
-    # added instead; the ordering chain must reject it on the fixed grid
-    def flipped(rows):
-        reports = []
-        for (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) in rows:
-            incomplete = reg_inc_beta(BetaArgs(q, a, 0.5))
-            first = math.exp(a * ln_q - ln_a - ln_beta)
-            reports.append((p_bias, incomplete, scale * (first + sin_phi * incomplete)))
-        return reports
+def _flipped(shape, gap):
+    # the fully random probability with the subtracted term added instead, one scalar
+    # incomplete beta per row
+    (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) = shape, gap
+    rows = zip(q.tolist(), a.tolist())
+    incomplete = np.array([reg_inc_beta(BetaArgs(q_i, a_i, 0.5)) for q_i, a_i in rows])
+    first = np.exp(a * ln_q - ln_a - ln_beta)
+    return p_bias, incomplete, scale * (first + sin_phi * incomplete)
 
-    monkeypatch.setattr(probability, "_report_rows", flipped)
+
+def test_sign_flip_fault_is_caught(monkeypatch):
+    # the ordering chain must reject it on the fixed grid
+    monkeypatch.setattr(probability, "_report_columns", _flipped)
     result = check_ordering_chain(samples=50)
     assert not result.passed
     assert any("grid" in cell for cell in result.failures)
 
 
 def test_prefactor_fault_is_caught(monkeypatch):
-    original = probability._report_rows
+    original = probability._report_columns
 
-    def doubled(rows):
-        return [(p_bias, p_weight, min(1.0, 2.0 * p_full)) for p_bias, p_weight, p_full in original(rows)]
+    def doubled(shape, gap):
+        p_bias, p_weight, p_full = original(shape, gap)
+        return p_bias, p_weight, np.minimum(1.0, 2.0 * p_full)
 
-    monkeypatch.setattr(probability, "_report_rows", doubled)
+    monkeypatch.setattr(probability, "_report_columns", doubled)
     result = check_ordering_chain(samples=50)
     assert not result.passed
 
@@ -224,7 +240,8 @@ def _recorded(monkeypatch, module, name):
 
     def record(*args):
         out = original(*args)
-        values.extend(out)
+        # a tuple of columns is recorded as one tuple per row
+        values.extend(zip(*out) if isinstance(out, tuple) else out)
         return out
 
     monkeypatch.setattr(module, name, record)
@@ -236,8 +253,8 @@ class TestBatchesEqualScalarBits:
     def test_ordering_chain(self, monkeypatch, seed, chunk):
         if chunk:
             monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
-        reports = _recorded(monkeypatch, probability, "_report_rows")
-        bounds = _recorded(monkeypatch, probability, "_lemma_rows")
+        reports = _recorded(monkeypatch, probability, "_report_columns")
+        bounds = _recorded(monkeypatch, probability, "_lemma_columns")
         assert check_ordering_chain(samples=500, seed=seed).passed
         instances = grid_instances() + _chain_instances(seed, 500)
         assert len(reports) == len(bounds) == len(instances)
@@ -248,7 +265,7 @@ class TestBatchesEqualScalarBits:
 
     def test_lemma_sandwich(self, monkeypatch):
         # alpha at both ends of the battery's range and at its middle
-        bounds = _recorded(monkeypatch, probability, "_lemma_rows")
+        bounds = _recorded(monkeypatch, probability, "_lemma_columns")
         assert check_lemma_sandwich(alpha_points=3).passed
         alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, 3).tolist()
         cells = [(n, alpha) for n in range(2, 201) for alpha in alphas]
@@ -270,6 +287,27 @@ class TestBatchesEqualScalarBits:
             for args in (BetaArgs(kappa, y, z), BetaArgs(1.0 - kappa, z, y))
         ]
         assert values == scalar
+
+
+class TestChainColumns:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 1024), st.integers(0, 2**64 - 1), st.sampled_from([97, 1024]))
+    def test_draw_equals_its_instances_scalar_closed_forms(self, samples, seed, chunk):
+        # the report and lemma columns of the chain's one `_draw` are, row by row,
+        # separation_report and lemma_bounds of its instances, in chunks of any size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selfcheck, "_CHUNK", chunk)
+            reports = _recorded(patch, probability, "_report_columns")
+            bounds = _recorded(patch, probability, "_lemma_columns")
+            assert check_ordering_chain(samples=samples, seed=seed).passed
+        fixed = len(grid_instances())
+        assert len(reports) == len(bounds) == fixed + samples
+        draw = selfcheck._draw(np.random.default_rng(seed), samples)
+        for i, report, bound in zip(range(samples), reports[fixed:], bounds[fixed:]):
+            inst = selfcheck._embedded(draw, i)
+            scalar = probability.separation_report(inst)
+            assert report == (scalar.p_random_bias, scalar.p_random_weight, scalar.p_fully_random)
+            assert bound == probability.lemma_bounds(math.asin(inst.sin_phi), inst.dimension)
 
 
 def test_ordering_chain_memory_does_not_grow_with_samples():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ballsep.errors import ArgumentOutOfRange, NoConvergence
 from ballsep import specfun
-from ballsep.specfun import BetaArgs, log_beta, reg_inc_beta
+from ballsep.specfun import BetaArgs, _kappa_logs, log_beta, reg_inc_beta
 
 from _oracles import betainc_quadrature
 
@@ -46,6 +47,35 @@ class TestBetaArgs:
             BetaArgs(0.5, 0.0, 1.0)
         with pytest.raises(ArgumentOutOfRange):
             BetaArgs(0.5, 1.0, -2.0)
+
+
+# kappa at and inside [0, 1], within 1e-14 outside it, where `_kappa_logs` clamps it, and
+# further out, where it rejects it
+_SLACK = specfun._KAPPA_SLACK
+_KAPPAS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -5e-324, math.nextafter(1.0, 2.0), -_SLACK, 1.0 + _SLACK]),
+    st.sampled_from([math.nextafter(-_SLACK, -1.0), math.nextafter(1.0 + _SLACK, 2.0), math.nan]),
+    st.floats(0.0, 1.0),
+    st.floats(-2.0 * _SLACK, 0.0),
+    st.floats(1.0, 1.0 + 2.0 * _SLACK),
+)
+
+
+class TestKappaColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_KAPPAS, max_size=12))
+    def test_columns_equal_scalar_logs(self, values):
+        want = []
+        try:
+            want += [_kappa_logs(value) for value in values]
+        except ArgumentOutOfRange as scalar:
+            with pytest.raises(ArgumentOutOfRange) as column:
+                specfun._kappa_columns(np.array(values))
+            assert str(column.value) == str(scalar)
+            return
+        got = list(zip(*(column.tolist() for column in specfun._kappa_columns(np.array(values)))))
+        # repr tells -0.0 from 0.0, which == does not
+        assert got == want and repr(got) == repr(want)
 
 
 class TestRegIncBeta:
