@@ -8,9 +8,9 @@ width planning), validate (built-in invariant grids).
 Instances are given either explicitly (--c/--x/--r/--p/--k) or through
 the symmetric generator (--dim/--sinphi with optional --r/--p and
 --k-factor); --k overrides the generated bias range with an absolute
-value.  Tables print 6 significant digits; CSV and JSON carry full
-precision.  Exit codes: 0 success, 1 validation failure, 2 usage or
-domain error.
+value, and --k-factor is then not read.  Tables print 6 significant
+digits; CSV and JSON carry full precision.  Exit codes: 0 success, 1
+validation failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def _instance_from_args(args) -> SeparationInstance:
         raise ArgumentOutOfRange(
             "specify an instance with --c/--x/--k or with --dim/--sinphi"
         )
-    inst = symmetric_instance(args.dim, args.sinphi, r=args.r, p=args.p, k_factor=args.k_factor)
-    if args.k is not None:
-        inst = make_instance(inst.ball_a, inst.ball_b, args.k)
-    return inst
+    if args.k is None:
+        return symmetric_instance(args.dim, args.sinphi, args.r, args.p, args.k_factor)
+    inst = symmetric_instance(args.dim, args.sinphi, args.r, args.p)
+    return make_instance(inst.ball_a, inst.ball_b, args.k)
 
 
 def _csv_cell(value) -> str:
@@ -240,7 +240,7 @@ def _estimate_table(records) -> str:
 def cmd_sweep(args) -> int:
     dims = sorted(set(_parse_int_list(args.dim, "--dim")))
     deltas = sorted(set(_parse_float_list(args.delta, "--delta")))
-    if not args.k_factor >= 1.0:
+    if args.k is None and not args.k_factor >= 1.0:
         raise ArgumentOutOfRange(f"--k-factor must be >= 1, got {args.k_factor!r}")
     # the closed forms see the dimension only through the incomplete beta's
     # shape, and |c - x|, |c|, |x| of a center on the first axis are the same
@@ -331,7 +331,7 @@ def _add_instance_flags(sub) -> None:
         "--k-factor",
         type=float,
         default=1.0,
-        help="bias range as a multiple of max(|c|, |x|)",
+        help="bias range as a multiple of max(|c|, |x|); not read with --k",
     )
 
 

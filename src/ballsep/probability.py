@@ -14,15 +14,13 @@ at q = cos^2(phi).  The fully random probability is bounded above by
 both partial ones, and the same beta-function sandwich that drives the
 proofs is exposed directly as `lemma_bounds`.
 
-`separation_report` and `lemma_bounds` evaluate one instance or angle on
-floats.  `_report_columns` and `_lemma_columns` evaluate a batch as float64
-columns, one per field of `_shape(n)`, `_gap(inst)` and `_angle(alpha)`,
-with the same bits.  Each formula is written once, in a helper that takes
-floats or columns (`_weight_and_full`, `_sandwich`, `_cell`), and only the
-transcendental step differs: a `math` call on floats, and the same call
-mapped over the elements on columns (`_exp_each`, `_kappa_columns`,
-`_angle_columns`), because numpy's `exp`, `log`, `lgamma` and `**` differ
-from `math`'s in the last bit for some arguments.
+Each closed form has one entry, which takes Python floats or float64
+columns, one row per cell, with the same bits on both: `_report` of
+`_shape(n)` and `_gap(inst)`, and `_lemma` of `_angle(alpha)` and
+`_shape(n)`.  `separation_report` and `lemma_bounds` are those entries on
+one instance or angle.  The transcendental steps are `math` calls, mapped
+over a column's elements (`specfun._each`), because numpy's `exp`, `log`,
+`lgamma` and `**` differ from `math`'s in the last bit for some arguments.
 """
 
 from __future__ import annotations
@@ -35,17 +33,7 @@ import numpy as np
 
 from .errors import ArgumentOutOfRange, InternalConsistencyError
 from .geometry import SeparationInstance, _cone
-from .specfun import (
-    BetaArgs,
-    _exp_each,
-    _kappa_columns,
-    _kappa_logs,
-    _log_beta_sum,
-    _mapped,
-    _reg_inc_betas,
-    log_beta,
-    reg_inc_beta,
-)
+from .specfun import _clamp, _each, _kappa_logs, _log_beta_sum, _reg_inc_betas, log_beta
 
 # probabilities assembled from independently rounded pieces may land a
 # few ulp outside [0, 1] or break the pairwise ordering by float noise;
@@ -54,24 +42,14 @@ _CONSISTENCY_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _check_unit_interval(value: float, label: str) -> float:
-    if value < 0.0:
-        if value < -_CONSISTENCY_SLACK:
-            raise InternalConsistencyError(f"{label} = {value!r} is negative")
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + _CONSISTENCY_SLACK:
-            raise InternalConsistencyError(f"{label} = {value!r} exceeds 1")
-        return 1.0
-    return value
+def _improbable(label: str, value: float) -> InternalConsistencyError:
+    side = "is negative" if value < 0.0 else "exceeds 1" if value > 1.0 else "is not a number"
+    return InternalConsistencyError(f"{label} = {value!r} {side}")
 
 
-def _check_column(values: np.ndarray, label: str) -> np.ndarray:
-    """`_check_unit_interval` of each element of a column; the first past the slack raises."""
-    outside = (values < -_CONSISTENCY_SLACK) | (values > 1.0 + _CONSISTENCY_SLACK)
-    if outside.any():
-        _check_unit_interval(float(values[outside.argmax()]), label)
-    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+# _check_unit_interval(values, label): a probability, or each element of a float64 column
+# of them, clamped into [0, 1] from within the slack; the first value further out is a bug
+_check_unit_interval = functools.partial(_clamp, _CONSISTENCY_SLACK, _improbable)
 
 
 def p_random_bias(inst: SeparationInstance) -> float:
@@ -84,9 +62,9 @@ def p_random_bias(inst: SeparationInstance) -> float:
     return _bias_probability(inst.gap, inst.bias_half_range)
 
 
-def _bias_probability(gap, k, check=_check_unit_interval):
-    # gap/(2k), correctly rounded even where 2k overflows: floats, or columns with `_check_column`
-    return check((0.5 * gap) / k, "random-bias probability")
+def _bias_probability(gap, k):
+    # gap/(2k), correctly rounded even where 2k overflows: floats, or columns
+    return _check_unit_interval((0.5 * gap) / k, "random-bias probability")
 
 
 def p_random_weight(inst: SeparationInstance) -> float:
@@ -124,52 +102,33 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
 
     and lower <= mid <= upper holds for every alpha in (0, pi/2), n >= 2.
     """
-    angle = _angle(alpha)
-    if n < 2:
-        raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
-    a = 0.5 * (n - 1)
-    args = BetaArgs(angle[0], a, 0.5)
-    return _sandwich(reg_inc_beta(args), angle, (a, math.log(a), args._log_beta))
-
-
-def _lemma_columns(angle, shape) -> tuple:
-    """`lemma_bounds`' (lower, mid, upper) columns, with its bits, of the rows whose
-    `_angle(alpha)` and `_shape(n)` fields are the columns of angle and shape."""
-    kappa, ln_kappa, ln_comp, _, _ = angle
-    a, _, ln_beta = shape
-    upper = _reg_inc_betas(kappa, ln_kappa, ln_comp, a, 0.5, ln_beta)
-    return _sandwich(upper, angle, shape, exp=_exp_each)
-
-
-def _angle(alpha: float) -> tuple:
-    """(kappa, log kappa, log(1 - kappa), log cos, sin) of alpha in (0, pi/2), kappa = cos^2."""
     if not 0.0 < alpha < 0.5 * math.pi:
         raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
-    return *_kappa_logs(math.cos(alpha) ** 2), math.log(math.cos(alpha)), math.sin(alpha)
+    return _lemma(_angle(alpha), _shape(n))
 
 
-def _angle_columns(sin_phi: np.ndarray) -> tuple:
-    """The `_angle(math.asin(s))` columns, with its bits, of each s of a column in (0, 1),
-    whose arcsine lies in the range `_angle` checks."""
-    alpha = _mapped(math.asin, sin_phi)
-    cos = _mapped(math.cos, alpha)
-    squares = _mapped(functools.partial(pow, exp=2), cos)  # libm's, as `** 2`, not c * c
-    return *_kappa_columns(squares), _mapped(math.log, cos), _mapped(math.sin, alpha)
-
-
-def _sandwich(upper, angle, shape, exp=math.exp) -> tuple:
-    """lemma_bounds from its upper bound, `_angle(alpha)` and `_shape(n)`: floats, or
-    columns with exp `_exp_each`."""
-    (*_, ln_cos, sin_alpha), (a, ln_a, ln_beta) = angle, shape
-    mid = exp(2.0 * a * ln_cos - ln_a - ln_beta)  # 2 a = n - 1 exactly
+def _lemma(angle, shape) -> tuple:
+    """`lemma_bounds`' (lower, mid, upper) of `_angle(alpha)` and `_shape(n)`: floats, or
+    float64 columns, one row per cell."""
+    (kappa, ln_kappa, ln_comp, ln_cos, sin_alpha), (a, ln_a, ln_beta) = angle, shape
+    upper = _reg_inc_betas(kappa, ln_kappa, ln_comp, a, 0.5, ln_beta)
+    mid = _each(math.exp, 2.0 * a * ln_cos - ln_a - ln_beta)  # 2 a = n - 1 exactly
     return upper * sin_alpha, mid, upper
+
+
+def _angle(alpha) -> tuple:
+    """(kappa, log kappa, log(1 - kappa), log cos, sin), kappa = cos^2, of alpha in (0, pi/2):
+    a float, or each element of a float64 column."""
+    cos = _each(math.cos, alpha)
+    squares = _each(functools.partial(pow, exp=2), cos)  # libm's pow, as `** 2` is, not c * c
+    return *_kappa_logs(squares), _each(math.log, cos), _each(math.sin, alpha)
 
 
 def _shape(n: int) -> tuple:
     """(a, log a, log B(a, 1/2)), a = (n - 1)/2: what the closed forms read of n >= 2."""
     if n < 2:
         raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
-    a = 0.5 * (n - 1)
+    a = 0.5 * float(n - 1)
     return a, math.log(a), log_beta(a, 0.5)
 
 
@@ -207,23 +166,23 @@ class SeparationReport:
         _check_ordering(self.p_random_bias, self.p_random_weight, self.p_fully_random)
 
 
-def _check_ordering(p_bias: float, p_weight: float, p_full: float) -> None:
-    if p_full > p_weight + _CONSISTENCY_SLACK:
+def _check_ordering(p_bias, p_weight, p_full) -> None:
+    """Raise if p_full exceeds p_weight or p_bias past the slack: floats, or float64 columns,
+    where the first row out of order raises."""
+    over_weight = p_full > p_weight + _CONSISTENCY_SLACK
+    over_bias = p_full > p_bias + _CONSISTENCY_SLACK
+    if type(over_weight) is np.ndarray:  # the first row out of order, if any
+        first = np.flatnonzero(over_weight | over_bias)[:1]
+        over_weight, over_bias = over_weight[first].any(), over_bias[first].any()
+    if over_weight:
         raise InternalConsistencyError("fully random probability exceeds random-weight probability")
-    if p_full > p_bias + _CONSISTENCY_SLACK:
+    if over_bias:
         raise InternalConsistencyError("fully random probability exceeds random-bias probability")
 
 
 def separation_report(inst: SeparationInstance) -> SeparationReport:
     """All three closed forms for one validated instance, with one incomplete beta."""
-    n, q, k = inst.dimension, inst.q_value, inst.bias_half_range
-    p_bias = _bias_probability(inst.gap, k)
-    args = BetaArgs(q, 0.5 * (n - 1), 0.5)
-    beta = reg_inc_beta(args)
-    shape = (args.y, math.log(args.y), args._log_beta)
-    scale = 0.5 * inst.center_distance / k
-    p_weight, p_full = _weight_and_full(beta, args._ln_kappa, shape, inst.sin_phi, scale)
-    return SeparationReport(p_bias, p_weight, p_full)
+    return SeparationReport(*_report(_shape(inst.dimension), _gap(inst)))
 
 
 def _gap(inst: SeparationInstance) -> tuple:
@@ -232,15 +191,15 @@ def _gap(inst: SeparationInstance) -> tuple:
     return _cell(inst.center_distance, inst.ball_a.radius, inst.ball_b.radius, inst.bias_half_range)
 
 
-def _cell(dist, r, p, k, logs=_kappa_logs, check=_check_unit_interval) -> tuple:
+def _cell(dist, r, p, k) -> tuple:
     """`_gap` of a checked instance whose balls have radii r and p, centers dist apart:
-    floats, or columns with logs `_kappa_columns` and check `_check_column`."""
+    floats, or float64 columns."""
     gap, sin_phi, q = _cone(dist, r, p)
-    return *logs(q), sin_phi, 0.5 * dist / k, _bias_probability(gap, k, check)
+    return *_kappa_logs(q), sin_phi, 0.5 * dist / k, _bias_probability(gap, k)
 
 
 def _grid_columns(dims: list, gaps: list) -> tuple:
-    """The `_report_columns` of every (n, gap) with n >= 2 in dims and gap a `_gap(inst)` in
+    """The `_report` columns of every (n, gap) with n >= 2 in dims and gap a `_gap(inst)` in
     gaps, n-major, and the `asymptotic_envelope` list of dims.  Each distinct lgamma argument
     is taken once, so contiguous dimensions share their Gamma(j/2)."""
     # the lgamma arguments of `_shape(n)` and `asymptotic_envelope(n)`, as they form them
@@ -249,37 +208,24 @@ def _grid_columns(dims: list, gaps: list) -> tuple:
     lgamma = {x: math.lgamma(x) for x in {0.5, *a, *shifted, *halves, *nexts}}
     lgamma_a, lgamma_shifted = (np.array([lgamma[x] for x in xs]) for xs in (a, shifted))
     a = np.array(a)
-    shape = a, _mapped(math.log, a), _log_beta_sum(lgamma_a, lgamma[0.5], lgamma_shifted)
+    shape = a, _each(math.log, a), _log_beta_sum(lgamma_a, lgamma[0.5], lgamma_shifted)
     envelopes = [_envelope(lgamma[x], lgamma[y]) for x, y in zip(halves, nexts)]
     repeated = [np.repeat(column, len(gaps)) for column in shape]
     tiled = [np.tile(column, len(dims)) for column in np.array(gaps).reshape(-1, 6).T]
-    return _report_columns(repeated, tiled), envelopes
+    report = _report(repeated, tiled)
+    _check_ordering(*report)
+    return report, envelopes
 
 
-def _report_columns(shape, gap) -> tuple:
-    """`separation_report`'s (p_bias, p_weight, p_full) columns, with its bits, of the rows
-    whose `_shape(n)` and `_gap(inst)` fields are the columns of shape and gap.  A row that
-    fails a check raises `separation_report`'s error for it: the first row past p_weight's
-    range, else p_full's, else the first out of order."""
-    a, _, ln_beta = shape
+def _report(shape, gap) -> tuple:
+    """(p_bias, p_weight, p_full) of `_shape(n)` and `_gap(inst)`: floats, or float64 columns,
+    one row per cell.  Each is range-checked as it is computed: the first cell past
+    p_weight's range raises, else the first past p_full's.  Their ordering is left to the
+    caller's `_check_ordering`, which `SeparationReport` runs for one instance."""
+    a, ln_a, ln_beta = shape
     q, ln_q, ln_comp, sin_phi, scale, p_bias = gap
     beta = _reg_inc_betas(q, ln_q, ln_comp, a, 0.5, ln_beta)
-    p_weight, p_full = _weight_and_full(beta, ln_q, shape, sin_phi, scale, _exp_each, _check_column)
-    broken = (p_full > p_weight + _CONSISTENCY_SLACK) | (p_full > p_bias + _CONSISTENCY_SLACK)
-    if broken.any():
-        i = broken.argmax()
-        _check_ordering(float(p_bias[i]), float(p_weight[i]), float(p_full[i]))
+    p_weight = _check_unit_interval(beta, "random-weight probability")
+    bracket = _each(math.exp, a * ln_q - ln_a - ln_beta) - sin_phi * p_weight  # q^a / (a B) - s I
+    p_full = _check_unit_interval(scale * bracket, "fully random probability")
     return p_bias, p_weight, p_full
-
-
-def _weight_and_full(
-    beta, ln_q, shape: tuple, sin_phi, scale, exp=math.exp, check=_check_unit_interval
-) -> tuple:
-    """Range-checked p_weight and p_full from beta = I(q; a, 1/2), log q,
-    shape = (a, log a, log B(a, 1/2)) and scale = |c - x| / (2 k): floats, or
-    columns with exp `_exp_each` and check `_check_column`."""
-    a, ln_a, ln_beta = shape
-    p_weight = check(beta, "random-weight probability")
-    bracket = exp(a * ln_q - ln_a - ln_beta) - sin_phi * p_weight  # q^a / (a B) - s I
-    p_full = check(scale * bracket, "fully random probability")
-    return p_weight, p_full

@@ -12,11 +12,12 @@ Four independent consistency batteries, each returning a CheckResult:
 Every comparison here pits two different computational routes against
 each other, so a sign or factor slip in any one route fails loudly.  The
 first three form their cells as float64 columns, with no per-cell objects
-or tuples, and one reducer, `_record`, takes the violations of _CHUNK cells
-at a time; the values have the scalar path's bits.  The chain draws its
-random instances as arrays in their two-dimensional core and checks them as
-`SeparationInstance` would.  The analytic reductions stay on the scalar
-`separation_report` and `reg_inc_beta`, which they test.
+or tuples, and pass them to the closed forms' own entries, which give a
+column the bits of one call per row; one reducer, `_record`, takes the
+violations of _CHUNK cells at a time.  The chain draws its random instances
+as arrays in their two-dimensional core and checks them as
+`SeparationInstance` would.  The analytic reductions call the public
+functions on single instances.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import probability
 from .geometry import Ball, SeparationInstance, _pair_checks, make_instance, symmetric_instance
 from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
 from .montecarlo import DEFAULT_SEED, _check_seed
-from .specfun import _kappa_columns, _kappa_logs, _reg_inc_betas, log_beta
+from .specfun import _each, _kappa_logs, _reg_inc_betas, log_beta
 
 GRID_DIMENSIONS = (2, 3, 5, 10, 50)
 GRID_SIN_PHI = (0.3, 0.5, 0.8)
@@ -77,14 +78,14 @@ def _record(result: CheckResult, violations: np.ndarray, label: str, *columns) -
 def check_lemma_sandwich(alpha_points: int = 100, n_max: int = 200, tol: float = 1e-12) -> CheckResult:
     """lower <= mid <= upper across a dense angle-by-dimension grid."""
     alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, alpha_points)
-    angles = np.array([probability._angle(alpha) for alpha in alphas.tolist()]).T
+    angles = np.array(probability._angle(alphas))
     shapes = np.array([probability._shape(n) for n in range(2, n_max + 1)]).T
     result = CheckResult("sandwich bounds", alpha_points * (n_max - 1), tol, -math.inf)
     # cell j is (n, alpha) = (2 + j // alpha_points, alphas[j % alpha_points]), n-major
     for start in range(0, result.cells, _CHUNK):
         cells = np.arange(start, min(start + _CHUNK, result.cells))
         n_at, alpha_at = np.divmod(cells, alpha_points)
-        lower, mid, upper = probability._lemma_columns(angles[:, alpha_at], shapes[:, n_at])
+        lower, mid, upper = probability._lemma(angles[:, alpha_at], shapes[:, n_at])
         violations = np.maximum(lower - mid, mid - upper)
         _record(result, violations, "alpha={:.6f} n={}", alphas[alpha_at], n_at + 2)
     return result
@@ -171,7 +172,7 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
     grid = None, np.array([x.dimension for x in fixed]), *fields.T
     blocks = itertools.chain([grid], _random_cells(np.random.default_rng(seed), samples))
     for start, n, dist, r, p, k in blocks:
-        gap = probability._cell(dist, r, p, k, _kappa_columns, probability._check_column)
+        gap = probability._cell(dist, r, p, k)
         # a grid cell is named by its k, a random one by its index
         label, first = "grid n={1} sin_phi={2:.3f} k={0:.4g}", k
         if start is not None:
@@ -181,9 +182,9 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
             dims, index = np.unique(n[rows], return_inverse=True)
             shapes = np.array([shape(dim) for dim in dims.tolist()]).T[:, index]
             cells = [column[rows] for column in gap]
-            p_bias, p_weight, p_full = probability._report_columns(shapes, cells)
-            angles = probability._angle_columns(cells[3])
-            lower, mid, _ = probability._lemma_columns(angles, shapes)
+            p_bias, p_weight, p_full = probability._report(shapes, cells)
+            angles = probability._angle(_each(math.asin, cells[3]))
+            lower, mid, _ = probability._lemma(angles, shapes)
             bracket = mid - lower
             gaps = (
                 p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias
@@ -198,7 +199,8 @@ def check_beta_symmetry(tol: float = 1e-11) -> CheckResult:
     kappas = np.linspace(0.01, 0.99, 99)
     shapes = (0.5, 1.0, 2.5, 10.0, 50.0)
     result = CheckResult("beta reflection", len(kappas) * len(shapes) ** 2, tol, -math.inf)
-    logs = np.array([(_kappa_logs(kappa), _kappa_logs(1.0 - kappa)) for kappa in kappas.tolist()])
+    # logs[j] holds the `_kappa_logs` of kappas[j] and of 1 - kappas[j]
+    logs = np.array([_kappa_logs(kappas), _kappa_logs(1.0 - kappas)]).transpose(2, 0, 1)
     # B(y, z) and B(z, y) are the same sum of lgammas, bit for bit
     pairs = [(y, z, log_beta(y, z)) for y in shapes for z in shapes]
     params = np.array([((y, z, ln_b), (z, y, ln_b)) for y, z, ln_b in pairs])

@@ -8,18 +8,17 @@ converges quickly.  All prefactors are assembled in log space so large
 shape parameters (y of order 1e4) do not overflow or underflow the
 intermediate products.
 
-`reg_inc_beta` evaluates one cell on floats; `_reg_inc_betas` evaluates a
-float64 column per argument, one row per cell, with the same bits.  The
-branch choice, the log-space prefactor and the final division are written
-once (`_fraction_setup`, `_assemble`) and take floats or columns, because
-+ - * /, abs and comparisons round the same in numpy as in Python.  The
-Lentz iteration has a scalar kernel, `_lentz_fraction`, and an array
-kernel, `_lentz_fractions`, which repeats the scalar's operations per
-element in the same order.  Only the transcendental step differs between
-the paths: `lgamma`, `log`, `log1p` and `exp` are always `math` calls, on
-a column mapped over its elements (`_mapped`, `_exp_each`, and
-`_kappa_columns` for `_kappa_logs`), because numpy's differ from them in
-the last bit for some arguments.
+Each step has one entry, which takes Python floats or float64 columns, one
+row per cell, with the same bits on both: `reg_inc_beta` is `_reg_inc_betas`
+on floats.  The branch choice, the log-space prefactor and the final division
+are written once (`_fraction_setup`), because + - * /, abs and comparisons
+round the same in numpy as in Python.  The input's type picks the two steps
+that differ.  The Lentz iteration runs in the scalar kernel `_lentz_fraction`
+on floats and in the array kernel `_lentz_fractions` on columns, which
+repeats the scalar's operations per element in the same order.  `lgamma`,
+`log`, `log1p` and `exp` are always `math` calls, mapped over a column's
+elements by `_each`, because numpy's differ from them in the last bit for
+some arguments.
 """
 
 from __future__ import annotations
@@ -49,14 +48,26 @@ def _log_beta_sum(lgamma_y, lgamma_z, lgamma_yz):
     return lgamma_y + lgamma_z - lgamma_yz
 
 
-def _mapped(function, column) -> np.ndarray:
-    """The float64 column of function (a `math` one) at each element of column."""
-    return np.fromiter(map(function, column.tolist()), float, len(column))
+def _each(function, values):
+    """function, a `math` one, of a float, or of each element of a float64 column."""
+    if type(values) is np.ndarray:
+        return np.fromiter(map(function, values.tolist()), float, len(values))
+    return function(values)
 
 
-def _exp_each(column) -> np.ndarray:
-    """`math.exp` of each element of a float64 column: the column form of a helper's `exp`."""
-    return _mapped(math.exp, column)
+def _clamp(slack, error, values, label):
+    """values, a float or each element of a float64 column, clamped into [0, 1] from within
+    slack of it.  The first value further out, or NaN, raises error(label, value)."""
+    if type(values) is np.ndarray:
+        outside = ~((-slack <= values) & (values <= 1.0 + slack))
+        if outside.any():
+            raise error(label, float(values[outside.argmax()]))
+        return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+    if 0.0 <= values <= 1.0:
+        return values
+    if -slack <= values <= 1.0 + slack:
+        return 0.0 if values < 0.0 else 1.0
+    raise error(label, values)
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class BetaArgs:
     z: float
 
     def __post_init__(self):
-        kappa, ln_kappa, ln_comp = _kappa_logs(self.kappa)
+        kappa, ln_kappa, ln_comp = _kappa_logs(float(self.kappa))
         y = float(self.y)
         z = float(self.z)
         if not (y > 0.0 and z > 0.0):
@@ -88,31 +99,27 @@ class BetaArgs:
         stored["_log_beta"] = log_beta(y, z)
 
 
-def _kappa_logs(value) -> tuple:
-    """(kappa, log kappa, log(1 - kappa)), the head of a `_reg_inc_betas` row, with
-    kappa clamped into [0, 1] from within 1e-14 of it; log 0 is -inf."""
-    kappa = float(value)
-    if -_KAPPA_SLACK <= kappa < 0.0:
-        kappa = 0.0
-    elif 1.0 < kappa <= 1.0 + _KAPPA_SLACK:
-        kappa = 1.0
-    if not 0.0 <= kappa <= 1.0:
-        raise ArgumentOutOfRange(f"kappa must lie in [0, 1], got {value!r}")
-    ln_kappa = math.log(kappa) if kappa > 0.0 else -math.inf
-    return kappa, ln_kappa, math.log1p(-kappa) if kappa < 1.0 else -math.inf
+def _kappa_logs(values) -> tuple:
+    """(kappa, log kappa, log(1 - kappa)), the head of a `_reg_inc_betas` row, of a float or
+    of each element of a float64 column, with kappa clamped into [0, 1] from within 1e-14 of
+    it; log 0 is -inf.  The first value further out raises."""
+    kappa = _clamp(_KAPPA_SLACK, _kappa_error, values, "kappa")
+    ln_kappa = _log_where(math.log, kappa, kappa > 0.0)
+    return kappa, ln_kappa, _log_where(math.log1p, -kappa, kappa < 1.0)
 
 
-def _kappa_columns(values: np.ndarray) -> tuple:
-    """`_kappa_logs` of each element of a float64 column, as three columns with its bits;
-    the first element it rejects raises its error."""
-    rejected = ~((-_KAPPA_SLACK <= values) & (values <= 1.0 + _KAPPA_SLACK))
-    if rejected.any():
-        _kappa_logs(float(values[rejected.argmax()]))
-    kappa = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
-    ln_kappa, ln_comp = np.full((2, len(kappa)), -math.inf)  # log 0
-    ln_kappa[kappa > 0.0] = _mapped(math.log, kappa[kappa > 0.0])
-    ln_comp[kappa < 1.0] = _mapped(math.log1p, -kappa[kappa < 1.0])
-    return kappa, ln_kappa, ln_comp
+def _kappa_error(label: str, value) -> ArgumentOutOfRange:
+    return ArgumentOutOfRange(f"{label} must lie in [0, 1], got {value!r}")
+
+
+def _log_where(function, values, inside):
+    """function, `math.log` or `math.log1p`, of values where inside is true, and -inf (log 0)
+    where it is false: a float and a bool, or a float64 column and a bool column."""
+    if type(values) is not np.ndarray:
+        return function(values) if inside else -math.inf
+    logs = np.full(len(values), -math.inf)
+    logs[inside] = _each(function, values[inside])
+    return logs
 
 
 def reg_inc_beta(args: BetaArgs) -> float:
@@ -120,63 +127,49 @@ def reg_inc_beta(args: BetaArgs) -> float:
 
     Endpoints are exact: I(0) = 0 and I(1) = 1 with no floating error.
     """
-    kappa = args.kappa
-    if not 0.0 < kappa < 1.0:
-        return 1.0 if kappa == 1.0 else 0.0
-    front, a, b, x, reflected = _fraction_setup(
-        kappa, args._ln_kappa, args._ln_comp, args.y, args.z, args._log_beta
-    )
-    return _assemble(front, _lentz_fraction(a, b, x), a, reflected)
+    return _reg_inc_betas(args.kappa, args._ln_kappa, args._ln_comp, args.y, args.z, args._log_beta)
 
 
-def _reg_inc_betas(kappa, ln_kappa, ln_comp, y, z, ln_beta) -> np.ndarray:
-    """`reg_inc_beta` of each row, with the same bits, as a float64 column.
+def _reg_inc_betas(kappa, ln_kappa, ln_comp, y, z, ln_beta):
+    """I(kappa; y, z) of floats, or of each row of float64 columns, with the same bits.
 
-    The arguments are float64 columns of one length, or floats that hold for
-    every row: kappa, log kappa and log(1 - kappa) from `_kappa_logs`, valid
-    `BetaArgs` shapes y and z, and log B(y, z).  They are not checked here,
-    and the logs are not read where kappa is 0 or 1.  All continued fractions
-    run as one array iteration, in row order.
+    The arguments are kappa, log kappa and log(1 - kappa) from `_kappa_logs`,
+    valid `BetaArgs` shapes y and z, and log B(y, z).  They are not checked
+    here, and the logs are not read where kappa is 0 or 1, where I is exact.
+    A column of kappa may come with floats that hold for every row.  Floats
+    take the scalar kernel, columns the array kernel, with the same bits.
     """
+    if type(kappa) is not np.ndarray:
+        if not 0.0 < kappa < 1.0:
+            return 1.0 if kappa == 1.0 else 0.0
+        front, a, b, x, direct = _fraction_setup(kappa, ln_kappa, ln_comp, y, z, ln_beta)
+        value = front * _lentz_fraction(a, b, x) / a
+        return value if direct else 1.0 - value
     kappa, ln_kappa, ln_comp, y, z, ln_beta = np.broadcast_arrays(
         kappa, ln_kappa, ln_comp, y, z, ln_beta
     )
-    values = np.where(kappa == 1.0, 1.0, 0.0)  # exact endpoints, as in `reg_inc_beta`
+    values = np.where(kappa == 1.0, 1.0, 0.0)
     inside = np.flatnonzero((0.0 < kappa) & (kappa < 1.0))
     if inside.size:
         cells = (column[inside] for column in (kappa, ln_kappa, ln_comp, y, z, ln_beta))
-        front, a, b, x, reflected = _fraction_setup(*cells, exp=_exp_each)
-        values[inside] = _assemble(front, _lentz_fractions(a, b, x), a, reflected)
+        front, a, b, x, direct = _fraction_setup(*cells)
+        value = front * _lentz_fractions(a, b, x) / a
+        values[inside] = np.where(direct, value, 1.0 - value)
     return values
 
 
-def _fraction_setup(kappa, ln_kappa, ln_comp, y, z, ln_beta, exp=math.exp) -> tuple:
-    """(front, a, b, x, reflected) of I(kappa; y, z) for 0 < kappa < 1.
-
-    The logs are log kappa, log(1 - kappa) and log B(y, z).  I(kappa; y, z)
-    is front * F(a, b, x) / a, where F is the continued fraction, or 1 minus
-    that when reflected.  The arguments are floats, or columns with exp
-    `_exp_each`, and then the results are columns too.
-    """
-    front = exp(y * ln_kappa + z * ln_comp - ln_beta)
+def _fraction_setup(kappa, ln_kappa, ln_comp, y, z, ln_beta) -> tuple:
+    """(front, a, b, x, direct) of I(kappa; y, z) for 0 < kappa < 1, from its logs as above:
+    floats, or columns.  I is front * F(a, b, x) / a where direct, and 1 minus that where
+    not, with F the continued fraction."""
+    front = _each(math.exp, y * ln_kappa + z * ln_comp - ln_beta)
     direct = kappa < (y + 1.0) / (y + z + 2.0)
     if direct is True:
-        return front, y, z, kappa, False
+        return front, y, z, kappa, True
     if direct is False:
-        return front, z, y, 1.0 - kappa, True
+        return front, z, y, 1.0 - kappa, False
     x = np.where(direct, kappa, 1.0 - kappa)
-    return front, np.where(direct, y, z), np.where(direct, z, y), x, ~direct
-
-
-def _assemble(front, fraction, a, reflected):
-    """I(kappa; y, z) from `_fraction_setup`'s front, a and reflected and the fraction F:
-    floats, or columns."""
-    value = front * fraction / a
-    if reflected is False:
-        return value
-    if reflected is True:
-        return 1.0 - value
-    return np.where(reflected, 1.0 - value, value)
+    return front, np.where(direct, y, z), np.where(direct, z, y), x, direct
 
 
 def _lentz_fraction(a: float, b: float, x: float) -> float:

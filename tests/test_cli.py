@@ -18,7 +18,6 @@ from ballsep.cli import main
 from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
-from ballsep.specfun import BetaArgs, reg_inc_beta
 
 CANONICAL = ["--c", "-2,0", "--r", "1", "--x", "2,0", "--p", "1", "--k", "2"]
 # a valid instance whose bias range [-k, k] is wider than the largest double
@@ -343,9 +342,10 @@ def p_random_weight_of_half():
     return p_random_weight(symmetric_instance(3, 0.5))
 
 
-def scalar_beta_calls(monkeypatch) -> list:
-    """The names of the scalar incomplete-beta kernels as ballsep calls them, in order."""
-    return counted_calls(monkeypatch, specfun, ("reg_inc_beta", "_lentz_fraction"))
+def kernel_calls(monkeypatch) -> list:
+    """The names of the continued-fraction kernels as ballsep calls them, in order: the
+    scalar `_lentz_fraction` for a float, the array `_lentz_fractions` for a column."""
+    return counted_calls(monkeypatch, specfun, ("_lentz_fraction", "_lentz_fractions"))
 
 
 def counted_calls(monkeypatch, owner, names) -> list:
@@ -363,6 +363,24 @@ def counted_calls(monkeypatch, owner, names) -> list:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# a symmetric instance per command, with an absolute --k that holds for it
+WITH_K = [
+    ("exact", "--dim", "2", "--sinphi", "0.5", "--k", "5"),
+    ("estimate", "--dim", "2", "--sinphi", "0.5", "--k", "5", "--samples", "1000"),
+    ("tessellate", "--dim", "2", "--sinphi", "0.5", "--k", "5", "--width", "2", "--samples", "1000"),
+    ("sweep", "--dim", "2,3", "--delta", "1", "--k", "5"),
+]
+
+
+@pytest.mark.parametrize("factor", ["0.5", "inf", "nan", "1e308"])
+@pytest.mark.parametrize("argv", WITH_K, ids=lambda argv: argv[0])
+def test_k_factor_is_not_read_with_k(capsys, argv, factor):
+    # --k sets the bias range, so a --k-factor that could not set it changes nothing
+    want = run(capsys, [*argv, "--format", "csv"])
+    assert want[0] == 0
+    assert run(capsys, [*argv, "--k-factor", factor, "--format", "csv"]) == want
 
 
 class TestSweep:
@@ -479,12 +497,12 @@ class TestSweep:
 
     def test_sweep_runs_no_scalar_incomplete_beta(self, capsys, monkeypatch):
         # every incomplete beta of a sweep is one array continued fraction
-        calls = scalar_beta_calls(monkeypatch)
+        calls = kernel_calls(monkeypatch)
         code, out, _ = run(capsys, ["sweep", "--dim", "2..50", "--delta", "0.5,2"])
-        assert (code, len(parse_csv(out)), calls) == (0, 98, [])
-        # the counters see the scalar path that single calls take
+        assert (code, len(parse_csv(out)), calls) == (0, 98, ["_lentz_fractions"])
+        # and one instance's is one scalar continued fraction
         assert run(capsys, ["exact", "--dim", "3", "--sinphi", "0.5"])[0] == 0
-        assert calls == ["reg_inc_beta", "_lentz_fraction"]
+        assert calls == ["_lentz_fractions", "_lentz_fraction"]
 
     def test_one_log_beta_per_dimension(self, capsys, monkeypatch):
         # log B(a, 1/2) and the envelope of n read lgamma at 1/2, (n - 1)/2, n/2
@@ -734,44 +752,50 @@ class TestValidate:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_only_the_analytic_reductions_run_scalar_incomplete_betas(self, capsys, monkeypatch):
-        # the grid batteries run theirs as array continued fractions
-        calls = scalar_beta_calls(monkeypatch)
+        # the grid batteries run theirs as array continued fractions: 20 sandwich chunks,
+        # 2 x 2 chain chunks (the grid and one draw) and 3 reflection chunks
+        calls = kernel_calls(monkeypatch)
         code, out, _ = run(capsys, ["validate", "--samples", "300"])
         assert (code, "all 4 checks passed" in out) == (0, True)
-        in_validate = list(calls)
+        in_validate = [name for name in calls if name == "_lentz_fraction"]
+        assert calls.count("_lentz_fractions") == 27
         calls.clear()
         selfcheck.check_analytic_reductions()
         assert in_validate == calls
-        assert calls.count("reg_inc_beta") == 18
+        assert calls.count("_lentz_fraction") == 18
 
     def test_column_batteries_take_scalars_per_grid_point(self, capsys, monkeypatch):
-        # the sandwich takes an angle per alpha and a shape per n, the chain a shape per
-        # distinct n and its gaps and angles as columns, the reflection kappa's logs per
-        # kappa; each chunk of cells is one array continued fraction per closed form
+        # the sandwich takes its angles as one column and a shape per n, the chain a shape per
+        # distinct n and its gaps and angles as columns, the reflection the logs of its kappa
+        # and 1 - kappa columns; each chunk of cells is one incomplete-beta call per closed form
         owners = {specfun: ("_kappa_logs", "_reg_inc_betas"), probability: ("_angle", "_shape")}
         calls = [counted_calls(monkeypatch, owner, names) for owner, names in owners.items()]
         cones = counted_calls(monkeypatch, geometry, ("_cone",))
         code, out, _ = run(capsys, ["validate", "--samples", "10000"])
         assert (code, "all 4 checks passed" in out) == (0, True)
         counts = collections.Counter(name for names in calls for name in names)
-        # 100 alphas; 199 n in each of the sandwich and the chain; 198 kappa logs of the
-        # reflection and 18 of the analytic reductions' scalar reports; 20 sandwich chunks,
-        # 2 x 11 chain chunks (the grid and 10 draws) and 3 reflection chunks
-        assert counts == {"_angle": 100, "_shape": 398, "_kappa_logs": 316, "_reg_inc_betas": 45}
-        # one per chain chunk, and one per property of each of the reductions' 12 instances
-        assert len(cones) == 11 + 3 * 12
+        # 1 sandwich and 11 chain angle columns (the grid and 10 draws); 199 n in each of the
+        # sandwich and the chain and 18 of the analytic reductions' reports; kappa logs of
+        # the 12 angle columns, 11 chain gap columns, 2 reflection columns and 18 reports;
+        # 20 sandwich chunks, 2 x 11 chain chunks, 3 reflection chunks and 18 reports
+        assert counts == {"_angle": 12, "_shape": 416, "_kappa_logs": 43, "_reg_inc_betas": 63}
+        # one per chain chunk and per report, and one for the reductions' p_random_bias
+        assert len(cones) == 11 + 18 + 1
 
     def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
-        # the fully random probability with the subtracted term added instead,
-        # in the batch report the chain reads
+        # the fully random probability with the subtracted term added instead, in the
+        # column calls of the report the chain reads
+        report = probability._report
+
         def flipped(shape, gap):
-            (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) = shape, gap
-            rows = zip(q.tolist(), a.tolist())
-            incomplete = np.array([reg_inc_beta(BetaArgs(q_i, a_i, 0.5)) for q_i, a_i in rows])
-            first = np.exp(a * ln_q - ln_a - ln_beta)
+            (a, ln_a, ln_beta), (q, ln_q, ln_comp, sin_phi, scale, p_bias) = shape, gap
+            if type(q) is not np.ndarray:
+                return report(shape, gap)
+            incomplete = specfun._reg_inc_betas(q, ln_q, ln_comp, a, 0.5, ln_beta)
+            first = specfun._each(math.exp, a * ln_q - ln_a - ln_beta)
             return p_bias, incomplete, scale * (first + sin_phi * incomplete)
 
-        monkeypatch.setattr(probability, "_report_columns", flipped)
+        monkeypatch.setattr(probability, "_report", flipped)
         code, out, _ = run(capsys, ["validate", "--samples", "50"])
         assert code == 1
         assert "ordering chain: FAIL" in out

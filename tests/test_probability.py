@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from ballsep.probability import (
     p_random_weight,
     separation_report,
 )
-from ballsep.specfun import BetaArgs, _kappa_logs, reg_inc_beta
+from ballsep.specfun import _kappa_logs
 
 from _oracles import betainc_quadrature
 
@@ -186,11 +187,15 @@ class TestReport:
         short = _unchecked(SeparationInstance, **balls, bias_half_range=1.0, center_distance=4.0)
         with pytest.raises(InternalConsistencyError, match="random-bias probability = 1.5"):
             separation_report(short)
-        monkeypatch.setattr(probability, "reg_inc_beta", lambda args: 1.5)
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda *args: 1.5)
         with pytest.raises(InternalConsistencyError, match="random-weight probability = 1.5"):
             separation_report(canonical_plane())
-        monkeypatch.setattr(probability, "reg_inc_beta", lambda args: 1.0 + 1e-13)
+        monkeypatch.setattr(probability, "_reg_inc_betas", lambda *args: 1.0 + 1e-13)
         assert separation_report(canonical_plane()).p_random_weight == 1.0
+        # a probability that is not a number is a bug too, on floats and on columns
+        for values in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(InternalConsistencyError, match="^p = nan is not a number$"):
+                probability._check_unit_interval(values, "p")
 
     def test_report_rejects_broken_ordering(self):
         with pytest.raises(InternalConsistencyError):
@@ -232,14 +237,16 @@ class TestSharedIncompleteBeta:
     def test_report_evaluates_the_beta_once(self, monkeypatch):
         calls = []
 
-        def counted(args):
-            calls.append(args)
-            return reg_inc_beta(args)
+        original = probability._reg_inc_betas
 
-        monkeypatch.setattr(probability, "reg_inc_beta", counted)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(probability, "_reg_inc_betas", counted)
         report = separation_report(canonical_space())
         assert len(calls) == 1
-        assert report.p_random_weight == reg_inc_beta(calls[0])
+        assert report.p_random_weight == original(*calls[0])
 
     @pytest.mark.parametrize("n", [2, 3, 50, 10**4])
     def test_general_pose_values_unchanged(self, n):
@@ -260,11 +267,20 @@ _ROW_SINES = (1e-9, 1e-8, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e
 
 
 def _report_rows(rows):
-    # `_report_columns` of the (`_shape(n)`, `_gap(inst)`) rows, one (p_bias, p_weight,
-    # p_full) tuple per row
+    # `_report` of the (`_shape(n)`, `_gap(inst)`) rows as one column call, with its ordering
+    # checked, one (p_bias, p_weight, p_full) tuple per row
     columns = np.array([(*shape, *gap) for shape, gap in rows], dtype=float).reshape(-1, 9).T
-    report = probability._report_columns(columns[:3], columns[3:])
+    report = probability._report(columns[:3], columns[3:])
+    probability._check_ordering(*report)
     return list(zip(*(column.tolist() for column in report)))
+
+
+def _float_rows(rows):
+    # the same rows, one float call of `_report` each, with its ordering checked
+    reports = [probability._report(shape, gap) for shape, gap in rows]
+    for report in reports:
+        probability._check_ordering(*report)
+    return reports
 
 
 def _rows(dims, instances):
@@ -280,10 +296,9 @@ class TestReportRows:
         planar = [symmetric_instance(2, s) for s in _ROW_SINES]
         rows = _rows(_ROW_DIMS, planar)
         cells = [(n, s) for n in _ROW_DIMS for s in _ROW_SINES]
-        assert len(rows) == len(cells)
-        for (n, s), row in zip(cells, rows):
-            report = separation_report(symmetric_instance(n, s))
-            assert row == (report.p_random_bias, report.p_random_weight, report.p_fully_random)
+        shape = functools.cache(probability._shape)
+        want = [(shape(n), probability._gap(symmetric_instance(n, s))) for n, s in cells]
+        assert rows == _float_rows(want)
         assert any(inst.q_value == 1.0 for inst in planar)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 1000, 19995, 10**5])
@@ -308,16 +323,6 @@ class TestReportRows:
         monkeypatch.setattr(probability, "_reg_inc_betas", lambda q, *_: np.zeros(q.shape))
         with pytest.raises(InternalConsistencyError, match="exceeds random-weight"):
             _rows([2], [inst])
-
-
-def _scalar_row(n, gap):
-    # separation_report's path for one (n, `_gap`) row: one scalar incomplete beta, then the checks
-    q, ln_q, _, sin_phi, scale, p_bias = gap
-    beta = reg_inc_beta(BetaArgs(q, 0.5 * (n - 1), 0.5))
-    shape = probability._shape(n)
-    p_weight, p_full = probability._weight_and_full(beta, ln_q, shape, sin_phi, scale)
-    probability._check_ordering(p_bias, p_weight, p_full)
-    return p_bias, p_weight, p_full
 
 
 def _gap_of(q, scale):
@@ -363,14 +368,14 @@ class TestColumnCore:
     def test_grid_equals_scalar_rows(self, grid):
         # sweep's grid, n-major, and the same rows as columns, as the validate chain forms them
         dims, gaps = grid
-        want = [_scalar_row(n, gap) for n in dims for gap in gaps]
+        rows = [(probability._shape(n), gap) for n in dims for gap in gaps]
+        want = _float_rows(rows)
         columns, envelopes = probability._grid_columns(dims, gaps)
         assert list(zip(*(column.tolist() for column in columns))) == want
         assert envelopes == [asymptotic_envelope(n) for n in dims]
-        rows = [(probability._shape(n), gap) for n in dims for gap in gaps]
         assert _report_rows(rows) == want
 
-    # I(q; a, 1/2) moved on the rows with sin phi above 1/2, on both paths: past 1,
+    # I(q; a, 1/2) moved on the rows with sin phi above 1/2, on floats and columns: past 1,
     # to 1, which makes p_full negative, and to 0, which puts p_full above it
     BROKEN = {
         "random-weight probability = 1.5 exceeds 1": lambda beta, s: beta + (s > 0.5) * (1.5 - beta),
@@ -380,22 +385,22 @@ class TestColumnCore:
 
     @pytest.mark.parametrize("fault", list(BROKEN))
     def test_broken_row_raises_the_scalar_error(self, monkeypatch, fault):
-        move = self.BROKEN[fault]
-        scalar_beta, column_beta = reg_inc_beta, probability._reg_inc_betas
+        move, beta = self.BROKEN[fault], probability._reg_inc_betas
+        # (1 - q) ** 0.5 is sin phi on a float and on a column
         monkeypatch.setattr(
-            probability, "reg_inc_beta", lambda args: move(scalar_beta(args), math.sqrt(1.0 - args.kappa))
-        )
-        monkeypatch.setattr(
-            probability, "_reg_inc_betas", lambda q, *rest: move(column_beta(q, *rest), np.sqrt(1.0 - q))
+            probability, "_reg_inc_betas", lambda q, *rest: move(beta(q, *rest), (1.0 - q) ** 0.5)
         )
         instances = [symmetric_instance(n, s) for n in (2, 7, 300) for s in (0.2, 0.4, 0.6, 0.9)]
-        with pytest.raises(InternalConsistencyError, match=fault) as scalar:
-            for inst in instances:
-                separation_report(inst)
         rows = [(probability._shape(inst.dimension), probability._gap(inst)) for inst in instances]
+        with pytest.raises(InternalConsistencyError, match=fault) as scalar:
+            _float_rows(rows)
         with pytest.raises(InternalConsistencyError) as column:
             _report_rows(rows)
         assert str(column.value) == str(scalar.value)
+        with pytest.raises(InternalConsistencyError) as report:
+            for inst in instances:
+                separation_report(inst)
+        assert str(report.value) == str(scalar.value)
 
     def test_out_of_range_incomplete_beta_raises_the_scalar_error(self, monkeypatch):
         # q rounds to 1, so I = 1; the first value past the slack is named

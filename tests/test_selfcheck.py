@@ -21,7 +21,7 @@ from ballsep.selfcheck import (
 )
 from ballsep.geometry import SeparationInstance
 from ballsep.montecarlo import _sphere_block
-from ballsep.specfun import BetaArgs, _kappa_columns, reg_inc_beta
+from ballsep.specfun import _each, _kappa_logs, _reg_inc_betas, log_beta
 
 
 def test_all_batteries_pass_on_fresh_build():
@@ -67,7 +67,7 @@ def _cells(rng, samples):
     # the (i, n, k, `_gap`) of each random instance of the chain, from `_random_cells`' columns
     cells = []
     for start, n, dist, r, p, k in selfcheck._random_cells(rng, samples):
-        gap = probability._cell(dist, r, p, k, _kappa_columns, probability._check_column)
+        gap = probability._cell(dist, r, p, k)
         rows = zip(n.tolist(), k.tolist(), *(column.tolist() for column in gap))
         cells += [(i, dim, k_i, tuple(fields)) for i, (dim, k_i, *fields) in enumerate(rows, start)]
     return cells
@@ -204,32 +204,34 @@ def test_ordering_chain_rejects_bad_samples_and_seed(kwargs):
         check_ordering_chain(**kwargs)
 
 
+_report = probability._report
+
+
 def _flipped(shape, gap):
-    # the fully random probability with the subtracted term added instead, one scalar
-    # incomplete beta per row
-    (a, ln_a, ln_beta), (q, ln_q, _, sin_phi, scale, p_bias) = shape, gap
-    rows = zip(q.tolist(), a.tolist())
-    incomplete = np.array([reg_inc_beta(BetaArgs(q_i, a_i, 0.5)) for q_i, a_i in rows])
-    first = np.exp(a * ln_q - ln_a - ln_beta)
+    # the fully random probability with the subtracted term added instead, on the column
+    # calls the batteries make; a float call, one instance's, is left alone
+    (a, ln_a, ln_beta), (q, ln_q, ln_comp, sin_phi, scale, p_bias) = shape, gap
+    if type(q) is not np.ndarray:
+        return _report(shape, gap)
+    incomplete = _reg_inc_betas(q, ln_q, ln_comp, a, 0.5, ln_beta)
+    first = _each(math.exp, a * ln_q - ln_a - ln_beta)
     return p_bias, incomplete, scale * (first + sin_phi * incomplete)
 
 
 def test_sign_flip_fault_is_caught(monkeypatch):
     # the ordering chain must reject it on the fixed grid
-    monkeypatch.setattr(probability, "_report_columns", _flipped)
+    monkeypatch.setattr(probability, "_report", _flipped)
     result = check_ordering_chain(samples=50)
     assert not result.passed
     assert any("grid" in cell for cell in result.failures)
 
 
 def test_prefactor_fault_is_caught(monkeypatch):
-    original = probability._report_columns
-
     def doubled(shape, gap):
-        p_bias, p_weight, p_full = original(shape, gap)
+        p_bias, p_weight, p_full = _report(shape, gap)
         return p_bias, p_weight, np.minimum(1.0, 2.0 * p_full)
 
-    monkeypatch.setattr(probability, "_report_columns", doubled)
+    monkeypatch.setattr(probability, "_report", doubled)
     result = check_ordering_chain(samples=50)
     assert not result.passed
 
@@ -248,31 +250,38 @@ def _recorded(monkeypatch, module, name):
     return values
 
 
+def _float_report(inst):
+    # `_report` and `_lemma` of one instance, as float calls
+    shape = probability._shape(inst.dimension)
+    angle = probability._angle(math.asin(inst.sin_phi))
+    return probability._report(shape, probability._gap(inst)), probability._lemma(angle, shape)
+
+
 class TestBatchesEqualScalarBits:
+    # each battery's column calls against one float call of the same entry per row
     @pytest.mark.parametrize("seed, chunk", [(42, None), (1, 97)])
-    def test_ordering_chain(self, monkeypatch, seed, chunk):
-        if chunk:
-            monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
-        reports = _recorded(monkeypatch, probability, "_report_columns")
-        bounds = _recorded(monkeypatch, probability, "_lemma_columns")
-        assert check_ordering_chain(samples=500, seed=seed).passed
+    def test_ordering_chain(self, seed, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk:
+                patch.setattr(selfcheck, "_CHUNK", chunk)
+            reports = _recorded(patch, probability, "_report")
+            bounds = _recorded(patch, probability, "_lemma")
+            assert check_ordering_chain(samples=500, seed=seed).passed
         instances = grid_instances() + _chain_instances(seed, 500)
         assert len(reports) == len(bounds) == len(instances)
-        for inst, report, bound in zip(instances, reports, bounds):
-            scalar = probability.separation_report(inst)
-            assert report == (scalar.p_random_bias, scalar.p_random_weight, scalar.p_fully_random)
-            assert bound == probability.lemma_bounds(math.asin(inst.sin_phi), inst.dimension)
+        assert list(zip(reports, bounds)) == [_float_report(inst) for inst in instances]
 
-    def test_lemma_sandwich(self, monkeypatch):
+    def test_lemma_sandwich(self):
         # alpha at both ends of the battery's range and at its middle
-        bounds = _recorded(monkeypatch, probability, "_lemma_columns")
-        assert check_lemma_sandwich(alpha_points=3).passed
+        with pytest.MonkeyPatch.context() as patch:
+            bounds = _recorded(patch, probability, "_lemma")
+            assert check_lemma_sandwich(alpha_points=3).passed
         alphas = np.linspace(0.01, 0.5 * math.pi - 0.01, 3).tolist()
         cells = [(n, alpha) for n in range(2, 201) for alpha in alphas]
         assert len(bounds) == len(cells)
         for (n, alpha), bound in zip(cells, bounds):
-            if n in (2, 3, 50, 200):
-                assert bound == probability.lemma_bounds(alpha, n)
+            assert bound == probability._lemma(probability._angle(alpha), probability._shape(n))
+        assert bounds[-1] == probability.lemma_bounds(alphas[-1], 200)
 
     def test_beta_reflection(self, monkeypatch):
         values = _recorded(monkeypatch, selfcheck, "_reg_inc_betas")
@@ -280,11 +289,11 @@ class TestBatchesEqualScalarBits:
         shapes = (0.5, 1.0, 2.5, 10.0, 50.0)
         kappas = np.linspace(0.01, 0.99, 99).tolist()
         scalar = [
-            reg_inc_beta(args)
+            _reg_inc_betas(*_kappa_logs(x), *shape, log_beta(y, z))
             for y in shapes
             for z in shapes
             for kappa in kappas
-            for args in (BetaArgs(kappa, y, z), BetaArgs(1.0 - kappa, z, y))
+            for x, shape in ((kappa, (y, z)), (1.0 - kappa, (z, y)))
         ]
         assert values == scalar
 
@@ -293,21 +302,40 @@ class TestChainColumns:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 1024), st.integers(0, 2**64 - 1), st.sampled_from([97, 1024]))
     def test_draw_equals_its_instances_scalar_closed_forms(self, samples, seed, chunk):
-        # the report and lemma columns of the chain's one `_draw` are, row by row,
-        # separation_report and lemma_bounds of its instances, in chunks of any size
+        # the report and lemma columns of the chain's one `_draw` are, row by row, the float
+        # calls of `_report` and `_lemma` on its instances, in chunks of any size
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(selfcheck, "_CHUNK", chunk)
-            reports = _recorded(patch, probability, "_report_columns")
-            bounds = _recorded(patch, probability, "_lemma_columns")
+            reports = _recorded(patch, probability, "_report")
+            bounds = _recorded(patch, probability, "_lemma")
             assert check_ordering_chain(samples=samples, seed=seed).passed
         fixed = len(grid_instances())
         assert len(reports) == len(bounds) == fixed + samples
         draw = selfcheck._draw(np.random.default_rng(seed), samples)
-        for i, report, bound in zip(range(samples), reports[fixed:], bounds[fixed:]):
-            inst = selfcheck._embedded(draw, i)
-            scalar = probability.separation_report(inst)
-            assert report == (scalar.p_random_bias, scalar.p_random_weight, scalar.p_fully_random)
-            assert bound == probability.lemma_bounds(math.asin(inst.sin_phi), inst.dimension)
+        instances = [selfcheck._embedded(draw, i) for i in range(samples)]
+        assert list(zip(reports[fixed:], bounds[fixed:])) == list(map(_float_report, instances))
+
+
+def test_every_cell_of_the_grid_batteries_is_pinned(monkeypatch):
+    # at tol=-inf every cell fails, so the failure lists name every cell; with the repr of
+    # each cell's violation they pin the batteries' values bit for bit, which validate's
+    # 4-digit output does not
+    violations, record = [], selfcheck._record
+
+    def recorded(result, column, label, *columns):
+        violations.extend(map(repr, column.tolist()))
+        record(result, column, label, *columns)
+
+    monkeypatch.setattr(selfcheck, "_record", recorded)
+    results = [
+        check_lemma_sandwich(tol=-math.inf),
+        check_ordering_chain(samples=2000, seed=3, tol=-math.inf),
+        check_beta_symmetry(tol=-math.inf),
+    ]
+    assert [len(result.failures) for result in results] == [19900, 2030, 2475]
+    lines = [line for r in results for line in (r.name, repr(r.worst), *r.failures)]
+    digest = hashlib.sha1("\n".join(lines + violations).encode()).hexdigest()
+    assert digest == "67c46f1058b1f93b3b5f2066fa19b2e172a73ab1"
 
 
 def test_ordering_chain_memory_does_not_grow_with_samples():

@@ -65,15 +65,16 @@ class TestKappaColumns:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_KAPPAS, max_size=12))
     def test_columns_equal_scalar_logs(self, values):
+        # one column call against one float call per element
         want = []
         try:
             want += [_kappa_logs(value) for value in values]
         except ArgumentOutOfRange as scalar:
             with pytest.raises(ArgumentOutOfRange) as column:
-                specfun._kappa_columns(np.array(values))
+                _kappa_logs(np.array(values))
             assert str(column.value) == str(scalar)
             return
-        got = list(zip(*(column.tolist() for column in specfun._kappa_columns(np.array(values)))))
+        got = list(zip(*(column.tolist() for column in _kappa_logs(np.array(values)))))
         # repr tells -0.0 from 0.0, which == does not
         assert got == want and repr(got) == repr(want)
 
@@ -152,8 +153,9 @@ def _sweep_cells():
 
 class TestArrayKernel:
     def test_cells_equal_scalar_bits(self):
+        # one column call against one float call per row
         cells = _sweep_cells()
-        want = [reg_inc_beta(BetaArgs(c[0], *c[3:5])) for c in cells]
+        want = [specfun._reg_inc_betas(*cell) for cell in cells]
         assert specfun._reg_inc_betas(*_columns(cells)).tolist() == want
         inside = [c for c in cells if 0.0 < c[0] < 1.0]
         reflected = [y for q, _, _, y, z, _ in inside if not q < (y + 1.0) / (y + z + 2.0)]
@@ -184,7 +186,7 @@ class TestArrayKernel:
         cells = [(1e-12, 4.0, 0.5), (0.5, 8.0, 9.0), (0.3, 2.0, 3.0)]
         monkeypatch.setattr(specfun, "_MAX_ITER", 2)
         with pytest.raises(NoConvergence) as scalar:
-            reg_inc_beta(BetaArgs(*cells[1]))
+            specfun._reg_inc_betas(*_cell(*cells[1]))
         with pytest.raises(NoConvergence) as array:
             specfun._reg_inc_betas(*_columns([_cell(*c) for c in cells]))
         assert str(array.value) == str(scalar.value)
