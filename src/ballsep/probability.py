@@ -17,16 +17,18 @@ proofs is exposed directly as `lemma_bounds`.
 Each closed form has one entry, which takes Python floats or float64
 columns, one row per cell, with the same bits on both: `_report` of
 `_shape(n)` and `_gap(inst)`, and `_lemma` of `_angle(alpha)` and
-`_shape(n)`.  `separation_report` and `lemma_bounds` are those entries on
-one instance or angle.  The transcendental steps are `math` calls, mapped
-over a column's elements (`specfun._each`), because numpy's `exp`, `log`,
-`lgamma` and `**` differ from `math`'s in the last bit for some arguments.
+`_shape(n)`, which is memoized per dimension.  `separation_report` and
+`lemma_bounds` are those entries on one instance or angle.  The
+transcendental steps are `math` calls, mapped over a column's elements
+(`specfun._each`), because numpy's `exp`, `log`, `lgamma` and `**` differ
+from `math`'s in the last bit for some arguments.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ from .specfun import _clamp, _each, _kappa_logs, _log_beta_sum, _reg_inc_betas, 
 # anything beyond this slack is treated as a genuine implementation bug
 _CONSISTENCY_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
+_DOUBLE_MAX = sys.float_info.max
 
 
 def _improbable(label: str, value: float) -> InternalConsistencyError:
@@ -104,7 +107,7 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
     """
     if not 0.0 < alpha < 0.5 * math.pi:
         raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
-    return _lemma(_angle(alpha), _shape(n))
+    return _lemma(_angle(alpha), _shape(_dimension(n)))
 
 
 def _lemma(angle, shape) -> tuple:
@@ -124,12 +127,18 @@ def _angle(alpha) -> tuple:
     return *_kappa_logs(squares), _each(math.log, cos), _each(math.sin, alpha)
 
 
+@functools.lru_cache(maxsize=1024)
 def _shape(n: int) -> tuple:
-    """(a, log a, log B(a, 1/2)), a = (n - 1)/2: what the closed forms read of n >= 2."""
-    if n < 2:
-        raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
+    """(a, log a, log B(a, 1/2)), a = (n - 1)/2, of an n that `_dimension` accepts."""
     a = 0.5 * float(n - 1)
     return a, math.log(a), log_beta(a, 0.5)
+
+
+def _dimension(n) -> int:
+    """n as an int if it is an int or numpy integer (not bool) from 2 to the largest double."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 2 <= n <= _DOUBLE_MAX:
+        return int(n)
+    raise ArgumentOutOfRange(f"dimension must be an integer >= 2, got {n!r}")
 
 
 def asymptotic_envelope(n: int) -> float:
@@ -139,8 +148,7 @@ def asymptotic_envelope(n: int) -> float:
     sqrt(2 / (pi n)); the fully random probability for a fixed geometry
     is O of this envelope as the dimension grows.
     """
-    if n < 2:
-        raise ArgumentOutOfRange(f"dimension must be >= 2, got {n}")
+    n = _dimension(n)
     return _envelope(math.lgamma(0.5 * n), math.lgamma(0.5 * (n + 1)))
 
 

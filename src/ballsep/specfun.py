@@ -15,10 +15,11 @@ are written once (`_fraction_setup`), because + - * /, abs and comparisons
 round the same in numpy as in Python.  The input's type picks the two steps
 that differ.  The Lentz iteration runs in the scalar kernel `_lentz_fraction`
 on floats and in the array kernel `_lentz_fractions` on columns, which
-repeats the scalar's operations per element in the same order.  `lgamma`,
-`log`, `log1p` and `exp` are always `math` calls, mapped over a column's
-elements by `_each`, because numpy's differ from them in the last bit for
-some arguments.
+repeats the scalar's operations per element in the same order; the scalar
+kernel's step loop finishes the array kernel's last cells.  `lgamma`, `log`,
+`log1p` and `exp` are always `math` calls, mapped over a column's elements
+by `_each`, because numpy's differ from them in the last bit for some
+arguments.
 """
 
 from __future__ import annotations
@@ -178,46 +179,43 @@ def _lentz_fraction(a: float, b: float, x: float) -> float:
     Converges for x < (a+1)/(a+b+2); callers route the other half of the
     domain through the symmetry relation.
     """
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (_CF_TINY if -_CF_TINY < d < _CF_TINY else d)
+    return _lentz_steps(a, b, x, 0.0, 1.0, d, d)
+
+
+def _lentz_steps(a: float, b: float, x: float, m: float, c: float, d: float, h: float) -> float:
+    """`_lentz_fraction`'s iteration resumed after step m from its state c, d and h.  m is a
+    float, exact up to `_MAX_ITER`, so each sum and product rounds as with an int, and CPython
+    runs float-float arithmetic faster.  -t < v < t is abs(v) < t for every double, NaN too."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
+    tiny = _CF_TINY
+    eps = _CF_EPS
+    last = _MAX_ITER
+    while m < last:
+        m += 1.0
+        m2 = m + m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        c = tiny if -tiny < c < tiny else c
+        d = 1.0 / (tiny if -tiny < d < tiny else d)
         h *= d * c
         # odd step
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        c = tiny if -tiny < c < tiny else c
+        d = 1.0 / (tiny if -tiny < d < tiny else d)
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -eps < delta - 1.0 < eps:
             return h
-    raise _not_converged(a, b, x)
-
-
-def _not_converged(a: float, b: float, x: float) -> NoConvergence:
-    return NoConvergence(
-        f"incomplete beta continued fraction did not converge in {_MAX_ITER} "
+    raise NoConvergence(
+        f"incomplete beta continued fraction did not converge in {last} "
         f"iterations (x={x!r}, a={a!r}, b={b!r})"
     )
 
@@ -226,13 +224,12 @@ def _lentz_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`_lentz_fraction` of each element of the 1-D float64 arrays a, b and x.
 
     Each element goes through the scalar kernel's operations in the same
-    order, so it gets the same bits, and stops updating once it has
-    converged.  If any element is unconverged after `_MAX_ITER` steps,
-    the scalar's NoConvergence is raised for the first such element.
+    order, so it gets the same bits, until 32 or fewer are unconverged; the
+    scalar kernel finishes those in index order from their own state, so the
+    first unconverged after `_MAX_ITER` steps raises the scalar's error.
     """
     out = np.empty(a.shape)
     live = np.arange(a.size)
-    given = (a, b, x)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -241,27 +238,20 @@ def _lentz_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     d[np.abs(d) < _CF_TINY] = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
-        if not live.size:
-            return out
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d[np.abs(d) < _CF_TINY] = _CF_TINY
-        c = 1.0 + aa / c
-        c[np.abs(c) < _CF_TINY] = _CF_TINY
-        d = 1.0 / d
-        h = h * (d * c)
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d[np.abs(d) < _CF_TINY] = _CF_TINY
-        c = 1.0 + aa / c
-        c[np.abs(c) < _CF_TINY] = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
+    m = 0.0
+    while live.size > 32 and m < _MAX_ITER:
+        m += 1.0
+        m2 = m + m
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            d[np.abs(d) < _CF_TINY] = _CF_TINY
+            c = 1.0 + aa / c
+            c[np.abs(c) < _CF_TINY] = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
         done = np.abs(delta - 1.0) < _CF_EPS
         if done.any():
             out[live[done]] = h[done]
@@ -269,7 +259,6 @@ def _lentz_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             live, a, b, x, qab, qap, qam, c, d, h = (
                 v[left] for v in (live, a, b, x, qab, qap, qam, c, d, h)
             )
-    if not live.size:
-        return out
-    first = int(live[0])
-    raise _not_converged(*(float(v[first]) for v in given))
+    for i, *cell in zip(live.tolist(), *(v.tolist() for v in (a, b, x, c, d, h))):
+        out[i] = _lentz_steps(*cell[:3], m, *cell[3:])
+    return out

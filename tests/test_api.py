@@ -63,7 +63,7 @@ def test_public_names_are_the_listed_ones():
 # Ceilings on the library's size, which should only go down: lower one when a
 # change shrinks its count, and raise it only for a change that states why.
 MAX_PUBLIC_NAMES = 36
-MAX_SOURCE_LINES = 2059
+MAX_SOURCE_LINES = 2056
 
 
 def test_library_size_does_not_grow():

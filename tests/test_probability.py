@@ -172,6 +172,47 @@ class TestEnvelope:
             asymptotic_envelope(1)
 
 
+# what the closed forms take as a dimension: an int or numpy integer from 2 to the largest
+# double, and nothing else
+_BAD_DIMENSIONS = {
+    "one": (1, "1"),
+    "zero": (0, "0"),
+    "negative": (-5, "-5"),
+    "numpy one": (np.int64(1), "np.int64(1)"),
+    "half-integer": (2.5, "2.5"),
+    "integral float": (3.0, "3.0"),
+    "nan": (math.nan, "nan"),
+    "inf": (math.inf, "inf"),
+    "past a double": (10**400, str(10**400)),
+    "2**1024": (1 << 1024, str(1 << 1024)),
+    "string": ("7", "'7'"),
+    "bool": (True, "True"),
+    "unhashable": ([3], "[3]"),
+}
+_DIMENSION_TAKERS = [functools.partial(lemma_bounds, 0.4), asymptotic_envelope]
+
+
+class TestDimension:
+    @pytest.mark.parametrize("value, shown", _BAD_DIMENSIONS.values(), ids=_BAD_DIMENSIONS)
+    @pytest.mark.parametrize("closed_form", _DIMENSION_TAKERS)
+    def test_rejects(self, closed_form, value, shown):
+        probability._shape.cache_clear()
+        with pytest.raises(ArgumentOutOfRange) as error:
+            closed_form(value)
+        assert str(error.value) == f"dimension must be an integer >= 2, got {shown}"
+        assert probability._shape.cache_info().currsize == 0
+
+    def test_accepts_numpy_integers(self):
+        for n in (np.int64(7), np.uint8(7), np.int32(7)):
+            assert lemma_bounds(0.4, n) == lemma_bounds(0.4, 7)
+            assert asymptotic_envelope(n) == asymptotic_envelope(7)
+
+    def test_accepts_the_largest_double(self):
+        largest = int(np.finfo(float).max)
+        assert probability._dimension(largest) == largest
+        assert probability._dimension(2) == 2
+
+
 class TestReport:
     def test_report_matches_functions(self):
         inst = canonical_plane()
@@ -427,6 +468,7 @@ class TestLogBetaOncePerDimension:
             return original(x)
 
         monkeypatch.setattr(math, "lgamma", counted)
+        probability._shape.cache_clear()
         return calls
 
     def test_separation_report(self, lgammas):
@@ -436,6 +478,22 @@ class TestLogBetaOncePerDimension:
     def test_lemma_bounds(self, lgammas):
         lemma_bounds(0.4, 7)
         assert len(lgammas) == 3
+
+    def test_second_call_at_the_same_dimension_takes_none(self, lgammas):
+        separation_report(canonical_space())
+        lemma_bounds(0.4, 7)
+        del lgammas[:]
+        separation_report(canonical_space())
+        lemma_bounds(0.7, 7)
+        lemma_bounds(0.4, np.int64(3))
+        assert lgammas == []
+
+    def test_cache_is_bounded(self, lgammas):
+        maxsize = probability._shape.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(2, maxsize + 12):
+            probability._shape(n)
+        assert probability._shape.cache_info().currsize == maxsize
 
     def test_report_rows(self, lgammas):
         dims, planar = [2, 3, 50, 1000], [symmetric_instance(2, s) for s in _ROW_SINES]

@@ -191,3 +191,40 @@ class TestArrayKernel:
             specfun._reg_inc_betas(*_columns([_cell(*c) for c in cells]))
         assert str(array.value) == str(scalar.value)
         assert "did not converge in 2 iterations (x=0.5, a=9.0, b=8.0)" in str(array.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(1, 100), st.just(1024)), st.integers(0, 2**32 - 1))
+    def test_tail_handoff_keeps_scalar_bits(self, size, seed):
+        # sizes around the 32 cells the scalar kernel finishes, and past them; x up to just
+        # below the symmetry point, where cells take the most steps, so they converge apart
+        rng = np.random.default_rng(seed)
+        a, b = np.exp(rng.uniform(math.log(0.1), math.log(1e4), (2, size)))
+        x = (1.0 - 10.0 ** -rng.uniform(0.0, 6.0, size)) * (a + 1.0) / (a + b + 2.0)
+        got = specfun._lentz_fractions(a, b, x).tolist()
+        want = [specfun._lentz_fraction(*cell) for cell in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    # cells converging in 1, 9 and 24 steps; a cap of 23 stops the last one step short
+    _FAST, _SLOWER, _SLOWEST = (4.0, 0.5, 1e-12), (8.0, 9.0, 0.45), (100.0, 100.0, 0.495)
+
+    @pytest.mark.parametrize(
+        "cells, cap, first",
+        [
+            # 8 cells converge at the first step and leave 32 to the scalar kernel, which
+            # finishes cell 8 and reaches the cap on cell 9
+            ([_FAST] * 8 + [_SLOWER, _SLOWEST] * 16, 23, 9),
+            # 37 cells are still live in the array kernel when it reaches the cap
+            ([_FAST] * 3 + [_SLOWEST] * 37, 23, 3),
+        ],
+        ids=["in the scalar tail", "in the array part"],
+    )
+    def test_iteration_cap_in_the_tail_and_the_array(self, monkeypatch, cells, cap, first):
+        monkeypatch.setattr(specfun, "_MAX_ITER", cap)
+        with pytest.raises(NoConvergence) as scalar:
+            specfun._lentz_fraction(*cells[first])
+        for cell in cells[:first]:
+            specfun._lentz_fraction(*cell)
+        with pytest.raises(NoConvergence) as array:
+            specfun._lentz_fractions(*np.array(cells).T)
+        assert str(array.value) == str(scalar.value)
+        assert f"did not converge in {cap} iterations (x={cells[first][2]!r}," in str(array.value)
