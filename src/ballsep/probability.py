@@ -17,32 +17,33 @@ proofs is exposed directly as `lemma_bounds`.
 Each closed form has one entry, which takes Python floats or float64
 columns, one row per cell, with the same bits on both: `_report` of
 `_shape(n)` and `_gap(inst)`, and `_lemma` of `_angle(alpha)` and
-`_shape(n)`, which is memoized per dimension.  `separation_report` and
-`lemma_bounds` are those entries on one instance or angle.  The
-transcendental steps are `math` calls, mapped over a column's elements
-(`specfun._each`), because numpy's `exp`, `log`, `lgamma` and `**` differ
-from `math`'s in the last bit for some arguments.
+`_shape(n)`.  `separation_report` and `lemma_bounds` are those entries on
+one instance or angle.  The transcendental steps are `math` calls, mapped
+over a column's elements (`specfun._each`), because numpy's `exp`, `log`,
+`lgamma` and `**` differ from `math`'s in the last bit for some arguments.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentOutOfRange, InternalConsistencyError
 from .geometry import SeparationInstance, _cone
-from .specfun import _clamp, _each, _kappa_logs, _log_beta_sum, _reg_inc_betas, log_beta
+from .specfun import _clamp, _each, _kappa_logs, _log_beta_sum, _reg_inc_betas
 
 # probabilities assembled from independently rounded pieces may land a
 # few ulp outside [0, 1] or break the pairwise ordering by float noise;
 # anything beyond this slack is treated as a genuine implementation bug
 _CONSISTENCY_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
-_DOUBLE_MAX = sys.float_info.max
+_LGAMMA_HALF = math.lgamma(0.5)
+# the largest dimension `lemma_bounds` and `asymptotic_envelope` take: rounding the lgamma
+# values, about a log a, costs their results a few parts in a million here, and more past it
+_MAX_DIMENSION = 2**30
 
 
 def _improbable(label: str, value: float) -> InternalConsistencyError:
@@ -127,18 +128,17 @@ def _angle(alpha) -> tuple:
     return *_kappa_logs(squares), _each(math.log, cos), _each(math.sin, alpha)
 
 
-@functools.lru_cache(maxsize=1024)
 def _shape(n: int) -> tuple:
-    """(a, log a, log B(a, 1/2)), a = (n - 1)/2, of an n that `_dimension` accepts."""
+    """(a, log a, log B(a, 1/2)), a = (n - 1)/2, of a checked dimension n >= 2."""
     a = 0.5 * float(n - 1)
-    return a, math.log(a), log_beta(a, 0.5)
+    return a, math.log(a), _log_beta_sum(math.lgamma(a), _LGAMMA_HALF, math.lgamma(a + 0.5))
 
 
 def _dimension(n) -> int:
-    """n as an int if it is an int or numpy integer (not bool) from 2 to the largest double."""
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 2 <= n <= _DOUBLE_MAX:
+    """n as an int if it is an int or numpy integer (not bool) from 2 to `_MAX_DIMENSION`."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 2 <= n <= _MAX_DIMENSION:
         return int(n)
-    raise ArgumentOutOfRange(f"dimension must be an integer >= 2, got {n!r}")
+    raise ArgumentOutOfRange(f"dimension must be an integer from 2 to 2**30, got {n!r}")
 
 
 def asymptotic_envelope(n: int) -> float:

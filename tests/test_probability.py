@@ -172,19 +172,20 @@ class TestEnvelope:
             asymptotic_envelope(1)
 
 
-# what the closed forms take as a dimension: an int or numpy integer from 2 to the largest
-# double, and nothing else
+# what the closed forms take as a dimension: an int or numpy integer from 2 to 2**30, and
+# nothing else
 _BAD_DIMENSIONS = {
     "one": (1, "1"),
     "zero": (0, "0"),
     "negative": (-5, "-5"),
     "numpy one": (np.int64(1), "np.int64(1)"),
+    "past the bound": (2**30 + 1, "1073741825"),
+    "numpy past the bound": (np.int64(2**53), "np.int64(9007199254740992)"),
+    "past a double": (10**400, str(10**400)),
     "half-integer": (2.5, "2.5"),
     "integral float": (3.0, "3.0"),
     "nan": (math.nan, "nan"),
     "inf": (math.inf, "inf"),
-    "past a double": (10**400, str(10**400)),
-    "2**1024": (1 << 1024, str(1 << 1024)),
     "string": ("7", "'7'"),
     "bool": (True, "True"),
     "unhashable": ([3], "[3]"),
@@ -196,21 +197,29 @@ class TestDimension:
     @pytest.mark.parametrize("value, shown", _BAD_DIMENSIONS.values(), ids=_BAD_DIMENSIONS)
     @pytest.mark.parametrize("closed_form", _DIMENSION_TAKERS)
     def test_rejects(self, closed_form, value, shown):
-        probability._shape.cache_clear()
         with pytest.raises(ArgumentOutOfRange) as error:
             closed_form(value)
-        assert str(error.value) == f"dimension must be an integer >= 2, got {shown}"
-        assert probability._shape.cache_info().currsize == 0
+        assert str(error.value) == f"dimension must be an integer from 2 to 2**30, got {shown}"
 
     def test_accepts_numpy_integers(self):
         for n in (np.int64(7), np.uint8(7), np.int32(7)):
             assert lemma_bounds(0.4, n) == lemma_bounds(0.4, 7)
             assert asymptotic_envelope(n) == asymptotic_envelope(7)
 
-    def test_accepts_the_largest_double(self):
-        largest = int(np.finfo(float).max)
-        assert probability._dimension(largest) == largest
-        assert probability._dimension(2) == 2
+    @pytest.mark.parametrize("n", [2**30, np.int64(2**30)])
+    def test_evaluates_at_the_bound(self, n):
+        # large-n forms, each within 1e-9 of the true value here: the envelope is about
+        # sqrt(2 / (pi n)), I(cos^2 alpha; a, 1/2) about erfc(sqrt(-a log cos^2 alpha)) and
+        # the middle term cos^(n-1)(alpha) times the envelope; at the bound the closed forms
+        # meet them to a few parts in a million
+        alpha, a = 2.0**-15, 0.5 * (2**30 - 1)
+        log_kappa = math.log1p(-math.sin(alpha) ** 2)
+        envelope = math.sqrt(2.0 / (math.pi * 2**30))
+        assert_allclose(asymptotic_envelope(n), envelope, rtol=5e-6)
+        lower, mid, upper = lemma_bounds(alpha, n)
+        assert_allclose(upper, math.erfc(math.sqrt(-a * log_kappa)), rtol=5e-6)
+        assert_allclose(mid, math.exp(a * log_kappa) * envelope, rtol=5e-6)
+        assert 0.0 < lower <= mid <= upper < 1.0
 
 
 class TestReport:
@@ -456,8 +465,9 @@ class TestColumnCore:
 
 
 class TestLogBetaOncePerDimension:
-    # log B(a, 1/2) is three lgamma; each dimension takes it once and hands
-    # it to both the incomplete beta and the first term q^a / (a B(a, 1/2))
+    # log B(a, 1/2) is lgamma at a and a + 1/2 and the constant log Gamma(1/2);
+    # each dimension takes it once and hands it to both the incomplete beta and
+    # the first term q^a / (a B(a, 1/2))
     @pytest.fixture
     def lgammas(self, monkeypatch):
         calls = []
@@ -468,34 +478,17 @@ class TestLogBetaOncePerDimension:
             return original(x)
 
         monkeypatch.setattr(math, "lgamma", counted)
-        probability._shape.cache_clear()
         return calls
 
     def test_separation_report(self, lgammas):
         separation_report(canonical_space())
-        assert len(lgammas) == 3
+        assert len(lgammas) == 2
 
     def test_lemma_bounds(self, lgammas):
         lemma_bounds(0.4, 7)
-        assert len(lgammas) == 3
-
-    def test_second_call_at_the_same_dimension_takes_none(self, lgammas):
-        separation_report(canonical_space())
-        lemma_bounds(0.4, 7)
-        del lgammas[:]
-        separation_report(canonical_space())
-        lemma_bounds(0.7, 7)
-        lemma_bounds(0.4, np.int64(3))
-        assert lgammas == []
-
-    def test_cache_is_bounded(self, lgammas):
-        maxsize = probability._shape.cache_info().maxsize
-        assert maxsize is not None
-        for n in range(2, maxsize + 12):
-            probability._shape(n)
-        assert probability._shape.cache_info().currsize == maxsize
+        assert len(lgammas) == 2
 
     def test_report_rows(self, lgammas):
         dims, planar = [2, 3, 50, 1000], [symmetric_instance(2, s) for s in _ROW_SINES]
         _rows(dims, planar)
-        assert len(lgammas) == 3 * len(dims)
+        assert len(lgammas) == 2 * len(dims)
