@@ -24,7 +24,7 @@ from . import selfcheck
 from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
 from .geometry import Ball, SeparationInstance, _radius, make_instance, symmetric_instance
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
-from .probability import _gap, _grid_columns, separation_report
+from .probability import _MAX_DIMENSION, _dimension, _gap, _grid_columns, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
@@ -67,21 +67,16 @@ def _merge_vector_flags(argv: list) -> list:
 
 def _parse_int_list(text: str, name: str) -> list:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, text.split(","))):
         try:
-            if ".." in part:
-                lo_text, hi_text = part.split("..", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise ValueError
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(part))
+            lo, hi = map(int, part.split("..", 1)) if ".." in part else (int(part),) * 2
+            if hi < lo:
+                raise ValueError
         except ValueError:
             raise ArgumentOutOfRange(f"could not parse {name} list from {text!r}")
+        if hi > _MAX_DIMENSION:  # _dimension's error, raised before a range is expanded
+            _dimension(hi)
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ArgumentOutOfRange(f"{name} list is empty")
     return out

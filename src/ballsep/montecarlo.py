@@ -12,9 +12,10 @@ block draws only biases, from the start of its stream, so that mode
 runs its own pass.
 
 One sampler runs every experiment: `estimate_modes` draws `width` planes
-per trial in each of the requested `MODES` and asks whether they split
-every listed pair.  `estimate_all_pairs` is its one-mode case, and each
-single-pair estimator the one-pair, width-1 case of that.
+per trial in each requested mode and asks whether every listed pair has a
+plane that splits it (in random-weight mode, a plane whose direction admits
+a bias that splits that pair).  `estimate_all_pairs` is its one-mode case,
+and each single-pair estimator the one-pair, width-1 case of that.
 
 The estimators see a weight only through its projections onto the ball
 centers, so they sample in the core of an instance: the span of its
@@ -268,16 +269,16 @@ def estimate_modes(
     modes: Sequence[str],
     cfg: McConfig,
 ) -> tuple[Estimate, ...]:
-    """Chance that one width-m tessellation splits every listed pair, once per mode.
+    """Chance that every listed pair has one of `width` planes splitting it, once per mode.
 
-    Each trial draws `width` hyperplanes according to a mode and counts
-    a hit when every instance is separated by at least one of them.
-    Biases share a single range, the widest of the instances' ranges,
-    so one bias stream serves the whole collection.  Random-bias mode
-    takes a single pair: its planes are normal to the pair's own axis,
-    and several pairs have no common axis to share one tessellation.
-    One pair at width 1 is the single-pair experiment.  The estimates
-    come back in the order of `modes`, each as it would alone.
+    Each trial draws `width` hyperplanes according to a mode and counts a hit when every
+    instance is separated by at least one of them.  In random-weight mode that is a plane
+    whose direction admits a separating bias, and each plane may take a different bias for
+    each pair, so the pairs need not share one tessellation.  Biases share the widest of the
+    instances' ranges, so one bias stream serves them all.  Random-bias mode takes a single
+    pair: its planes are normal to the pair's own axis, and several pairs share no axis.  One
+    pair at width 1 is the single-pair experiment.  The estimates come back in the order of
+    `modes`, each as it would alone.
     """
     if len(instances) == 0:
         raise EmptyInstanceList("at least one instance is required")

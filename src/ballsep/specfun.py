@@ -223,23 +223,23 @@ def _lentz_steps(a: float, b: float, x: float, m: float, c: float, d: float, h: 
 def _lentz_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`_lentz_fraction` of each element of the 1-D float64 arrays a, b and x.
 
-    Each element goes through the scalar kernel's operations in the same
-    order, so it gets the same bits, until 32 or fewer are unconverged; the
-    scalar kernel finishes those in index order from their own state, so the
-    first unconverged after `_MAX_ITER` steps raises the scalar's error.
+    Each element goes through the scalar kernel's operations in the same order, so it gets
+    the same bits.  A cell's h goes to out once, at the step it converges; the cell then
+    iterates on, unread, and the arrays are compacted to the pending cells only once half
+    of them have converged, which spares most gathers.  The scalar kernel finishes the last
+    32 or fewer pending cells in index order from their own state, so the first unconverged
+    after `_MAX_ITER` steps raises the scalar's error.
     """
     out = np.empty(a.shape)
-    live = np.arange(a.size)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    live, pending, left = np.arange(a.size), np.ones(a.shape, dtype=bool), a.size
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = np.ones(a.shape)
     d = 1.0 - qab * x / qap
     d[np.abs(d) < _CF_TINY] = _CF_TINY
     d = 1.0 / d
     h = d
     m = 0.0
-    while live.size > 32 and m < _MAX_ITER:
+    while left > 32 and m < _MAX_ITER:
         m += 1.0
         m2 = m + m
         even = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -252,13 +252,15 @@ def _lentz_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             d = 1.0 / d
             delta = d * c
             h = h * delta
-        done = np.abs(delta - 1.0) < _CF_EPS
+        done = pending & (np.abs(delta - 1.0) < _CF_EPS)
         if done.any():
             out[live[done]] = h[done]
-            left = ~done
-            live, a, b, x, qab, qap, qam, c, d, h = (
-                v[left] for v in (live, a, b, x, qab, qap, qam, c, d, h)
-            )
-    for i, *cell in zip(live.tolist(), *(v.tolist() for v in (a, b, x, c, d, h))):
+            pending ^= done
+            left = np.count_nonzero(pending)
+            if 2 * left <= live.size:
+                live, a, b, x, qab, qap, qam, c, d, h, pending = (
+                    v[pending] for v in (live, a, b, x, qab, qap, qam, c, d, h, pending)
+                )
+    for i, *cell in zip(*(v[pending].tolist() for v in (live, a, b, x, c, d, h))):
         out[i] = _lentz_steps(*cell[:3], m, *cell[3:])
     return out

@@ -4,10 +4,10 @@ Two balls end up in different cells of a tessellation as soon as one of
 its planes separates them, so with per-plane separation probability p
 the chance that m independent planes split a pair is 1 - (1 - p)^m
 (`achieved_confidence`); `width_for_confidence` inverts that for a
-target confidence.  The harder event that one shared tessellation
-splits every pair of a collection at once is measured by
-`estimate_all_pairs`; it lives in `montecarlo` and is re-exported here
-with its `MODES`.
+target confidence.  `estimate_all_pairs` measures the chance that every
+pair of a collection has one of the same m planes splitting it (in
+random-weight mode, one whose direction admits a bias splitting that pair);
+it lives in `montecarlo` and is re-exported here with its `MODES`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +484,20 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"error: balls need dimension >= 2, got {dims.split(',')[0]}\n"
 
+    @pytest.mark.parametrize("dims", ["1073741825", "1073741800..1073741825", "2,1073741825"])
+    def test_dimension_past_two_to_the_thirty_exits_two(self, capsys, dims):
+        # the bound and message of lemma_bounds and asymptotic_envelope; a range is checked at
+        # its upper end, before it is expanded
+        code, out, err = run(capsys, ["sweep", f"--dim={dims}", "--delta", "1"])
+        message = "dimension must be an integer from 2 to 2**30, got 1073741825"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_dimension_two_to_the_thirty_runs(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--dim", "1073741823..1073741824", "--delta", "1"])
+        rows = parse_csv(out)
+        assert (code, [row["n"] for row in rows]) == (0, ["1073741823", "1073741824"])
+        assert float(rows[1]["envelope"]) == probability.asymptotic_envelope(2**30)
+
     def test_builds_only_planar_balls(self, capsys, monkeypatch):
         sizes = []
         validate = Ball.__post_init__
@@ -752,17 +769,34 @@ class TestValidate:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_only_the_analytic_reductions_run_scalar_incomplete_betas(self, capsys, monkeypatch):
-        # the grid batteries run theirs as array continued fractions: 20 sandwich chunks,
-        # 2 x 2 chain chunks (the grid and one draw) and 3 reflection chunks
+        # the grid batteries run theirs as array continued fractions: 3 sandwich chunks,
+        # 2 x 2 chain chunks (the grid and one draw) and 1 reflection chunk
         calls = kernel_calls(monkeypatch)
         code, out, _ = run(capsys, ["validate", "--samples", "300"])
         assert (code, "all 4 checks passed" in out) == (0, True)
         in_validate = [name for name in calls if name == "_lentz_fraction"]
-        assert calls.count("_lentz_fractions") == 27
+        assert calls.count("_lentz_fractions") == 8
         calls.clear()
         selfcheck.check_analytic_reductions()
         assert in_validate == calls
         assert calls.count("_lentz_fraction") == 18
+
+    def test_traced_peak_stays_below_the_sweeps(self):
+        # perfbench's closed-forms workload runs both in one process, whose peak is the larger
+        # of theirs; validate's chunks keep its own below the sweep's: traced, 2.5 MB against
+        # 4.1 MB at 8,192 cells a chunk, where 16,384 read 4.4 MB and a whole grid 5.4 MB
+        peaks = []
+        sweep = ["sweep", "--dim", "2..5000", "--delta", "0.5,2.0"]
+        for argv in (sweep, ["validate", "--samples", "10000"]):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0]
 
     def test_column_batteries_take_scalars_per_grid_point(self, capsys, monkeypatch):
         # the sandwich takes its angles as one column and a shape per n, the chain a shape per
@@ -777,8 +811,8 @@ class TestValidate:
         # 1 sandwich and 11 chain angle columns (the grid and 10 draws); 199 n in each of the
         # sandwich and the chain and 18 of the analytic reductions' reports; kappa logs of
         # the 12 angle columns, 11 chain gap columns, 2 reflection columns and 18 reports;
-        # 20 sandwich chunks, 2 x 11 chain chunks, 3 reflection chunks and 18 reports
-        assert counts == {"_angle": 12, "_shape": 416, "_kappa_logs": 43, "_reg_inc_betas": 63}
+        # 3 sandwich chunks, 2 x 11 chain chunks, 1 reflection chunk and 18 reports
+        assert counts == {"_angle": 12, "_shape": 416, "_kappa_logs": 43, "_reg_inc_betas": 44}
         # one per chain chunk and per report, and one for the reductions' p_random_bias
         assert len(cones) == 11 + 18 + 1
 

@@ -204,6 +204,37 @@ class TestArrayKernel:
         want = [specfun._lentz_fraction(*cell) for cell in zip(a.tolist(), b.tolist(), x.tolist())]
         assert list(map(repr, got)) == list(map(repr, want))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_converged_cells_iterate_on_across_compactions(self, size, fast, seed, cap):
+        # fast cells (one or two steps) among slow ones (up to about 40) in one array: a fast
+        # cell converges while the slow ones keep the live set from compacting, and iterates
+        # on until they do; every cell keeps the scalar's bits, and under a cap the error is
+        # the scalar's for the first cell that does not converge, in the array part or the tail
+        rng = np.random.default_rng(seed)
+        a, b = np.exp(rng.uniform(math.log(0.1), math.log(1e4), (2, size)))
+        slow = rng.random(size) >= fast
+        below = np.where(slow, 1.0 - 10.0 ** -rng.uniform(0.0, 8.0, size), 1e-12)
+        x = below * (a + 1.0) / (a + b + 2.0)
+        cells = list(zip(a.tolist(), b.tolist(), x.tolist()))
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(specfun, "_MAX_ITER", cap)
+            try:
+                want = [specfun._lentz_fraction(*cell) for cell in cells]
+            except NoConvergence as scalar:
+                with pytest.raises(NoConvergence) as array:
+                    specfun._lentz_fractions(a, b, x)
+                assert str(array.value) == str(scalar)
+                return
+            got = specfun._lentz_fractions(a, b, x).tolist()
+        assert list(map(repr, got)) == list(map(repr, want))
+
     # cells converging in 1, 9 and 24 steps; a cap of 23 stops the last one step short
     _FAST, _SLOWER, _SLOWEST = (4.0, 0.5, 1e-12), (8.0, 9.0, 0.45), (100.0, 100.0, 0.495)
 
