@@ -36,7 +36,7 @@ from .probability import (
     p_random_weight,
     separation_report,
 )
-from .specfun import BetaArgs, log_beta, reg_inc_beta
+from .specfun import log_beta
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "Ball",
     "BallsOverlapOrTouch",
     "BallsepError",
-    "BetaArgs",
     "DEFAULT_SEED",
     "DimensionMismatch",
     "DimensionTooSmall",
@@ -72,7 +71,6 @@ __all__ = [
     "p_fully_random",
     "p_random_bias",
     "p_random_weight",
-    "reg_inc_beta",
     "separates_batch",
     "separation_report",
     "symmetric_instance",

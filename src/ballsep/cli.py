@@ -27,6 +27,8 @@ from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
 from .probability import _MAX_DIMENSION, _dimension, _gap, _grid_columns, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
+# sweep rows, counted before any range is expanded: about 1.7 GB at ~410 traced bytes a row
+_MAX_SWEEP_ROWS = 2**22
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
 _SWEEP_COLUMNS = _EXACT_COLUMNS + ("envelope",)
 _ESTIMATE_COLUMNS = ("estimator", "mean", "std_error", "exact", "z")
@@ -66,6 +68,7 @@ def _merge_vector_flags(argv: list) -> list:
 
 
 def _parse_int_list(text: str, name: str) -> list:
+    """The ranges, "n" or "lo..hi", listed in text, unexpanded: a caller counts them first."""
     out = []
     for part in filter(None, map(str.strip, text.split(","))):
         try:
@@ -74,9 +77,9 @@ def _parse_int_list(text: str, name: str) -> list:
                 raise ValueError
         except ValueError:
             raise ArgumentOutOfRange(f"could not parse {name} list from {text!r}")
-        if hi > _MAX_DIMENSION:  # _dimension's error, raised before a range is expanded
+        if hi > _MAX_DIMENSION:  # _dimension's error
             _dimension(hi)
-        out.extend(range(lo, hi + 1))
+        out.append(range(lo, hi + 1))
     if not out:
         raise ArgumentOutOfRange(f"{name} list is empty")
     return out
@@ -233,8 +236,12 @@ def _estimate_table(records) -> str:
 
 
 def cmd_sweep(args) -> int:
-    dims = sorted(set(_parse_int_list(args.dim, "--dim")))
+    ranges = _parse_int_list(args.dim, "--dim")
     deltas = sorted(set(_parse_float_list(args.delta, "--delta")))
+    rows = sum(map(len, ranges)) * len(deltas)
+    if rows > _MAX_SWEEP_ROWS:
+        raise ArgumentOutOfRange(f"--dim and --delta list {rows} rows, more than {_MAX_SWEEP_ROWS}")
+    dims = sorted({n for listed in ranges for n in listed})
     if args.k is None and not args.k_factor >= 1.0:
         raise ArgumentOutOfRange(f"--k-factor must be >= 1, got {args.k_factor!r}")
     # the closed forms see the dimension only through the incomplete beta's

@@ -14,8 +14,8 @@ each other, so a sign or factor slip in any one route fails loudly.  The
 first three form their cells as float64 columns, with no per-cell objects
 or tuples, and pass them to the closed forms' own entries, which give a
 column the bits of one call per row; one reducer, `_record`, takes the
-violations of _CHUNK cells at a time.  The chain draws its random instances
-as arrays in their two-dimensional core and checks them as
+violations of _CHUNK cells, or of one chain draw, at a time.  The chain draws
+its random instances as arrays in their two-dimensional core and checks them as
 `SeparationInstance` would.  The analytic reductions call the public
 functions on single instances.
 """
@@ -39,10 +39,10 @@ GRID_DIMENSIONS = (2, 3, 5, 10, 50)
 GRID_SIN_PHI = (0.3, 0.5, 0.8)
 GRID_K_FACTORS = (1.0, 2.0)
 
-# cells per array continued fraction; it bounds a battery's memory, not its values: at 8,192
-# validate's traced peak is 2.5 MB, below sweep's 4.1 MB, where 16,384 reads 4.4 MB
+# cells per sandwich or reflection continued fraction; it bounds their memory, not their
+# values: at 8,192 validate's traced peak is 2.5 MB, below sweep's 4.1 MB (16,384: 4.4 MB)
 _CHUNK = 8192
-_DRAW = 1024  # random chain instances per draw; it bounds memory, and the values follow it
+_DRAW = 1024  # chain instances per draw, checked at once; it bounds memory, and values follow it
 
 
 @dataclass
@@ -178,20 +178,15 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
         label, first = "grid n={1} sin_phi={2:.3f} k={0:.4g}", k
         if start is not None:
             label, first = "random[{0}] n={1} sin_phi={2:.4f}", np.arange(start, start + len(n))
-        for low in range(0, len(n), _CHUNK):
-            rows = slice(low, low + _CHUNK)
-            dims, index = np.unique(n[rows], return_inverse=True)
-            shapes = np.array([shape(dim) for dim in dims.tolist()]).T[:, index]
-            cells = [column[rows] for column in gap]
-            p_bias, p_weight, p_full = probability._report(shapes, cells)
-            angles = probability._angle(_each(math.asin, cells[3]))
-            lower, mid, _ = probability._lemma(angles, shapes)
-            bracket = mid - lower
-            gaps = (
-                p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias
-            )
-            violations = functools.reduce(np.maximum, gaps, -p_full)
-            _record(result, violations, label, first[rows], n[rows], cells[3])
+        dims, index = np.unique(n, return_inverse=True)
+        shapes = np.array([shape(dim) for dim in dims.tolist()]).T[:, index]
+        p_bias, p_weight, p_full = probability._report(shapes, gap)
+        angles = probability._angle(_each(math.asin, gap[3]))
+        lower, mid, _ = probability._lemma(angles, shapes)
+        bracket = mid - lower
+        gaps = (p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias)
+        violations = functools.reduce(np.maximum, gaps, -p_full)
+        _record(result, violations, label, first, n, gap[3])
     return result
 
 

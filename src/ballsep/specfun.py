@@ -8,9 +8,9 @@ converges quickly.  All prefactors are assembled in log space so large
 shape parameters (y of order 1e4) do not overflow or underflow the
 intermediate products.
 
-Each step has one entry, which takes Python floats or float64 columns, one
-row per cell, with the same bits on both: `reg_inc_beta` is `_reg_inc_betas`
-on floats.  The branch choice, the log-space prefactor and the final division
+The incomplete beta has one entry, `_reg_inc_betas`, and each step takes
+Python floats or float64 columns, one row per cell, with the same bits on
+both.  The branch choice, the log-space prefactor and the final division
 are written once (`_fraction_setup`), because + - * /, abs and comparisons
 round the same in numpy as in Python.  The input's type picks the two steps
 that differ.  The Lentz iteration runs in the scalar kernel `_lentz_fraction`
@@ -25,7 +25,6 @@ arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,35 +70,6 @@ def _clamp(slack, error, values, label):
     raise error(label, values)
 
 
-@dataclass(frozen=True)
-class BetaArgs:
-    """Arguments of the regularized incomplete beta function.
-
-    kappa must lie in [0, 1]; values within 1e-14 outside that interval
-    (from upstream float arithmetic) are clamped to the nearest endpoint,
-    anything further is rejected.  The shape parameters y and z must be
-    positive.  Construction also takes the logs `reg_inc_beta` reads: those
-    of `_kappa_logs` and log B(y, z), as `_log_beta`, for callers whose other
-    terms need it too.
-    """
-
-    kappa: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        kappa, ln_kappa, ln_comp = _kappa_logs(float(self.kappa))
-        y = float(self.y)
-        z = float(self.z)
-        if not (y > 0.0 and z > 0.0):
-            raise ArgumentOutOfRange(f"shape parameters must be positive, got y={y!r}, z={z!r}")
-        # frozen, so the normalized fields are stored past __setattr__
-        stored = self.__dict__
-        stored["kappa"], stored["y"], stored["z"] = kappa, y, z
-        stored["_ln_kappa"], stored["_ln_comp"] = ln_kappa, ln_comp
-        stored["_log_beta"] = log_beta(y, z)
-
-
 def _kappa_logs(values) -> tuple:
     """(kappa, log kappa, log(1 - kappa)), the head of a `_reg_inc_betas` row, of a float or
     of each element of a float64 column, with kappa clamped into [0, 1] from within 1e-14 of
@@ -123,22 +93,15 @@ def _log_where(function, values, inside):
     return logs
 
 
-def reg_inc_beta(args: BetaArgs) -> float:
-    """Regularized incomplete beta I(kappa; y, z).
-
-    Endpoints are exact: I(0) = 0 and I(1) = 1 with no floating error.
-    """
-    return _reg_inc_betas(args.kappa, args._ln_kappa, args._ln_comp, args.y, args.z, args._log_beta)
-
-
 def _reg_inc_betas(kappa, ln_kappa, ln_comp, y, z, ln_beta):
     """I(kappa; y, z) of floats, or of each row of float64 columns, with the same bits.
 
     The arguments are kappa, log kappa and log(1 - kappa) from `_kappa_logs`,
-    valid `BetaArgs` shapes y and z, and log B(y, z).  They are not checked
-    here, and the logs are not read where kappa is 0 or 1, where I is exact.
-    A column of kappa may come with floats that hold for every row.  Floats
-    take the scalar kernel, columns the array kernel, with the same bits.
+    which clamps or rejects kappa, shapes y, z > 0 and log B(y, z) from
+    `log_beta`, which rejects the others; they are not checked here.  Endpoints
+    are exact, I(0) = 0 and I(1) = 1, and the logs are not read there.  A column
+    of kappa may come with floats that hold for every row.  Floats take the
+    scalar kernel, columns the array kernel.
     """
     if type(kappa) is not np.ndarray:
         if not 0.0 < kappa < 1.0:

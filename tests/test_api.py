@@ -5,6 +5,7 @@ from pathlib import Path
 
 import ballsep
 from ballsep import montecarlo, specfun
+from ballsep.geometry import Ball, make_instance, symmetric_instance
 from ballsep.montecarlo import McConfig
 
 # The public surface: what the CLI and the estimators use.  A change that
@@ -14,7 +15,6 @@ PUBLIC = [
     "Ball",
     "BallsOverlapOrTouch",
     "BallsepError",
-    "BetaArgs",
     "DEFAULT_SEED",
     "DimensionMismatch",
     "DimensionTooSmall",
@@ -40,7 +40,6 @@ PUBLIC = [
     "p_fully_random",
     "p_random_bias",
     "p_random_weight",
-    "reg_inc_beta",
     "separates_batch",
     "separation_report",
     "symmetric_instance",
@@ -57,13 +56,13 @@ def test_every_public_name_resolves_once():
 
 def test_public_names_are_the_listed_ones():
     assert ballsep.__all__ == PUBLIC
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 34
 
 
 # Ceilings on the library's size, which should only go down: lower one when a
 # change shrinks its count, and raise it only for a change that states why.
-MAX_PUBLIC_NAMES = 36
-MAX_SOURCE_LINES = 2056
+MAX_PUBLIC_NAMES = 34
+MAX_SOURCE_LINES = 2018
 
 
 def test_library_size_does_not_grow():
@@ -132,10 +131,9 @@ def test_benchmark_import_surface_resolves(monkeypatch):
     assert list(kinds) == ["rng", "m", "d", "n", "out"]
     assert set(list(kinds.values())[:4]) == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
     assert kinds["out"] is inspect.Parameter.KEYWORD_ONLY
-    # it also reads reg_inc_beta's one argument's .kappa and .y and the three
-    # positional arguments of _lentz_fraction(a, b, x) to count reflected
-    # calls; a moved one turns specfun.reg_inc_beta.reflected_ratio absent
-    assert len(inspect.signature(specfun.reg_inc_beta).parameters) == 1
+    # it also wraps _lentz_fraction and reads its three positional arguments (a, b, x),
+    # direct or reflected, to count reflected calls inside a reg_inc_beta span; with
+    # reg_inc_beta gone those counts read absent, but the fraction's span and shape stay
     assert list(inspect.signature(specfun._lentz_fraction).parameters) == ["a", "b", "x"]
     for param in inspect.signature(specfun._lentz_fraction).parameters.values():
         assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
@@ -147,15 +145,28 @@ def test_benchmark_import_surface_resolves(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(specfun, "_lentz_fraction", recorded)
-    direct = specfun.BetaArgs(0.3, 2.0, 3.0)
-    specfun.reg_inc_beta(direct)
-    specfun.reg_inc_beta(specfun.BetaArgs(0.9, 2.0, 3.0))
-    assert seen == [((direct.y, direct.z, direct.kappa), {}), ((3.0, 2.0, 1.0 - 0.9), {})]
+    for kappa in (0.3, 0.9):
+        specfun._reg_inc_betas(*specfun._kappa_logs(kappa), 2.0, 3.0, specfun.log_beta(2.0, 3.0))
+    assert seen == [((2.0, 3.0, 0.3), {}), ((3.0, 2.0, 1.0 - 0.9), {})]
+
+
+def test_instances_the_benchmark_oracle_reads_hold_every_coordinate():
+    # perfbench/oracle.py::reference takes n from len(center_a); the Monte Carlo workloads
+    # pass it these symmetric instances, and any explicit one holds its own vectors.  On
+    # centers shorter than the dimension it evaluates the wrong n, and raises
+    # ZeroDivisionError (a = 0) on one coordinate
+    explicit = make_instance(Ball([0.0, 1.0, 2.0], 0.5), Ball([3.0, 1.0, 2.0], 0.5), 5.0)
+    for inst in [symmetric_instance(n, 0.5) for n in (200, 3, 2)] + [explicit]:
+        lengths = (len(inst.ball_a.center), len(inst.ball_b.center))
+        message = f"perfbench/oracle.py reads n from len(center_a): {lengths} in R^{inst.dimension}"
+        assert lengths == (inst.dimension,) * 2, message
 
 
 # perfbench/spans.py TARGETS entries that name nothing in ballsep; the tracer
-# records each as absent, so its per-layer metric is absent on every run
-KNOWN_ABSENT_TARGETS = {"cli._parse_vector"}
+# records each as absent, so its per-layer metric is absent on every run.
+# specfun.reg_inc_beta went with BetaArgs: its layer read 0 calls and 0 s on every
+# workload, because no command, estimator or validate battery called it
+KNOWN_ABSENT_TARGETS = {"cli._parse_vector", "specfun.reg_inc_beta"}
 
 
 def test_benchmark_trace_targets_resolve():
@@ -178,4 +189,4 @@ def test_benchmark_trace_targets_resolve():
             owner = getattr(owner, name, None)
         if owner is None:
             absent.add(f"{module_name}.{attribute}")
-    assert absent <= KNOWN_ABSENT_TARGETS, sorted(absent - KNOWN_ABSENT_TARGETS)
+    assert absent == KNOWN_ABSENT_TARGETS, sorted(absent ^ KNOWN_ABSENT_TARGETS)

@@ -498,6 +498,34 @@ class TestSweep:
         assert (code, [row["n"] for row in rows]) == (0, ["1073741823", "1073741824"])
         assert float(rows[1]["envelope"]) == probability.asymptotic_envelope(2**30)
 
+    @pytest.mark.parametrize(
+        "dims, deltas, rows",
+        [
+            ("2..1073741824", "1", 1073741823),
+            ("2..2097153", "1,2,3", 3 * 2**21),
+            ("2..4194305,2", "1,1", 2**22 + 1),  # listed dimensions times distinct gaps
+        ],
+    )
+    def test_more_rows_than_the_bound_exit_two_unexpanded(self, capsys, dims, deltas, rows):
+        # the rows are counted from each range's ends, so no range is expanded
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["sweep", f"--dim={dims}", "--delta", deltas])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = f"--dim and --delta list {rows} rows, more than 4194304"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 2**20
+
+    def test_row_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 6)
+        code, out, _ = run(capsys, ["sweep", "--dim", "2..4", "--delta", "1,2"])
+        assert (code, len(parse_csv(out))) == (0, 6)
+        code, out, err = run(capsys, ["sweep", "--dim", "2..4,4", "--delta", "1,2"])
+        assert (code, out) == (2, "")
+        assert err == "error: --dim and --delta list 8 rows, more than 6\n"
+
     def test_builds_only_planar_balls(self, capsys, monkeypatch):
         sizes = []
         validate = Ball.__post_init__

@@ -259,11 +259,9 @@ def _float_report(inst):
 
 class TestBatchesEqualScalarBits:
     # each battery's column calls against one float call of the same entry per row
-    @pytest.mark.parametrize("seed, chunk", [(42, None), (1, 97)])
-    def test_ordering_chain(self, seed, chunk):
+    @pytest.mark.parametrize("seed", [42, 1])
+    def test_ordering_chain(self, seed):
         with pytest.MonkeyPatch.context() as patch:
-            if chunk:
-                patch.setattr(selfcheck, "_CHUNK", chunk)
             reports = _recorded(patch, probability, "_report")
             bounds = _recorded(patch, probability, "_lemma")
             assert check_ordering_chain(samples=500, seed=seed).passed
@@ -300,12 +298,11 @@ class TestBatchesEqualScalarBits:
 
 class TestChainColumns:
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 1024), st.integers(0, 2**64 - 1), st.sampled_from([97, 1024]))
-    def test_draw_equals_its_instances_scalar_closed_forms(self, samples, seed, chunk):
+    @given(st.integers(1, 1024), st.integers(0, 2**64 - 1))
+    def test_draw_equals_its_instances_scalar_closed_forms(self, samples, seed):
         # the report and lemma columns of the chain's one `_draw` are, row by row, the float
-        # calls of `_report` and `_lemma` on its instances, in chunks of any size
+        # calls of `_report` and `_lemma` on its instances
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(selfcheck, "_CHUNK", chunk)
             reports = _recorded(patch, probability, "_report")
             bounds = _recorded(patch, probability, "_lemma")
             assert check_ordering_chain(samples=samples, seed=seed).passed
