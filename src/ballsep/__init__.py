@@ -23,7 +23,6 @@ from .montecarlo import (
     DEFAULT_SEED,
     Estimate,
     McConfig,
-    estimate_p_bias,
     estimate_p_full,
     estimate_p_weight,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "achieved_confidence",
     "asymptotic_envelope",
     "estimate_all_pairs",
-    "estimate_p_bias",
     "estimate_p_full",
     "estimate_p_weight",
     "exists_separating_bias_batch",

@@ -67,32 +67,25 @@ def _merge_vector_flags(argv: list) -> list:
     return merged
 
 
-def _parse_int_list(text: str, name: str) -> list:
-    """The ranges, "n" or "lo..hi", listed in text, unexpanded: a caller counts them first."""
-    out = []
-    for part in filter(None, map(str.strip, text.split(","))):
-        try:
-            lo, hi = map(int, part.split("..", 1)) if ".." in part else (int(part),) * 2
-            if hi < lo:
-                raise ValueError
-        except ValueError:
-            raise ArgumentOutOfRange(f"could not parse {name} list from {text!r}")
-        if hi > _MAX_DIMENSION:  # _dimension's error
-            _dimension(hi)
-        out.append(range(lo, hi + 1))
-    if not out:
-        raise ArgumentOutOfRange(f"{name} list is empty")
-    return out
-
-
-def _parse_float_list(text: str, name: str) -> list:
+def _parse_list(text: str, name: str, entry) -> list:
+    """entry(part) of each nonblank comma-separated part of text, where a ValueError is bad text."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [entry(part) for part in map(str.strip, text.split(",")) if part]
     except ValueError:
         raise ArgumentOutOfRange(f"could not parse {name} list from {text!r}")
     if not values:
         raise ArgumentOutOfRange(f"{name} list is empty")
     return values
+
+
+def _dim_range(part: str) -> range:
+    """The dimensions of a --dim entry, "n" or "lo..hi", unexpanded: a caller counts them first."""
+    lo, hi = map(int, part.split("..", 1)) if ".." in part else (int(part),) * 2
+    if hi < lo:
+        raise ValueError
+    if hi > _MAX_DIMENSION:  # _dimension's error
+        _dimension(hi)
+    return range(lo, hi + 1)
 
 
 def _instance_from_args(args) -> SeparationInstance:
@@ -105,13 +98,15 @@ def _instance_from_args(args) -> SeparationInstance:
             raise ArgumentOutOfRange("explicit instances need both --c and --x")
         if args.k is None:
             raise ArgumentOutOfRange("explicit instances need --k")
-        ball_a = Ball(_parse_float_list(args.c, "--c"), args.r)
-        ball_b = Ball(_parse_float_list(args.x, "--x"), args.p)
+        ball_a = Ball(_parse_list(args.c, "--c", float), args.r)
+        ball_b = Ball(_parse_list(args.x, "--x", float), args.p)
         return make_instance(ball_a, ball_b, args.k)
     if args.dim is None or args.sinphi is None:
         raise ArgumentOutOfRange(
             "specify an instance with --c/--x/--k or with --dim/--sinphi"
         )
+    if args.dim > _MAX_DIMENSION:  # _dimension's error, before centers of that length are built
+        _dimension(args.dim)
     if args.k is None:
         return symmetric_instance(args.dim, args.sinphi, args.r, args.p, args.k_factor)
     inst = symmetric_instance(args.dim, args.sinphi, args.r, args.p)
@@ -236,8 +231,8 @@ def _estimate_table(records) -> str:
 
 
 def cmd_sweep(args) -> int:
-    ranges = _parse_int_list(args.dim, "--dim")
-    deltas = sorted(set(_parse_float_list(args.delta, "--delta")))
+    ranges = _parse_list(args.dim, "--dim", _dim_range)
+    deltas = sorted(set(_parse_list(args.delta, "--delta", float)))
     rows = sum(map(len, ranges)) * len(deltas)
     if rows > _MAX_SWEEP_ROWS:
         raise ArgumentOutOfRange(f"--dim and --delta list {rows} rows, more than {_MAX_SWEEP_ROWS}")

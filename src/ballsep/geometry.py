@@ -41,9 +41,10 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _norm(v: np.ndarray, sq: float) -> float:
-    """|v| from sq = float(v.dot(v)): sqrt(sq) as np.linalg.norm computes it, or
-    max|v_i| |v / max|v_i|| where sq is not a finite normal double."""
+def _norm(v: np.ndarray) -> float:
+    """|v|: sqrt(v.v) as np.linalg.norm computes it, or max|v_i| |v / max|v_i||
+    where v.v is not a finite normal double."""
+    sq = float(v.dot(v))
     if sys.float_info.min <= sq < math.inf:
         return math.sqrt(sq)
     top = float(np.abs(v).max())  # 0 and inf are their own norm
@@ -106,10 +107,8 @@ class SeparationInstance:
             raise DimensionMismatch(
                 f"balls have different dimensions {a.dimension} and {b.dimension}"
             )
-        c, x = a.center, b.center
         with np.errstate(over="ignore"):
-            squares = float(c.dot(c)), float(x.dot(x))
-            dist, k = _pair_checks(c, a.radius, x, b.radius, self.bias_half_range, *squares)
+            dist, k = _pair_checks(a.center, a.radius, b.center, b.radius, self.bias_half_range)
         object.__setattr__(self, "bias_half_range", k)
         object.__setattr__(self, "center_distance", dist)
 
@@ -139,13 +138,11 @@ class SeparationInstance:
         return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[2]
 
 
-def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k, cc: float, xx: float):
+def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k):
     """(|c - x|, float(k)) of balls B(c, r), B(x, p) and bias half range k, or the error
-    `SeparationInstance` raises for them, from cc = float(c.dot(c)) and xx = float(x.dot(x));
-    a center that is not finite fails here too.  Call it with numpy's overflow warnings
-    off where a coordinate can be large enough to overflow."""
-    diff = c - x
-    norms = [_norm(v, sq) for v, sq in ((diff, float(diff.dot(diff))), (c, cc), (x, xx))]
+    `SeparationInstance` raises for them; a center that is not finite fails here too.  Call
+    it with numpy's overflow warnings off where a coordinate can be large enough to overflow."""
+    norms = [_norm(v) for v in (c - x, c, x)]
     for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
         if norm == math.inf:
             raise ArgumentOutOfRange(f"{label} overflows double precision")

@@ -48,12 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentOutOfRange,
-    DimensionMismatch,
-    EmptyInstanceList,
-    InternalConsistencyError,
-)
+from .errors import ArgumentOutOfRange, DimensionMismatch, EmptyInstanceList
 from .geometry import (
     SeparationInstance,
     exists_separating_bias_batch,
@@ -255,12 +250,9 @@ def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
     swaps the two projections.
     """
     axis = inst.axis_dir
-    for value in axis:
-        if value != 0.0:
-            if value < 0.0:
-                axis = -axis
-            return float(axis @ inst.ball_a.center), float(axis @ inst.ball_b.center)
-    raise InternalConsistencyError("axis direction is the zero vector")
+    if axis[np.flatnonzero(axis)[0]] < 0.0:
+        axis = -axis
+    return float(axis @ inst.ball_a.center), float(axis @ inst.ball_b.center)
 
 
 def estimate_modes(
@@ -361,8 +353,3 @@ def estimate_p_full(inst: SeparationInstance, cfg: McConfig) -> Estimate:
 def estimate_p_weight(inst: SeparationInstance, cfg: McConfig) -> Estimate:
     """Monte Carlo estimate for a uniform weight with best-case bias."""
     return estimate_all_pairs([inst], 1, "random-weight", cfg)
-
-
-def estimate_p_bias(inst: SeparationInstance, cfg: McConfig) -> Estimate:
-    """Monte Carlo estimate for a uniform bias along the fixed axis."""
-    return estimate_all_pairs([inst], 1, "random-bias", cfg)

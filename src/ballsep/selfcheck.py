@@ -145,7 +145,7 @@ def _random_cells(rng: np.random.Generator, samples: int):
         fine &= (dist > r + p) & np.isfinite(k) & (k >= np.maximum(norm_c, norm_x))
         for i in np.flatnonzero(~fine).tolist():
             try:
-                dist[i], k[i] = _pair_checks(c[:, i], r[i], x[:, i], p[i], k[i], cc[i], xx[i])
+                dist[i], k[i] = _pair_checks(c[:, i], r[i], x[:, i], p[i], k[i])
             except BallsepError as exc:
                 raise InternalConsistencyError(f"random[{start + i}] n={n[i]}: {exc}") from exc
         yield start, n, dist, r, p, k

@@ -15,13 +15,7 @@ import time
 import numpy as np
 
 from ballsep.geometry import Ball, make_instance, symmetric_instance
-from ballsep.montecarlo import (
-    DEFAULT_SEED,
-    McConfig,
-    estimate_p_bias,
-    estimate_p_full,
-    estimate_p_weight,
-)
+from ballsep.montecarlo import DEFAULT_SEED, McConfig, estimate_p_full, estimate_p_weight
 from ballsep.probability import (
     asymptotic_envelope,
     p_fully_random,
@@ -52,7 +46,7 @@ def test_c1_bias_oracle_agreement():
     hits = 0
     cells = grid_instances()
     for inst in cells:
-        mean = estimate_p_bias(inst, cfg).mean
+        mean = estimate_all_pairs([inst], 1, "random-bias", cfg).mean
         if _within(mean, p_random_bias(inst), samples):
             hits += 1
     elapsed = time.perf_counter() - start

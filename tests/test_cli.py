@@ -179,15 +179,22 @@ class TestExact:
         assert done.stdout == ""
         assert done.stderr == "error: |c - x| overflows double precision\n"
 
-    @pytest.mark.parametrize("dim", [1 << 61, 1 << 63])
+    @pytest.mark.parametrize("dim", [2**30 + 1, 1 << 61, 1 << 63])
     @pytest.mark.parametrize(
         "command", [["exact"], ["estimate", "--samples", "10"], ["tessellate", "--width", "2"]]
     )
-    def test_unallocatable_dimension_exits_two(self, capsys, command, dim):
-        # numpy refuses both sizes without allocating: 2^61 doubles overflow the
-        # byte count and 2^63 is past its largest dimension
-        code, out, err = run(capsys, [*command, "--dim", str(dim), "--sinphi", "0.5"])
-        assert (code, out, err) == (2, "", f"error: dimension {dim} is too large to allocate\n")
+    def test_dimension_past_the_bound_exits_two_unallocated(self, capsys, command, dim):
+        # the closed forms' bound on n is checked before any center is built: 2^30 + 1
+        # doubles would take 8 GB a center, whether or not the host has them
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, [*command, "--dim", str(dim), "--sinphi", "0.5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = f"error: dimension must be an integer from 2 to 2**30, got {dim}\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 2**20
 
     def test_internal_value_error_is_not_bad_input(self, monkeypatch):
         def broken(inst):

@@ -210,6 +210,13 @@ class TestSymmetricGenerator:
         with pytest.raises(DimensionTooSmall):
             symmetric_instance(1, 0.5)
 
+    @pytest.mark.parametrize("dim", [1 << 61, 1 << 63])
+    def test_unallocatable_dimension_is_bad_input(self, dim):
+        # numpy refuses both sizes without allocating: 2^61 doubles overflow the
+        # byte count and 2^63 is past its largest dimension
+        with pytest.raises(ArgumentOutOfRange, match=f"^dimension {dim} is too large to allocate$"):
+            symmetric_instance(dim, 0.5)
+
 
 class TestSeparationPredicate:
     def test_axis_plane_interval(self):

@@ -20,7 +20,6 @@ from ballsep.montecarlo import (
     _block_rng,
     _planar_core,
     _sphere_block,
-    estimate_p_bias,
     estimate_p_full,
     estimate_p_weight,
 )
@@ -263,8 +262,10 @@ class TestDeterminism:
     def test_same_config_same_mean(self):
         inst = canonical_plane()
         cfg = McConfig(samples=30000, seed=123)
-        for run in (estimate_p_full, estimate_p_weight, estimate_p_bias):
+        for run in (estimate_p_full, estimate_p_weight):
             assert run(inst, cfg).mean == run(inst, cfg).mean
+        bias = estimate_all_pairs([inst], 1, "random-bias", cfg)
+        assert bias.mean == estimate_all_pairs([inst], 1, "random-bias", cfg).mean
 
     def test_chunks_do_not_change_the_mean(self):
         inst = symmetric_instance(4, 0.5, k_factor=1.5)
@@ -275,9 +276,9 @@ class TestDeterminism:
 
     def test_chunks_invariance_other_estimators(self):
         inst = canonical_plane()
-        for run in (estimate_p_weight, estimate_p_bias):
-            one = run(inst, McConfig(samples=150000, seed=3, chunks=1))
-            many = run(inst, McConfig(samples=150000, seed=3, chunks=5))
+        for mode in ("random-weight", "random-bias"):
+            one = estimate_all_pairs([inst], 1, mode, McConfig(samples=150000, seed=3, chunks=1))
+            many = estimate_all_pairs([inst], 1, mode, McConfig(samples=150000, seed=3, chunks=5))
             assert one.mean == many.mean
 
     def test_seed_changes_the_stream(self):
@@ -298,7 +299,8 @@ class TestDeterminism:
         inst = canonical_plane()
         swapped = make_instance(inst.ball_b, inst.ball_a, inst.bias_half_range)
         cfg = McConfig(samples=80000, seed=21)
-        assert estimate_p_bias(inst, cfg).mean == estimate_p_bias(swapped, cfg).mean
+        means = [estimate_all_pairs([pair], 1, "random-bias", cfg).mean for pair in (inst, swapped)]
+        assert means[0] == means[1]
 
 
 class TestCoupling:
@@ -319,16 +321,17 @@ class TestAgreement:
             symmetric_instance(10, 0.3, k_factor=2.0),
         ]
         runners = (
-            (estimate_p_bias, p_random_bias),
-            (estimate_p_weight, p_random_weight),
-            (estimate_p_full, p_fully_random),
+            ("random-bias", p_random_bias),
+            ("random-weight", p_random_weight),
+            ("fully-random", p_fully_random),
         )
         cfg = McConfig(samples=100000, seed=DEFAULT_SEED)
         for inst in cases:
-            for run, closed in runners:
+            for mode, closed in runners:
                 exact = closed(inst)
                 scatter = math.sqrt(exact * (1.0 - exact) / cfg.samples)
-                assert abs(run(inst, cfg).mean - exact) <= 4.0 * scatter + 1e-12
+                mean = estimate_all_pairs([inst], 1, mode, cfg).mean
+                assert abs(mean - exact) <= 4.0 * scatter + 1e-12
 
 
 class TestPlanarCore:
@@ -374,7 +377,7 @@ class TestParentStreams:
         cfg = McConfig(samples=70000, seed=13)
         assert estimate_p_full(inst, cfg).mean == 0.18545714285714285
         assert estimate_p_weight(inst, cfg).mean == 0.7413142857142857
-        assert estimate_p_bias(inst, cfg).mean == 0.38462857142857143
+        assert estimate_all_pairs([inst], 1, "random-bias", cfg).mean == 0.38462857142857143
         pinned = {"fully-random": 0.2360857142857143, "random-weight": 0.9576571428571429}
         for mode, mean in pinned.items():
             assert estimate_all_pairs([inst, other], 3, mode, cfg).mean == mean
@@ -476,9 +479,9 @@ class TestSharedSampler:
 
         monkeypatch.setattr(montecarlo, "estimate_all_pairs", recorded)
         cfg = McConfig(samples=1000, seed=3)
-        for run in (estimate_p_full, estimate_p_weight, estimate_p_bias):
+        for run in (estimate_p_full, estimate_p_weight):
             run(canonical_plane(), cfg)
-        assert calls == [(1, 1, "fully-random"), (1, 1, "random-weight"), (1, 1, "random-bias")]
+        assert calls == [(1, 1, "fully-random"), (1, 1, "random-weight")]
 
     def test_random_bias_draws_no_weights(self, monkeypatch):
         inst = general_pose(np.random.default_rng(8), 6, 0.4)
@@ -488,7 +491,7 @@ class TestSharedSampler:
             raise AssertionError("random-bias mode reduced the instance to its core")
 
         monkeypatch.setattr(montecarlo, "_planar_core", no_core)
-        assert 0.0 < estimate_p_bias(inst, cfg).mean < 1.0
+        assert 0.0 < estimate_all_pairs([inst], 1, "random-bias", cfg).mean < 1.0
         assert 0.0 < estimate_all_pairs([inst], 3, "random-bias", cfg).mean < 1.0
 
 

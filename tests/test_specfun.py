@@ -168,6 +168,19 @@ class TestArrayKernel:
         want = [specfun._lentz_fraction(*cell) for cell in zip(a.tolist(), b.tolist(), x.tolist())]
         assert got == want
 
+    def test_first_denominator_of_zero_is_guarded(self):
+        # I(q; (n - 1)/2, 1/2) at n = 2^30 and sin phi = 5.285799583645255e-05: 1 - q rounds
+        # so that x = 1 - q lies past (a + 1)/(a + b + 2) on the reflected branch, and the
+        # first Lentz denominator 1 - (a + b) x / (a + 1) is exactly 0, which _CF_TINY replaces
+        cell = _cell(0.9999999972060323, (2**30 - 1) / 2, 0.5)
+        _, a, b, x, direct = specfun._fraction_setup(*cell)
+        assert not direct and 1.0 - (a + b) * x / (a + 1.0) == 0.0
+        value = _reg_inc_betas(*cell)
+        assert math.isfinite(value)
+        assert _reg_inc_betas(*_columns([cell] * 40)).tolist() == [value] * 40
+        # mpmath's betainc at 50 digits; the error left is log B's at this n
+        assert_allclose(value, 0.0832645166635504, rtol=1e-5, atol=0)
+
     def test_no_cells(self):
         assert specfun._reg_inc_betas(*_columns([])).shape == (0,)
         assert specfun._lentz_fractions(*np.empty((3, 0))).shape == (0,)
