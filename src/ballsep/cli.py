@@ -27,7 +27,7 @@ from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
 from .probability import _MAX_DIMENSION, _dimension, _gap, _grid_columns, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
-# sweep rows, counted before any range is expanded: about 1.7 GB at ~410 traced bytes a row
+# sweep rows, counted before any range is expanded: traced, 1.7 GB as CSV, 2.2 GB as JSON
 _MAX_SWEEP_ROWS = 2**22
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
 _SWEEP_COLUMNS = _EXACT_COLUMNS + ("envelope",)
@@ -163,10 +163,10 @@ def _emit(text: str, out) -> None:
 
 
 def _write(args, columns, output, table=None) -> int:
-    """Print a record (a dict) or a list of records in --format; exit code 0.
+    """Print a record (a dict) or an iterable of records in --format; exit code 0.
 
     A record prints as one indented JSON object, a CSV row or name/value
-    lines; a list as one JSON object per line, CSV rows or `table(output)`.
+    lines; records as one JSON object per line, CSV rows or `table(output)`.
     """
     single = isinstance(output, dict)
     records = [output] if single else output
@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         grid = ((n, gap, envelope) for n, envelope in zip(dims, envelopes) for gap in gaps)
         values = ((n, *gap, w, f, envelope) for (n, gap, envelope), (w, f) in zip(grid, rows))
-        return _write(args, _SWEEP_COLUMNS, [dict(zip(_SWEEP_COLUMNS, v)) for v in values])
+        return _write(args, _SWEEP_COLUMNS, (dict(zip(_SWEEP_COLUMNS, v)) for v in values))
     # each gap's columns and each envelope are rendered once; the probabilities by repr
     prefixes = [",".join(map(_csv_cell, gap)) for gap in gaps]
     tails = map(_csv_cell, envelopes)

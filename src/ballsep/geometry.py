@@ -3,7 +3,9 @@
 A hyperplane H[w; b] is the zero locus of u -> (w|u) - b with unit
 normal (the "weight" w) and scalar offset (the "bias" b); H[w; b] and
 H[-w; -b] are the same point set.  The predicates take planes as the
-rows of a weight array and a bias vector.  An open ball pair with a
+rows of a weight array and a bias vector, and two balls of one
+dimension: a `Ball` may have any n >= 1 coordinates, as in the Monte
+Carlo core, while an instance needs n >= 2.  An open ball pair with a
 positive gap between the spheres admits a unique double cone tangent to
 both balls; its half angle and the derived quantity q = 1 - sin^2(phi)
 are what the closed-form separation probabilities consume, so they are
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,23 +59,15 @@ def _radius(value) -> float:
     return radius
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Open Euclidean ball {u : |center - u| < radius}."""
+    """Open Euclidean ball {u : |center - u| < radius} in R^n, n >= 1."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        center = _as_vector(self.center, "ball center")
-        if center.size < 2:
-            raise DimensionTooSmall(f"balls need dimension >= 2, got {center.size}")
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", _as_vector(self.center, "ball center"))
         object.__setattr__(self, "radius", _radius(self.radius))
 
     @property
@@ -86,56 +79,44 @@ class Ball:
 class SeparationInstance:
     """Validated pair of strictly disjoint balls plus the bias half range.
 
-    Construction enforces |c - x| = r + p + gap with gap > 0 and a finite
-    bias_half_range >= max(|c|, |x|) > 0.  Derived geometry (center
-    distance, gap, axis direction, sine of the tangent-cone half angle,
-    q value) is exposed as read-only attributes.  The axis direction is
-    oriented from the first ball's center toward the second's.
+    Construction enforces balls of one dimension n >= 2, |c - x| = r + p +
+    gap with gap > 0 and a finite bias_half_range >= max(|c|, |x|) > 0.
+    The derived geometry is computed once, there, into read-only fields.
     """
 
     ball_a: Ball
     ball_b: Ball
     bias_half_range: float
-    # |c - x| = r + p + gap, the norm validation computes
-    center_distance: float = field(init=False)
+    center_distance: float = field(init=False)  # |c - x|, the norm validation computes
+    gap: float = field(init=False)  # between the two spheres along the axis, > 0
+    sin_phi: float = field(init=False)  # sine of the cone half angle, (r + p) / |c - x|, in (0, 1)
+    q_value: float = field(init=False)  # 1 - sin^2(phi) = cos^2(phi), in (0, 1)
 
     def __post_init__(self):
         a, b = self.ball_a, self.ball_b
         if not isinstance(a, Ball) or not isinstance(b, Ball):
             raise ArgumentOutOfRange("ball_a and ball_b must be Ball instances")
-        if a.dimension != b.dimension:
-            raise DimensionMismatch(
-                f"balls have different dimensions {a.dimension} and {b.dimension}"
-            )
+        low = min(a.dimension, b.dimension)
+        if low < 2:
+            raise DimensionTooSmall(f"balls need dimension >= 2, got {low}")
+        _common_dimension(a, b)
         with np.errstate(over="ignore"):
             dist, k = _pair_checks(a.center, a.radius, b.center, b.radius, self.bias_half_range)
-        object.__setattr__(self, "bias_half_range", k)
-        object.__setattr__(self, "center_distance", dist)
+        derived = {"bias_half_range": k, "center_distance": dist}
+        derived.update(zip(("gap", "sin_phi", "q_value"), _cone(dist, a.radius, b.radius)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
         return self.ball_a.dimension
 
-    @cached_property
-    def gap(self) -> float:
-        """Distance between the two spheres along the axis (delta > 0)."""
-        return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[0]
 
-    @cached_property
-    def axis_dir(self) -> np.ndarray:
-        """Unit vector from ball_a's center toward ball_b's center."""
-        diff = self.ball_b.center - self.ball_a.center
-        return _frozen(diff / self.center_distance)
-
-    @cached_property
-    def sin_phi(self) -> float:
-        """sin of the cone half angle: (p + r) / (p + r + gap), in (0, 1)."""
-        return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[1]
-
-    @cached_property
-    def q_value(self) -> float:
-        """q = 1 - sin^2(phi) = cos^2(phi), in (0, 1)."""
-        return _cone(self.center_distance, self.ball_a.radius, self.ball_b.radius)[2]
+def _common_dimension(a: Ball, b: Ball) -> int:
+    """The dimension of balls a and b, or the DimensionMismatch of balls in different ones."""
+    if a.dimension != b.dimension:
+        raise DimensionMismatch(f"balls have different dimensions {a.dimension} and {b.dimension}")
+    return a.dimension
 
 
 def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k):
@@ -164,33 +145,6 @@ def _cone(dist: float, r: float, p: float) -> tuple[float, float, float]:
     """(gap, sin phi, q = 1 - sin^2 phi) of balls of radii r, p with centers dist apart."""
     sin_phi = (r + p) / dist
     return dist - r - p, sin_phi, 1.0 - sin_phi * sin_phi
-
-
-def projected_instance(inst: SeparationInstance, center_a, center_b) -> SeparationInstance:
-    """`inst` with its centers given in the coordinates of a subspace.
-
-    The new centers are the coordinates of the old ones in an orthonormal
-    basis of a subspace that holds both, so every distance and norm the
-    predicates see is kept and the radii and bias half range carry over.
-    Neither the result nor its balls are validated again: rounding can
-    move a norm an ulp past k or close a gap of a few ulps, and that must
-    not reject an instance that was already accepted; and the subspace
-    may be a line, where a `Ball` needs two coordinates.
-    """
-    ball_a, ball_b = (
-        _unchecked(Ball, center=_frozen(np.array(center, dtype=float)), radius=ball.radius)
-        for center, ball in ((center_a, inst.ball_a), (center_b, inst.ball_b))
-    )
-    kept = {"bias_half_range": inst.bias_half_range, "center_distance": inst.center_distance}
-    return _unchecked(SeparationInstance, ball_a=ball_a, ball_b=ball_b, **kept)
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, skipping its checks."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def make_instance(ball_a: Ball, ball_b: Ball, k: float) -> SeparationInstance:
@@ -236,39 +190,43 @@ def symmetric_instance(
 
 
 def separates_batch(
-    weights: np.ndarray, biases: np.ndarray, inst: SeparationInstance, *, out=None
+    weights: np.ndarray, biases: np.ndarray, ball_a: Ball, ball_b: Ball, *, out=None
 ) -> np.ndarray:
     """True for each plane H[w; b] that puts the open balls strictly on
     opposite sides.
 
-    weights: array of shape (m, n) whose rows are unit weights, or their
-    coordinates in a subspace holding both centers (see
-    `projected_instance`); biases: shape (m,).  Returns a boolean array of
-    shape (m,).  A tangent plane does not separate; the tie has
-    probability zero under every sampling scheme used here.
+    weights: array of shape (m, n) whose rows are unit weights in the
+    balls' R^n; biases: shape (m,).  Returns a boolean array of shape
+    (m,).  A tangent plane does not separate; the tie has probability
+    zero under every sampling scheme used here.
 
     `out`, if given, is a pair (offsets, masks) of a float array of shape
     (2, >= m) and a bool array of shape (3, >= m).  The offsets and the
     comparisons are then written into their leading m columns instead of
     new arrays, and the result is a view of `masks`.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = _weights(weights, ball_a, ball_b)
     biases = np.asarray(biases, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != inst.dimension:
-        raise DimensionMismatch(
-            f"weights shape {weights.shape} does not match instance dimension {inst.dimension}"
-        )
     if biases.shape != (weights.shape[0],):
         raise DimensionMismatch(
             f"biases shape {biases.shape} does not match {weights.shape[0]} weights"
         )
     offsets, masks = _scratch(out, weights.shape[0])
     off_a, off_b = offsets
-    _project(weights, inst.ball_a.center, off_a)
+    _project(weights, ball_a.center, off_a)
     off_a -= biases
-    _project(weights, inst.ball_b.center, off_b)
+    _project(weights, ball_b.center, off_b)
     off_b -= biases
-    return separates_offsets(off_a, off_b, inst, masks)
+    return separates_offsets(off_a, off_b, ball_a.radius, ball_b.radius, masks)
+
+
+def _weights(weights, ball_a: Ball, ball_b: Ball) -> np.ndarray:
+    """weights as a float array of shape (m, n) for balls in R^n, or a DimensionMismatch."""
+    n = _common_dimension(ball_a, ball_b)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != n:
+        raise DimensionMismatch(f"weights shape {weights.shape} does not match ball dimension {n}")
+    return weights
 
 
 def _scratch(out, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,40 +248,35 @@ def _project(weights: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.nda
     return np.matmul(weights, vector, out=out)
 
 
-def separates_offsets(off_a, off_b, inst: SeparationInstance, out: np.ndarray) -> np.ndarray:
-    """The separation predicate on the offsets (w|c) - b and (w|x) - b.
+def separates_offsets(off_a, off_b, r: float, p: float, out: np.ndarray) -> np.ndarray:
+    """The separation predicate on the offsets (w|c) - b and (w|x) - b of
+    balls of radii r and p.
 
     `out` is a bool array of shape (3, >= m) whose leading m columns take
     the comparisons; the result is a view of it.
     """
     hit, low, high = out[:, : len(off_a)]
-    a, b = inst.ball_a, inst.ball_b
     # ((off_a > r) & (off_b < -p)) | ((off_a < -r) & (off_b > p))
-    np.greater(off_a, a.radius, out=hit)
-    hit &= np.less(off_b, -b.radius, out=low)
-    np.less(off_a, -a.radius, out=low)
-    low &= np.greater(off_b, b.radius, out=high)
+    np.greater(off_a, r, out=hit)
+    hit &= np.less(off_b, -p, out=low)
+    np.less(off_a, -r, out=low)
+    low &= np.greater(off_b, p, out=high)
     hit |= low
     return hit
 
 
 def exists_separating_bias_batch(
-    weights: np.ndarray, inst: SeparationInstance, *, out=None
+    weights: np.ndarray, ball_a: Ball, ball_b: Ball, *, out=None
 ) -> np.ndarray:
     """True for each weight row that some bias makes separating.
 
     That holds iff the balls' projections onto span(w) are disjoint:
-    |(w | c - x)| > r + p.  The bias (w | v) through the cone vertex then
-    works and lies within [-k, k].  As in `separates_batch`, rows of the
-    (m, n) array may be unit weights or their coordinates in a subspace
-    holding both centers, and `out` is the same (offsets, masks) pair.
+    |(w | c - x)| > r + p.  For an instance's balls the bias (w | v)
+    through the cone vertex then works and lies within [-k, k].  The
+    (m, n) weights and `out` are as in `separates_batch`.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != inst.dimension:
-        raise DimensionMismatch(
-            f"weights shape {weights.shape} does not match instance dimension {inst.dimension}"
-        )
+    weights = _weights(weights, ball_a, ball_b)
     offsets, masks = _scratch(out, weights.shape[0])
-    span = _project(weights, inst.ball_a.center - inst.ball_b.center, offsets[0])
+    span = _project(weights, ball_a.center - ball_b.center, offsets[0])
     np.abs(span, out=span)
-    return np.greater(span, inst.ball_a.radius + inst.ball_b.radius, out=masks[0])
+    return np.greater(span, ball_a.radius + ball_b.radius, out=masks[0])

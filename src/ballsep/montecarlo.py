@@ -18,10 +18,11 @@ a bias that splits that pair).  `estimate_all_pairs` is its one-mode case,
 and each single-pair estimator the one-pair, width-1 case of that.
 
 The estimators see a weight only through its projections onto the ball
-centers, so they sample in the core of an instance: the span of its
+centers, so they sample in the core of the instances: the span of their
 centers, whose dimension d is their rank (1 for centers on a line
 through the origin, as in every symmetric instance, and at most 2 for
-one pair).  The first d coordinates of a uniform unit vector in R^n are
+one pair), and the core is each instance's two balls in coordinates of
+that span.  The first d coordinates of a uniform unit vector in R^n are
 g / sqrt(|g|^2 + t), with g standard normal in R^d and t chi-square with
 n - d degrees of freedom, the law behind the closed forms'
 I(q; (n-1)/2, 1/2); a row costs d normals and one chi-square draw
@@ -44,15 +45,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import starmap
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ArgumentOutOfRange, DimensionMismatch, EmptyInstanceList
 from .geometry import (
+    Ball,
     SeparationInstance,
     exists_separating_bias_batch,
-    projected_instance,
     separates_batch,
     separates_offsets,
 )
@@ -166,14 +168,15 @@ def _sphere_block(rng: np.random.Generator, m: int, d: int, n: int, *, out=None)
     return draws
 
 
-def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInstance]:
-    """The instances in coordinates of an orthonormal basis of their centers' span.
+def _planar_core(instances: Sequence[SeparationInstance]) -> list[tuple[Ball, Ball]]:
+    """Each instance's two balls in coordinates of an orthonormal basis of the centers' span.
 
     The core has d = rank dimensions.  The basis comes from Gram-Schmidt
     with one reorthogonalization, taking the centers in order and
     dropping residuals at rounding level, so centers on the coordinate
-    axes map to exact coordinates.  When d = n the instances are
-    returned as they are.
+    axes map to exact coordinates.  Every distance and norm the
+    predicates see is kept.  When d = n the pairs are the instances' own
+    balls.
     """
     n = instances[0].dimension
     centers = np.array([ball.center for inst in instances for ball in (inst.ball_a, inst.ball_b)])
@@ -189,10 +192,10 @@ def _planar_core(instances: Sequence[SeparationInstance]) -> list[SeparationInst
         if norm > floor:
             basis = np.vstack([basis, residual / norm])
     if len(basis) == n:
-        return list(instances)
+        return [(inst.ball_a, inst.ball_b) for inst in instances]
     coords = centers @ basis.T
     return [
-        projected_instance(inst, coords[2 * i], coords[2 * i + 1])
+        (Ball(coords[2 * i], inst.ball_a.radius), Ball(coords[2 * i + 1], inst.ball_b.radius))
         for i, inst in enumerate(instances)
     ]
 
@@ -242,17 +245,18 @@ def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int, out: np.ndar
 
 
 def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
-    """(axis|c) and (axis|x) along the axis direction, its first nonzero
-    component made positive.
+    """(axis|c) and (axis|x) along the axis direction (x - c)/|c - x|, its
+    first nonzero component made positive.
 
     Fixing the sign convention makes the random-bias estimate invariant
-    under swapping the two balls, which flips `axis_dir` and so only
-    swaps the two projections.
+    under swapping the two balls, which flips the axis and so only swaps
+    the two projections.
     """
-    axis = inst.axis_dir
+    c, x = inst.ball_a.center, inst.ball_b.center
+    axis = (x - c) / inst.center_distance
     if axis[np.flatnonzero(axis)[0]] < 0.0:
         axis = -axis
-    return float(axis @ inst.ball_a.center), float(axis @ inst.ball_b.center)
+    return float(axis @ c), float(axis @ x)
 
 
 def estimate_modes(
@@ -297,7 +301,7 @@ def estimate_modes(
         )
     weight_modes = [mode for mode in modes if mode != "random-bias"]
     cores = _planar_core(instances) if weight_modes else []
-    d = cores[0].dimension if cores else 0
+    d = cores[0][0].dimension if cores else 0
     block = max(1, _BLOCK // width)
     rows = block * width
     # One workspace serves every block of both passes; a short block uses
@@ -310,13 +314,14 @@ def estimate_modes(
     if "random-bias" in modes:
         (inst,) = instances
         proj_a, proj_b = _axis_projections(inst)
+        radii = inst.ball_a.radius, inst.ball_b.radius
 
         def bias_hits(rng: np.random.Generator, m: int) -> tuple[int]:
             drawn = _uniform(rng, k_draw, biases[: m * width])
             off_a, off_b = scratch[0][:, : m * width]
             np.subtract(proj_a, drawn, out=off_a)
             np.subtract(proj_b, drawn, out=off_b)
-            split = separates_offsets(off_a, off_b, inst, scratch[1])
+            split = separates_offsets(off_a, off_b, *radii, scratch[1])
             return (_trial_hits([split], m, width, trials),)
 
         (estimates["random-bias"],) = bernoulli_estimate(cfg, bias_hits, block)
@@ -330,7 +335,7 @@ def estimate_modes(
                 drawn = _uniform(rng, k_draw, biases[: m * width])
                 split["fully-random"] = partial(separates_batch, unit, drawn, out=scratch)
             return tuple(
-                _trial_hits(map(split[mode], cores), m, width, trials) for mode in weight_modes
+                _trial_hits(starmap(split[mode], cores), m, width, trials) for mode in weight_modes
             )
 
         estimates.update(zip(weight_modes, bernoulli_estimate(cfg, hits, block)))

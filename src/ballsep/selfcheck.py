@@ -102,12 +102,6 @@ def grid_instances() -> list:
     ]
 
 
-def random_instance(rng: np.random.Generator) -> SeparationInstance:
-    """Well-posed instance with random dimension, radii, gap, and pose: the one
-    instance of `_draw(rng, 1)`, in R^n with zeros past its second coordinate."""
-    return _embedded(_draw(rng, 1), 0)
-
-
 def _embedded(draw: tuple, i: int) -> SeparationInstance:
     """The instance of row i of a `_draw`, in R^n with zeros past its second coordinate."""
     n, r, p, c, x, k, _, _ = draw

@@ -54,6 +54,19 @@ class TestExact:
         assert lines["p_full"].strip() == "0.0625"
         assert lines["p_bias"].strip() == "0.25"
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ("3", "balls need dimension >= 2, got 1"),
+            ("3,0", "balls need dimension >= 2, got 1"),
+            # each center is read before the pair: the non-finite one is named first
+            ("nan", "ball center must contain only finite values"),
+        ],
+    )
+    def test_one_coordinate_center_exits_two(self, capsys, x, message):
+        code, out, err = run(capsys, ["exact", "--c", "1", "--x", x, "--k", "5"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_generator_matches_explicit(self, capsys):
         _, explicit, _ = run(capsys, ["exact", *CANONICAL, "--format", "json"])
         _, generated, _ = run(
@@ -525,6 +538,22 @@ class TestSweep:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert peak < 2**20
 
+    def test_json_traced_peak_stays_near_the_csvs(self):
+        # JSON rows are rendered from a generator of records: a list of every row's dict
+        # traced 2.58 times the CSV peak on this grid, the generator 1.41 times
+        peaks = {}
+        for fmt in ("csv", "json"):
+            argv = ["sweep", "--dim", "2..5001", "--delta", "0.5,2", "--format", fmt]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] <= 1.5 * peaks["csv"], peaks
+
     def test_row_bound_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 6)
         code, out, _ = run(capsys, ["sweep", "--dim", "2..4", "--delta", "1,2"])
@@ -848,8 +877,9 @@ class TestValidate:
         # the 12 angle columns, 11 chain gap columns, 2 reflection columns and 18 reports;
         # 3 sandwich chunks, 2 x 11 chain chunks, 1 reflection chunk and 18 reports
         assert counts == {"_angle": 12, "_shape": 416, "_kappa_logs": 43, "_reg_inc_betas": 44}
-        # one per chain chunk and per report, and one for the reductions' p_random_bias
-        assert len(cones) == 11 + 18 + 1
+        # one per chain chunk and per report, and one per instance built: the 30 grid
+        # instances and the analytic reductions' 12
+        assert len(cones) == 11 + 18 + 30 + 12
 
     def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
         # the fully random probability with the subtracted term added instead, in the

@@ -16,11 +16,14 @@ from ballsep.errors import (
 )
 from ballsep.geometry import (
     Ball,
+    SeparationInstance,
+    _pair_checks,
     exists_separating_bias_batch,
     make_instance,
     separates_batch,
     symmetric_instance,
 )
+from ballsep.montecarlo import _axis_projections
 
 from _oracles import bias_scan_fraction, separates_oracle
 
@@ -36,12 +39,13 @@ def unit(weight):
 
 def separates_one(weight, bias, inst):
     """`separates_batch` on the one-row batch H[weight; bias], weight normalized."""
-    return bool(separates_batch(unit(weight)[None, :], np.array([float(bias)]), inst)[0])
+    plane = unit(weight)[None, :], np.array([float(bias)])
+    return bool(separates_batch(*plane, inst.ball_a, inst.ball_b)[0])
 
 
 def bias_exists_one(weight, inst):
     """`exists_separating_bias_batch` on a one-row batch."""
-    return bool(exists_separating_bias_batch(unit(weight)[None, :], inst)[0])
+    return bool(exists_separating_bias_batch(unit(weight)[None, :], inst.ball_a, inst.ball_b)[0])
 
 
 @st.composite
@@ -62,9 +66,14 @@ def instances(draw):
 
 
 class TestBall:
-    def test_rejects_dimension_one(self):
-        with pytest.raises(DimensionTooSmall):
-            Ball([1.0], 1.0)
+    def test_one_coordinate_is_a_ball(self):
+        # the Monte Carlo core of a pair on a line through the origin; an instance needs two
+        assert Ball([1.0], 1.0).dimension == 1
+
+    @pytest.mark.parametrize("center", [[], [[1.0, 2.0]], 3.0])
+    def test_rejects_center_that_is_not_a_vector(self, center):
+        with pytest.raises(ArgumentOutOfRange, match="^ball center must be a one-dimensional"):
+            Ball(center, 1.0)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ArgumentOutOfRange):
@@ -99,7 +108,8 @@ class TestInstanceValidation:
         assert inst.gap == 2.0
         assert inst.sin_phi == 0.5
         assert inst.q_value == 0.75
-        assert_allclose(inst.axis_dir, [1.0, 0.0], rtol=1e-15)
+        # the centers along the axis (x - c)/|c - x|
+        assert _axis_projections(inst) == (-2.0, 2.0)
 
     def test_asymmetric_radii_geometry(self):
         inst = make_instance(Ball([0.0, 0.0], 2.0), Ball([6.0, 0.0], 1.0), 6.0)
@@ -115,6 +125,24 @@ class TestInstanceValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             make_instance(Ball([0.0, 0.0], 1.0), Ball([9.0, 0.0, 0.0], 1.0), 20.0)
+
+    @pytest.mark.parametrize("c, x", [([0.0], [9.0]), ([0.0], [9.0, 0.0]), ([0.0, 0.0], [9.0])])
+    def test_dimension_one_rejected(self, c, x):
+        # named before the mismatch of a pair that has both faults
+        with pytest.raises(DimensionTooSmall, match=r"^balls need dimension >= 2, got 1$"):
+            make_instance(Ball(c, 1.0), Ball(x, 1.0), 20.0)
+
+    @pytest.mark.parametrize("other", [[9.0, 0.0], None])
+    def test_balls_that_are_not_balls_rejected(self, other):
+        with pytest.raises(ArgumentOutOfRange, match="^ball_a and ball_b must be Ball instances$"):
+            SeparationInstance(Ball([0.0, 0.0], 1.0), other, 20.0)
+
+    @pytest.mark.parametrize("c, x", [([math.nan, 0.0], [3.0, 0.0]), ([0.0, 0.0], [3.0, math.nan])])
+    def test_pair_checks_name_a_center_that_is_not_a_number(self, c, x):
+        # a Ball holds finite centers only, so this is reached by calling the checks
+        # directly, as selfcheck's chain does with its drawn columns
+        with pytest.raises(ArgumentOutOfRange, match=re.escape("|c - x| is not a number")):
+            _pair_checks(np.array(c), 1.0, np.array(x), 1.0, 5.0)
 
     def test_insufficient_k_rejected(self):
         with pytest.raises(KInsufficient):
@@ -188,7 +216,8 @@ class TestInstanceValidation:
         assert swapped.gap == inst.gap
         assert swapped.sin_phi == inst.sin_phi
         assert swapped.q_value == inst.q_value
-        assert_allclose(swapped.axis_dir, -inst.axis_dir, rtol=1e-15)
+        # the axis flips, and its sign convention only swaps the projections
+        assert _axis_projections(swapped) == _axis_projections(inst)[::-1]
 
 
 class TestSymmetricGenerator:
@@ -235,16 +264,28 @@ class TestSeparationPredicate:
         weights = rng.standard_normal((64, 2))
         weights /= np.linalg.norm(weights, axis=1)[:, None]
         biases = rng.uniform(-2.0, 2.0, 64)
-        got = separates_batch(weights, biases, inst)
+        got = separates_batch(weights, biases, inst.ball_a, inst.ball_b)
         want = [separates_oracle(w, float(b), inst) for w, b in zip(weights, biases)]
         assert got.tolist() == want
 
     def test_batch_shape_validation(self):
-        inst = canonical_plane()
+        balls = canonical_plane().ball_a, canonical_plane().ball_b
+        for weights in (np.ones((4, 3)), np.ones(2), np.ones((4, 2, 1))):
+            with pytest.raises(DimensionMismatch, match=r"does not match ball dimension 2$"):
+                separates_batch(weights, np.zeros(len(weights)), *balls)
+            with pytest.raises(DimensionMismatch, match=r"does not match ball dimension 2$"):
+                exists_separating_bias_batch(weights, *balls)
         with pytest.raises(DimensionMismatch):
-            separates_batch(np.ones((4, 3)), np.zeros(4), inst)
-        with pytest.raises(DimensionMismatch):
-            separates_batch(np.ones((4, 2)), np.zeros(5), inst)
+            separates_batch(np.ones((4, 2)), np.zeros(5), *balls)
+
+    def test_balls_of_different_dimensions_rejected(self):
+        message = "^balls have different dimensions 2 and 3$"
+        balls = Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0, 0.0], 1.0)
+        for weights in (np.ones((4, 2)), np.ones((4, 3))):
+            with pytest.raises(DimensionMismatch, match=message):
+                separates_batch(weights, np.zeros(4), *balls)
+            with pytest.raises(DimensionMismatch, match=message):
+                exists_separating_bias_batch(weights, *balls)
 
     def test_separates_implies_bias_exists(self):
         inst = canonical_plane()
@@ -252,8 +293,8 @@ class TestSeparationPredicate:
         weights = rng.standard_normal((512, 2))
         weights /= np.linalg.norm(weights, axis=1)[:, None]
         biases = rng.uniform(-2.0, 2.0, 512)
-        sep = separates_batch(weights, biases, inst)
-        can = exists_separating_bias_batch(weights, inst)
+        sep = separates_batch(weights, biases, inst.ball_a, inst.ball_b)
+        can = exists_separating_bias_batch(weights, inst.ball_a, inst.ball_b)
         assert not np.any(sep & ~can)
 
     def test_diagonal_weight_against_grid_scan(self):

@@ -250,8 +250,8 @@ class TestWorkspace:
         biases = _block_rng(1, 1).uniform(-2.0, 2.0, 64)
         for run in (
             lambda: _sphere_block(_block_rng(1, 0), 64, 2, 2),
-            lambda: separates_batch(weights, biases, inst),
-            lambda: exists_separating_bias_batch(weights, inst),
+            lambda: separates_batch(weights, biases, inst.ball_a, inst.ball_b),
+            lambda: exists_separating_bias_batch(weights, inst.ball_a, inst.ball_b),
         ):
             first, second = run(), run()
             assert np.array_equal(first, second)
@@ -337,39 +337,39 @@ class TestAgreement:
 class TestPlanarCore:
     def test_collinear_centers_map_to_exact_plane_coordinates(self):
         inst = symmetric_instance(50, 0.4, k_factor=1.0)
-        (core,) = _planar_core([inst])
-        assert core.dimension == 1
+        ((ball_a, ball_b),) = _planar_core([inst])
+        assert ball_a.dimension == ball_b.dimension == 1
         half = inst.bias_half_range
-        assert core.ball_a.center.tolist() == [half]
-        assert core.ball_b.center.tolist() == [-half]
-        assert core.bias_half_range == inst.bias_half_range
-        assert core.ball_a.radius == inst.ball_a.radius
+        assert ball_a.center.tolist() == [half]
+        assert ball_b.center.tolist() == [-half]
+        assert (ball_a.radius, ball_b.radius) == (inst.ball_a.radius, inst.ball_b.radius)
 
     def test_core_keeps_norms_and_distances(self):
         rng = np.random.default_rng(8)
         pairs = [general_pose(rng, 50, 0.3) for _ in range(3)]
         cores = _planar_core(pairs)
-        assert {core.dimension for core in cores} == {6}
+        assert {ball.dimension for core in cores for ball in core} == {6}
         for inst, core in zip(pairs, cores):
-            for ball, image in ((inst.ball_a, core.ball_a), (inst.ball_b, core.ball_b)):
+            for ball, image in zip((inst.ball_a, inst.ball_b), core):
                 assert_allclose(np.linalg.norm(image.center), np.linalg.norm(ball.center), rtol=1e-13)
-            distance = np.linalg.norm(core.ball_a.center - core.ball_b.center)
+                assert image.radius == ball.radius
+            distance = np.linalg.norm(core[0].center - core[1].center)
             assert_allclose(distance, inst.center_distance, rtol=1e-13)
 
     def test_full_rank_span_is_the_instance_itself(self):
         rng = np.random.default_rng(9)
         pairs = [general_pose(rng, 3, 0.5) for _ in range(2)]
         cores = _planar_core(pairs)
-        assert all(core is inst for core, inst in zip(cores, pairs))
+        assert all(a is inst.ball_a and b is inst.ball_b for (a, b), inst in zip(cores, pairs))
         plane = canonical_plane()
-        assert _planar_core([plane])[0].dimension == 1
+        assert _planar_core([plane])[0][0].dimension == 1
         tilted = make_instance(Ball([-2.0, 0.5], 1.0), Ball([1.5, 2.0], 0.5), 3.0)
-        assert _planar_core([tilted])[0] is tilted
+        assert _planar_core([tilted]) == [(tilted.ball_a, tilted.ball_b)]
 
 
 class TestParentStreams:
     def test_planar_estimates_keep_their_values(self):
-        # in the plane the core is the instance itself and draws no tail,
+        # in the plane the core is the instance's own balls and draws no tail,
         # so these values are the ones the full-space sampler gives on the
         # same block streams
         inst = make_instance(Ball([-2.0, 0.5], 1.0), Ball([1.5, 2.0], 0.5), 3.0)
@@ -425,9 +425,9 @@ class TestRankOneCore:
 
     def test_core_is_a_line(self):
         for inst in self.instances() + [canonical_plane()]:
-            (core,) = _planar_core([inst])
-            assert core.dimension == 1
-            distance = np.linalg.norm(core.ball_a.center - core.ball_b.center)
+            ((ball_a, ball_b),) = _planar_core([inst])
+            assert ball_a.dimension == ball_b.dimension == 1
+            distance = np.linalg.norm(ball_a.center - ball_b.center)
             assert distance == pytest.approx(inst.center_distance, rel=1e-14)
 
     def test_full_hits_are_weight_hits(self):
@@ -436,9 +436,9 @@ class TestRankOneCore:
             rng = _block_rng(3, 0)
             weights = _sphere_block(rng, 65536, 1, inst.dimension)
             biases = rng.uniform(-inst.bias_half_range, inst.bias_half_range, 65536)
-            full = separates_batch(weights, biases, core)
+            full = separates_batch(weights, biases, *core)
             assert full.any()
-            assert np.all(exists_separating_bias_batch(weights, core)[full])
+            assert np.all(exists_separating_bias_batch(weights, *core)[full])
             for seed in (0, 1, 77):
                 cfg = McConfig(samples=40000, seed=seed)
                 assert estimate_p_full(inst, cfg).mean <= estimate_p_weight(inst, cfg).mean
@@ -527,7 +527,7 @@ class TestCoreAgainstOracle:
         rng = np.random.default_rng([n, rank])
         pose = general_pose if rank == 2 else collinear_pose
         inst = pose(rng, n, sin_phi)
-        assert _planar_core([inst])[0].dimension == rank
+        assert _planar_core([inst])[0][0].dimension == rank
         cfg = McConfig(samples=self.CORE_SAMPLES, seed=1000 + n)
         full, weight = full_space_rates([inst], 1, oracle_samples, seed=n)
         for core_mean, oracle_mean in (
@@ -549,7 +549,7 @@ class TestCoreAgainstOracle:
     def test_all_pairs(self, n, pairs, mode, width):
         rng = np.random.default_rng([n, pairs])
         instances = [general_pose(rng, n, 0.3 if n == 3 else 0.07) for _ in range(pairs)]
-        assert _planar_core(instances)[0].dimension == min(n, 2 * pairs)
+        assert _planar_core(instances)[0][0].dimension == min(n, 2 * pairs)
         self._check_all_pairs(instances, width, mode)
 
     @pytest.mark.parametrize("mode, width", [("fully-random", 64), ("random-weight", 2)])
@@ -562,7 +562,7 @@ class TestCoreAgainstOracle:
             make_instance(Ball(start * u, r), Ball((start + dist) * u, p), 20.0)
             for start, dist, r, p in ((-3.0, 20.0, 1.0, 1.5), (-10.0, 16.0, 0.5, 0.5), (2.0, 12.0, 1.0, 0.5))
         ]
-        assert [core.dimension for core in _planar_core(instances)] == [1, 1, 1]
+        assert [a.dimension for a, _ in _planar_core(instances)] == [1, 1, 1]
         self._check_all_pairs(instances, width, mode)
 
     @staticmethod

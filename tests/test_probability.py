@@ -1,14 +1,15 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ballsep import probability
+from ballsep import geometry, probability
 from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
-from ballsep.geometry import Ball, SeparationInstance, _unchecked, make_instance, symmetric_instance
+from ballsep.geometry import Ball, make_instance, symmetric_instance
 from ballsep.probability import (
     SeparationReport,
     asymptotic_envelope,
@@ -232,9 +233,11 @@ class TestReport:
 
     def test_report_rejects_out_of_range(self, monkeypatch):
         # each probability is range-checked where it is computed; a valid
-        # instance has gap < 2 k, so the bias range is set below its floor
-        balls = {"ball_a": Ball([-2.0, 0.0], 0.5), "ball_b": Ball([2.0, 0.0], 0.5)}
-        short = _unchecked(SeparationInstance, **balls, bias_half_range=1.0, center_distance=4.0)
+        # instance has gap < 2 k, so this one is built with a pair check that
+        # lets a bias range below its floor through
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_pair_checks", lambda c, r, x, p, k: (4.0, k))
+            short = make_instance(Ball([-2.0, 0.0], 0.5), Ball([2.0, 0.0], 0.5), 1.0)
         with pytest.raises(InternalConsistencyError, match="random-bias probability = 1.5"):
             separation_report(short)
         monkeypatch.setattr(probability, "_reg_inc_betas", lambda *args: 1.5)
@@ -252,6 +255,63 @@ class TestReport:
             SeparationReport(0.5, 0.3, 0.4)
         with pytest.raises(InternalConsistencyError):
             SeparationReport(0.1, 0.6, 0.4)
+
+
+class TestSignificantlySmaller:
+    """How much less often a fully random plane separates than a partly random one.
+
+    With scale = |c - x| / (2k) and bracket = q^a / (a B(a, 1/2)) - sin(phi) I(q; a, 1/2),
+    the fully random form is scale * bracket, so against random bias it loses a factor
+    exponential in n and against random weight a factor of order n:
+    * p_full / p_bias = bracket / (1 - sin phi), exactly, as the gap is |c - x|(1 - sin phi);
+    * p_full / p_weight tends to scale cos^2(phi) / ((n - 1) sin phi) from below, short of it
+      by a relative amount in (0, 2 / (n sin^2 phi)].
+    """
+
+    @staticmethod
+    def cells():
+        # the grid cells where neither p_weight nor p_full underflows past 1e-300
+        cells = []
+        for n in (10, 10**2, 10**3, 10**4, 10**5):
+            for s in (0.1, 0.5, 0.9):
+                inst = symmetric_instance(n, s)
+                report = separation_report(inst)
+                if min(report.p_random_weight, report.p_fully_random) >= 1e-300:
+                    cells.append((n, inst, report))
+        return cells
+
+    @staticmethod
+    def exact(n, inst):
+        # (I(q; a, 1/2), bracket) at 50 digits, of the instance's own sin phi
+        with mpmath.workdps(50):
+            sin = mpmath.mpf(inst.sin_phi)
+            q, a = 1 - sin**2, mpmath.mpf(n - 1) / 2
+            beta = mpmath.betainc(a, 0.5, 0, q, regularized=True)
+            return beta, q**a / (a * mpmath.beta(a, 0.5)) - sin * beta
+
+    def test_ten_cells_are_in_range(self):
+        cells = self.cells()
+        assert [(n, round(inst.sin_phi, 12)) for n, inst, _ in cells] == [
+            (10, 0.1), (10, 0.5), (10, 0.9), (100, 0.1), (100, 0.5), (100, 0.9),
+            (1000, 0.1), (1000, 0.5), (10**4, 0.1), (10**5, 0.1),
+        ]
+
+    def test_against_random_bias(self):
+        for n, inst, report in self.cells():
+            _, bracket = self.exact(n, inst)
+            want = float(bracket / (1 - mpmath.mpf(inst.sin_phi)))
+            assert_allclose(report.p_fully_random / report.p_random_bias, want, rtol=1e-9)
+
+    def test_against_random_weight(self):
+        # measured n sin^2(phi) x shortfall: 0.080 at (10, 0.1) up to 1.990 at (10^5, 0.1)
+        for n, inst, report in self.cells():
+            s, scale = inst.sin_phi, inst.center_distance / (2.0 * inst.bias_half_range)
+            law = scale * inst.q_value / ((n - 1) * s)
+            beta, bracket = self.exact(n, inst)
+            with mpmath.workdps(50):
+                exact = 1 - (bracket / beta) / ((1 - mpmath.mpf(s) ** 2) / ((n - 1) * mpmath.mpf(s)))
+            for shortfall in (1.0 - report.p_fully_random / report.p_random_weight / law, exact):
+                assert 0.0 < shortfall <= 2.0 / (n * s * s), (n, s, shortfall)
 
 
 def _general_pose(rng, n, sin_phi):

@@ -16,7 +16,6 @@ from ballsep.selfcheck import (
     check_lemma_sandwich,
     check_ordering_chain,
     grid_instances,
-    random_instance,
     run_all,
 )
 from ballsep.geometry import SeparationInstance
@@ -47,7 +46,7 @@ def test_grid_covers_thirty_cells():
 def test_random_instances_are_well_posed():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        inst = random_instance(rng)
+        inst = selfcheck._embedded(selfcheck._draw(rng, 1), 0)
         assert inst.gap > 0.0
         assert inst.bias_half_range >= max(
             np.linalg.norm(inst.ball_a.center), np.linalg.norm(inst.ball_b.center)
@@ -83,7 +82,7 @@ def test_random_cells_are_their_instances_gaps(seed):
         assert cell == (i, inst.dimension, inst.bias_half_range, probability._gap(inst))
         assert not inst.ball_a.center[2:].any() and not inst.ball_b.center[2:].any()
     (first,) = _cells(np.random.default_rng(seed), 1)
-    inst = random_instance(np.random.default_rng(seed))
+    inst = selfcheck._embedded(selfcheck._draw(np.random.default_rng(seed), 1), 0)
     assert first == (0, inst.dimension, inst.bias_half_range, probability._gap(inst))
 
 
@@ -194,6 +193,13 @@ def test_beta_symmetry_battery():
 def test_reductions_battery():
     result = check_analytic_reductions()
     assert result.passed
+
+
+def test_reductions_battery_names_a_failing_case(monkeypatch):
+    monkeypatch.setattr(probability, "p_random_bias", lambda inst: 0.25)
+    result = check_analytic_reductions()
+    assert result.failures == ["reference dim2 bias: got 0.25, want 0.5, off by 2.500e-01"]
+    assert result.worst == 0.25
 
 
 @pytest.mark.parametrize(

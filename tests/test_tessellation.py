@@ -162,6 +162,12 @@ class TestWidthPlanning:
             m = width_for_confidence(p, 0.9)
             assert m * math.log1p(-p) <= math.log1p(-0.9) < (m - 1) * math.log1p(-p)
 
+    def test_guess_one_short_steps_up(self):
+        # log(1 - T)/log(1 - p) is 34.0000000000000032 by mpmath, so 35 planes are the fewest
+        # that reach T; the ratio of the float logs gives the guess 34, and the walk steps up.
+        # achieved_confidence(p, 34) rounds to >= T, so the check is against the exact minimum
+        assert width_for_confidence(0.5995161567791838, 0.9999999999999692) == 35
+
     def test_achieved_confidence(self):
         assert achieved_confidence(1.0, 1) == 1.0
         assert achieved_confidence(0.5, 4) >= 0.9
