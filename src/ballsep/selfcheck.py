@@ -14,10 +14,10 @@ each other, so a sign or factor slip in any one route fails loudly.  The
 first three form their cells as float64 columns, with no per-cell objects
 or tuples, and pass them to the closed forms' own entries, which give a
 column the bits of one call per row; one reducer, `_record`, takes the
-violations of _CHUNK cells, or of one chain draw, at a time.  The chain draws
-its random instances as arrays in their two-dimensional core and checks them as
-`SeparationInstance` would.  The analytic reductions call the public
-functions on single instances.
+violations of _CHUNK cells at a time.  The chain draws its random instances in
+their two-dimensional core, checks them as `SeparationInstance` would and joins
+the draws into chunks.  The analytic reductions call the public functions on
+single instances.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import probability
-from .geometry import Ball, SeparationInstance, _pair_checks, make_instance, symmetric_instance
+from .geometry import Ball, _pair_checks, make_instance, symmetric_instance
 from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
 from .montecarlo import DEFAULT_SEED, _check_seed
 from .specfun import _each, _kappa_logs, _reg_inc_betas, log_beta
@@ -39,10 +39,10 @@ GRID_DIMENSIONS = (2, 3, 5, 10, 50)
 GRID_SIN_PHI = (0.3, 0.5, 0.8)
 GRID_K_FACTORS = (1.0, 2.0)
 
-# cells per sandwich or reflection continued fraction; it bounds their memory, not their
-# values: at 8,192 validate's traced peak is 2.5 MB, below sweep's 4.1 MB (16,384: 4.4 MB)
+# cells per sandwich, chain or reflection continued fraction, a multiple of _DRAW; it bounds
+# their memory, not their values: at 8,192 validate's traced peak is below sweep's
 _CHUNK = 8192
-_DRAW = 1024  # chain instances per draw, checked at once; it bounds memory, and values follow it
+_DRAW = 1024  # chain instances per generator call; it fixes the random stream, not memory
 
 
 @dataclass
@@ -102,13 +102,6 @@ def grid_instances() -> list:
     ]
 
 
-def _embedded(draw: tuple, i: int) -> SeparationInstance:
-    """The instance of row i of a `_draw`, in R^n with zeros past its second coordinate."""
-    n, r, p, c, x, k, _, _ = draw
-    pad = (0, int(n[i]) - 2)
-    return make_instance(Ball(np.pad(c[:, i], pad), r[i]), Ball(np.pad(x[:, i], pad), p[i]), k[i])
-
-
 def _draw(rng: np.random.Generator, m: int) -> tuple:
     """(n, r, p, c, x, k, c.c, x.x) of m random instances, unchecked: n uniform on 2..200,
     radii r, p in [0.1, 5), a gap in [1e-3, 10), centers c = s g and x = c + (r + p + gap) e1
@@ -126,23 +119,30 @@ def _draw(rng: np.random.Generator, m: int) -> tuple:
     return n, r, p, c, x, np.sqrt(np.maximum(cc, xx)) * k_factor, cc, xx
 
 
+def _checked_draw(rng: np.random.Generator, start: int, m: int) -> tuple:
+    """(n, |c - x|, r, p, k) of a `_draw` of m instances from rng, the first random[start], with
+    every check of `SeparationInstance` but no instance; a draw that fails one is a bug."""
+    n, r, p, c, x, k, cc, xx = _draw(rng, m)
+    squares = np.array([np.square(c - x).sum(axis=0), cc, xx])
+    dist, norm_c, norm_x = np.sqrt(squares)
+    # np.sqrt is `_pair_checks`'s norm where each square is a finite normal double
+    fine = np.all((np.finfo(float).tiny <= squares) & (squares < math.inf), axis=0)
+    fine &= (dist > r + p) & np.isfinite(k) & (k >= np.maximum(norm_c, norm_x))
+    for i in np.flatnonzero(~fine).tolist():
+        try:
+            dist[i], k[i] = _pair_checks(c[:, i], r[i], x[:, i], p[i], k[i])
+        except BallsepError as exc:
+            raise InternalConsistencyError(f"random[{start + i}] n={n[i]}: {exc}") from exc
+    return n, dist, r, p, k
+
+
 def _random_cells(rng: np.random.Generator, samples: int):
-    """(start, n, |c - x|, r, p, k) of each draw of _DRAW of `samples` random instances from
-    rng: the index of its first instance, then its columns, with every check of
-    `SeparationInstance` but no instance; a draw that fails one is a bug."""
-    for start in range(0, samples, _DRAW):
-        n, r, p, c, x, k, cc, xx = _draw(rng, min(_DRAW, samples - start))
-        squares = np.array([np.square(c - x).sum(axis=0), cc, xx])
-        dist, norm_c, norm_x = np.sqrt(squares)
-        # np.sqrt is `_pair_checks`'s norm where each square is a finite normal double
-        fine = np.all((np.finfo(float).tiny <= squares) & (squares < math.inf), axis=0)
-        fine &= (dist > r + p) & np.isfinite(k) & (k >= np.maximum(norm_c, norm_x))
-        for i in np.flatnonzero(~fine).tolist():
-            try:
-                dist[i], k[i] = _pair_checks(c[:, i], r[i], x[:, i], p[i], k[i])
-            except BallsepError as exc:
-                raise InternalConsistencyError(f"random[{start + i}] n={n[i]}: {exc}") from exc
-        yield start, n, dist, r, p, k
+    """(start, n, |c - x|, r, p, k) of each chunk of _CHUNK of `samples` random instances
+    from rng, checked _DRAW at a time: the index of its first instance, then its columns."""
+    for chunk in range(0, samples, _CHUNK):
+        starts = range(chunk, min(chunk + _CHUNK, samples), _DRAW)
+        draws = (_checked_draw(rng, start, min(_DRAW, samples - start)) for start in starts)
+        yield chunk, *map(np.concatenate, zip(*draws))
 
 
 def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:

@@ -807,6 +807,20 @@ class TestTessellate:
         assert header == "mode,width,samples,per_pair_exact,predicted,estimate,std_error,target"
 
 
+_report = probability._report
+
+
+def _flipped_report(shape, gap):
+    # the fully random probability with the subtracted term added instead, in the column
+    # calls of the report the ordering chain reads
+    (a, ln_a, ln_beta), (q, ln_q, ln_comp, sin_phi, scale, p_bias) = shape, gap
+    if type(q) is not np.ndarray:
+        return _report(shape, gap)
+    incomplete = specfun._reg_inc_betas(q, ln_q, ln_comp, a, 0.5, ln_beta)
+    first = specfun._each(math.exp, a * ln_q - ln_a - ln_beta)
+    return p_bias, incomplete, scale * (first + sin_phi * incomplete)
+
+
 class TestValidate:
     def test_fresh_build_passes(self, capsys):
         code, out, _ = run(capsys, ["validate", "--samples", "300"])
@@ -847,8 +861,9 @@ class TestValidate:
 
     def test_traced_peak_stays_below_the_sweeps(self):
         # perfbench's closed-forms workload runs both in one process, whose peak is the larger
-        # of theirs; validate's chunks keep its own below the sweep's: traced, 2.5 MB against
-        # 4.1 MB at 8,192 cells a chunk, where 16,384 read 4.4 MB and a whole grid 5.4 MB
+        # of theirs; validate's chunks keep its own below the sweep's: traced after a warm-up
+        # run, 3.1 MB against 3.9 MB at 8,192 cells a chunk (3.8 MB once the chain fills every
+        # chunk, at --samples 100000), where 16,384 read 4.4 MB (7.5 MB) and 4,096 2.0 MB
         peaks = []
         sweep = ["sweep", "--dim", "2..5000", "--delta", "0.5,2.0"]
         for argv in (sweep, ["validate", "--samples", "10000"]):
@@ -872,33 +887,44 @@ class TestValidate:
         code, out, _ = run(capsys, ["validate", "--samples", "10000"])
         assert (code, "all 4 checks passed" in out) == (0, True)
         counts = collections.Counter(name for names in calls for name in names)
-        # 1 sandwich and 11 chain angle columns (the grid and 10 draws); 199 n in each of the
-        # sandwich and the chain and 18 of the analytic reductions' reports; kappa logs of
-        # the 12 angle columns, 11 chain gap columns, 2 reflection columns and 18 reports;
-        # 3 sandwich chunks, 2 x 11 chain chunks, 1 reflection chunk and 18 reports
-        assert counts == {"_angle": 12, "_shape": 416, "_kappa_logs": 43, "_reg_inc_betas": 44}
-        # one per chain chunk and per report, and one per instance built: the 30 grid
+        # the chain's 10,000 random cells are two chunks of at most 8,192 (8,192 and 1,808),
+        # so it has 3 columns: the grid and the two chunks.  1 sandwich and 3 chain angle
+        # columns; 199 n in each of the sandwich and the chain and 18 of the analytic
+        # reductions' reports; kappa logs of the 4 angle columns, 3 chain gap columns,
+        # 2 reflection columns and 18 reports; 3 sandwich chunks, 2 x 3 chain columns,
+        # 1 reflection chunk and 18 reports
+        assert counts == {"_angle": 4, "_shape": 416, "_kappa_logs": 27, "_reg_inc_betas": 28}
+        # one per chain column and per report, and one per instance built: the 30 grid
         # instances and the analytic reductions' 12
-        assert len(cones) == 11 + 18 + 30 + 12
+        assert len(cones) == 3 + 18 + 30 + 12
 
     def test_injected_fault_fails_ordering_chain(self, capsys, monkeypatch):
-        # the fully random probability with the subtracted term added instead, in the
-        # column calls of the report the chain reads
-        report = probability._report
-
-        def flipped(shape, gap):
-            (a, ln_a, ln_beta), (q, ln_q, ln_comp, sin_phi, scale, p_bias) = shape, gap
-            if type(q) is not np.ndarray:
-                return report(shape, gap)
-            incomplete = specfun._reg_inc_betas(q, ln_q, ln_comp, a, 0.5, ln_beta)
-            first = specfun._each(math.exp, a * ln_q - ln_a - ln_beta)
-            return p_bias, incomplete, scale * (first + sin_phi * incomplete)
-
-        monkeypatch.setattr(probability, "_report", flipped)
+        monkeypatch.setattr(probability, "_report", _flipped_report)
         code, out, _ = run(capsys, ["validate", "--samples", "50"])
         assert code == 1
         assert "ordering chain: FAIL" in out
         assert "\n  ordering chain failing cell: grid " in out
+
+    @pytest.mark.parametrize("seed", [3, 1 << 63])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_ordering_chain_does_not_depend_on_its_chunk(self, monkeypatch, seed, flip):
+        # the chain's random stream is drawn _DRAW at a time whatever _CHUNK is, and its
+        # column path gives every cell the bits of one float call, so cells, worst and
+        # failures, in order, are the same at every chunk size; the flipped report fails
+        # grid cells and, past a single sample, about two in three random cells
+        if flip:
+            monkeypatch.setattr(probability, "_report", _flipped_report)
+        for samples in (0, 1, 1023, 1025, 8192, 8193, 20000):
+            results = []
+            for chunk in (1024, 2048, 8192):
+                monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
+                result = selfcheck.check_ordering_chain(samples=samples, seed=seed)
+                results.append((result.cells, repr(result.worst), result.failures))
+            assert results[0] == results[1] == results[2]
+            failures = results[0][2]
+            assert bool(failures) is flip
+            if samples > 1:
+                assert any(line.startswith("random[") for line in failures) is flip
 
     @pytest.mark.parametrize(
         "radius, k, message",

@@ -18,7 +18,7 @@ from ballsep.selfcheck import (
     grid_instances,
     run_all,
 )
-from ballsep.geometry import SeparationInstance
+from ballsep.geometry import Ball, SeparationInstance, make_instance
 from ballsep.montecarlo import _sphere_block
 from ballsep.specfun import _each, _kappa_logs, _reg_inc_betas, log_beta
 
@@ -43,10 +43,17 @@ def test_grid_covers_thirty_cells():
     assert dims == {2, 3, 5, 10, 50}
 
 
+def _embedded(draw, i):
+    # the instance of row i of a `_draw`, in R^n with zeros past its second coordinate
+    n, r, p, c, x, k, _, _ = draw
+    pad = (0, int(n[i]) - 2)
+    return make_instance(Ball(np.pad(c[:, i], pad), r[i]), Ball(np.pad(x[:, i], pad), p[i]), k[i])
+
+
 def test_random_instances_are_well_posed():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        inst = selfcheck._embedded(selfcheck._draw(rng, 1), 0)
+        inst = _embedded(selfcheck._draw(rng, 1), 0)
         assert inst.gap > 0.0
         assert inst.bias_half_range >= max(
             np.linalg.norm(inst.ball_a.center), np.linalg.norm(inst.ball_b.center)
@@ -58,7 +65,7 @@ def _chain_instances(seed, samples):
     rng, instances = np.random.default_rng(seed), []
     for start in range(0, samples, selfcheck._DRAW):
         draw = selfcheck._draw(rng, min(selfcheck._DRAW, samples - start))
-        instances += [selfcheck._embedded(draw, i) for i in range(len(draw[0]))]
+        instances += [_embedded(draw, i) for i in range(len(draw[0]))]
     return instances
 
 
@@ -82,7 +89,7 @@ def test_random_cells_are_their_instances_gaps(seed):
         assert cell == (i, inst.dimension, inst.bias_half_range, probability._gap(inst))
         assert not inst.ball_a.center[2:].any() and not inst.ball_b.center[2:].any()
     (first,) = _cells(np.random.default_rng(seed), 1)
-    inst = selfcheck._embedded(selfcheck._draw(np.random.default_rng(seed), 1), 0)
+    inst = _embedded(selfcheck._draw(np.random.default_rng(seed), 1), 0)
     assert first == (0, inst.dimension, inst.bias_half_range, probability._gap(inst))
 
 
@@ -160,17 +167,21 @@ def test_random_cells_check_k_is_finite(monkeypatch):
     assert str(raised.value) == "random[0] n=3: bias half range must be finite, got inf"
 
 
-def test_random_cells_name_a_failing_cell_by_its_index(monkeypatch):
-    # the second draw's first row is the third instance; the first draw's centers at 0
-    # take the norm's slow path, and pass
+@pytest.mark.parametrize("chunk", [2, 4])
+def test_random_cells_name_a_failing_cell_by_its_index(monkeypatch, chunk):
+    # the second draw's first row is the third instance, whether it opens the second chunk
+    # or joins the first draw in one; the first draw's centers at 0 take the norm's slow
+    # path, and pass
     good = _one_draw([0.0, 0.0], [2.0, 0.0], 0.5, 2.0)
     pair = tuple(np.concatenate([v, v], axis=-1) for v in good)
     draws = iter([pair, _one_draw([0.5, 0.0], [2.0, 0.0], 1.0, 2.0, n=7)])
     monkeypatch.setattr(selfcheck, "_DRAW", 2)
+    monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
     monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: next(draws))
     blocks = selfcheck._random_cells(np.random.default_rng(0), 3)
-    start, n, *_ = next(blocks)
-    assert (start, n.tolist()) == (0, [3, 3])
+    if chunk == 2:
+        start, n, *_ = next(blocks)
+        assert (start, n.tolist()) == (0, [3, 3])
     with pytest.raises(InternalConsistencyError) as raised:
         next(blocks)
     assert str(raised.value) == "random[2] n=7: balls overlap or touch (delta <= 0)"
@@ -315,7 +326,7 @@ class TestChainColumns:
         fixed = len(grid_instances())
         assert len(reports) == len(bounds) == fixed + samples
         draw = selfcheck._draw(np.random.default_rng(seed), samples)
-        instances = [selfcheck._embedded(draw, i) for i in range(samples)]
+        instances = [_embedded(draw, i) for i in range(samples)]
         assert list(zip(reports[fixed:], bounds[fixed:])) == list(map(_float_report, instances))
 
 
@@ -342,12 +353,15 @@ def test_every_cell_of_the_grid_batteries_is_pinned(monkeypatch):
 
 
 def test_ordering_chain_memory_does_not_grow_with_samples():
-    # the chain evaluates its cells in fixed-size chunks and keeps no instances;
-    # a full collection inside a run would empty the float and tuple free lists
-    # and trace their refill, so each run starts from a collected heap
+    # the chain evaluates its cells in chunks of _CHUNK and keeps no instances, so two
+    # runs of full chunks peak alike; each run spans two chunks or more, since a chunk's
+    # columns are still held while the next one is evaluated (traced, 3.05 MB for one
+    # chunk, 3.77 MB for two or four); a full collection inside a run would empty the
+    # float and tuple free lists and trace their refill, so each run starts from a
+    # collected heap
     check_ordering_chain(samples=10)
     peaks = []
-    for samples in (1000, 4000):
+    for samples in (2 * selfcheck._CHUNK, 8 * selfcheck._CHUNK):
         gc.collect()
         tracemalloc.start()
         try:
