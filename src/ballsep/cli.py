@@ -16,31 +16,28 @@ validation failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
 
-from . import selfcheck
-from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall, InternalConsistencyError
+import numpy as np
+
+from . import probability, selfcheck
+from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall
 from .geometry import Ball, SeparationInstance, _radius, make_instance, symmetric_instance
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
-from .probability import _MAX_DIMENSION, _dimension, _gap, _grid_columns, separation_report
+from .probability import _MAX_DIMENSION, _dimension, _gap, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
-# sweep rows, counted before any range is expanded: traced, 1.7 GB as CSV, 2.2 GB as JSON
+# sweep rows, counted before any range is expanded: about 100 MB traced, to sort the dimensions
 _MAX_SWEEP_ROWS = 2**22
 _EXACT_COLUMNS = ("n", "delta", "r", "p", "k", "sin_phi", "q", "p_bias", "p_weight", "p_full")
 _SWEEP_COLUMNS = _EXACT_COLUMNS + ("envelope",)
 _ESTIMATE_COLUMNS = ("estimator", "mean", "std_error", "exact", "z")
 _TESSELLATE_COLUMNS = (
-    "mode",
-    "width",
-    "samples",
-    "per_pair_exact",
-    "predicted",
-    "estimate",
-    "std_error",
-    "target",
+    "mode", "width", "samples", "per_pair_exact", "predicted", "estimate", "std_error", "target"
 )
 
 # each mode's `estimate` row name and SeparationReport field, in estimate's row order
@@ -119,8 +116,9 @@ def _csv_cell(value) -> str:
 
 
 def _csv_text(columns, lines) -> str:
-    """The CSV header of columns, then each line of the iterable lines."""
-    return "\n".join([",".join(columns), *lines]) + "\n"
+    """The CSV header of columns, if there are any, then each line of the iterable lines."""
+    header = [",".join(columns)] if columns else []
+    return "\n".join([*header, *lines, ""])
 
 
 def _json_safe(record) -> dict:
@@ -151,19 +149,31 @@ def _key_value_text(record) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise BallsepError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, stream) -> None:
+    stream.write(text)
 
 
-def _write(args, columns, output, table=None) -> int:
-    """Print a record (a dict) or an iterable of records in --format; exit code 0.
+def _write(out, pieces, code: int = 0) -> int:
+    """Write the str pieces in order to stdout, or to the file out, opened as the first piece
+    is made, after the command's input checks: bad input leaves out as it was.  A piece is
+    dropped once written, so text made a block at a time is held a block at a time."""
+    stream = sys.stdout
+    try:
+        with contextlib.ExitStack() as files:
+            for piece in pieces:
+                if out and stream is sys.stdout:
+                    stream = files.enter_context(open(out, "w", encoding="utf-8", newline=""))
+                _emit(piece, stream)
+                del piece
+    except OSError as exc:
+        if not out:
+            raise
+        raise BallsepError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+    return code
+
+
+def _records_text(args, columns, output, table=None) -> str:
+    """A record (a dict) or a list of records in --format.
 
     A record prints as one indented JSON object, a CSV row or name/value
     lines; records as one JSON object per line, CSV rows or `table(output)`.
@@ -171,13 +181,10 @@ def _write(args, columns, output, table=None) -> int:
     single = isinstance(output, dict)
     records = [output] if single else output
     if args.format == "json":
-        text = _json_lines(records, indent=2 if single else None)
-    elif args.format == "csv":
-        text = _csv_text(columns, (",".join([_csv_cell(r[c]) for c in columns]) for r in records))
-    else:
-        text = _key_value_text(output) if single else table(records)
-    _emit(text, args.out)
-    return 0
+        return _json_lines(records, indent=2 if single else None)
+    if args.format == "csv":
+        return _csv_text(columns, (",".join([_csv_cell(r[c]) for c in columns]) for r in records))
+    return _key_value_text(output) if single else table(records)
 
 
 def _gap_values(inst: SeparationInstance, p_bias: float) -> tuple:
@@ -191,7 +198,8 @@ def cmd_exact(args) -> int:
     report = separation_report(inst)
     gap = _gap_values(inst, report.p_random_bias)
     values = (inst.dimension, *gap, report.p_random_weight, report.p_fully_random)
-    return _write(args, _EXACT_COLUMNS, dict(zip(_EXACT_COLUMNS, values)))
+    record = dict(zip(_EXACT_COLUMNS, values))
+    return _write(args.out, [_records_text(args, _EXACT_COLUMNS, record)])
 
 
 def cmd_estimate(args) -> int:
@@ -208,16 +216,9 @@ def cmd_estimate(args) -> int:
             z = 0.0
         else:
             z = math.copysign(math.inf, estimate.mean - exact)
-        records.append(
-            {
-                "estimator": name,
-                "mean": estimate.mean,
-                "std_error": estimate.std_error,
-                "exact": exact,
-                "z": z,
-            }
-        )
-    return _write(args, _ESTIMATE_COLUMNS, records, _estimate_table)
+        values = name, estimate.mean, estimate.std_error, exact, z
+        records.append(dict(zip(_ESTIMATE_COLUMNS, values)))
+    return _write(args.out, [_records_text(args, _ESTIMATE_COLUMNS, records, _estimate_table)])
 
 
 def _estimate_table(records) -> str:
@@ -236,7 +237,7 @@ def cmd_sweep(args) -> int:
     rows = sum(map(len, ranges)) * len(deltas)
     if rows > _MAX_SWEEP_ROWS:
         raise ArgumentOutOfRange(f"--dim and --delta list {rows} rows, more than {_MAX_SWEEP_ROWS}")
-    dims = sorted({n for listed in ranges for n in listed})
+    dims = np.unique(np.concatenate([np.arange(listed.start, listed.stop) for listed in ranges]))
     if args.k is None and not args.k_factor >= 1.0:
         raise ArgumentOutOfRange(f"--k-factor must be >= 1, got {args.k_factor!r}")
     # the closed forms see the dimension only through the incomplete beta's
@@ -263,20 +264,32 @@ def cmd_sweep(args) -> int:
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
     logs = [_gap(inst) for inst in planar]
-    (_, weights, fulls), envelopes = _grid_columns(dims, logs)
-    rows = zip(weights.tolist(), fulls.tolist())
     gaps = [_gap_values(inst, gap[-1]) for inst, gap in zip(planar, logs)]
-    if args.format == "json":
-        grid = ((n, gap, envelope) for n, envelope in zip(dims, envelopes) for gap in gaps)
-        values = ((n, *gap, w, f, envelope) for (n, gap, envelope), (w, f) in zip(grid, rows))
-        return _write(args, _SWEEP_COLUMNS, (dict(zip(_SWEEP_COLUMNS, v)) for v in values))
-    # each gap's columns and each envelope are rendered once; the probabilities by repr
-    prefixes = [",".join(map(_csv_cell, gap)) for gap in gaps]
-    tails = map(_csv_cell, envelopes)
-    grid = ((n, prefix, tail) for n, tail in zip(dims, tails) for prefix in prefixes)
-    lines = (f"{n},{prefix},{w!r},{f!r},{tail}" for (n, prefix, tail), (w, f) in zip(grid, rows))
-    _emit(_csv_text(_SWEEP_COLUMNS, lines), args.out)
-    return 0
+    if args.format != "json":  # each gap's columns are rendered once
+        gaps = [",".join(map(_csv_cell, gap)) for gap in gaps]
+    block = functools.partial(_sweep_block, args.format == "json", dims, np.array(logs).T, gaps)
+    return _write(args.out, map(block, range(0, len(dims) * len(gaps), probability._BLOCK)))
+
+
+def _sweep_block(json_rows: bool, dims, logs, gaps, start: int) -> str:
+    """JSON or CSV lines of sweep's block of cells from start, n-major, the CSV header first
+    at start 0: cell i has dimension dims[i // G] and the gap of `_gap` columns logs[:, i % G]
+    and columns delta to p_bias gaps[i % G], values for JSON and text for CSV; G = len(gaps)."""
+    cells = np.arange(start, min(start + probability._BLOCK, len(dims) * len(gaps)))
+    dim_at, gap_at = np.divmod(cells, len(gaps))
+    _, report, envelopes = probability._closed_forms(dims[dim_at], logs[:, gap_at])
+    probability._check_ordering(*report)
+    # n and the envelope depend on the dimension alone, so they are taken once per dimension
+    local = dim_at - dim_at[0]
+    _, first = np.unique(local, return_index=True)
+    ns, ends = dims[dim_at[first]].tolist(), envelopes[first].tolist()
+    rows = zip(local.tolist(), gap_at.tolist(), report[1].tolist(), report[2].tolist())
+    if json_rows:
+        values = ((ns[d], *gaps[j], w, f, ends[d]) for d, j, w, f in rows)
+        return _json_lines(dict(zip(_SWEEP_COLUMNS, v)) for v in values)
+    ends = list(map(_csv_cell, ends))
+    lines = (f"{ns[d]},{gaps[j]},{w!r},{f!r},{ends[d]}" for d, j, w, f in rows)
+    return _csv_text(_SWEEP_COLUMNS if start == 0 else (), lines)
 
 
 def cmd_tessellate(args) -> int:
@@ -287,17 +300,10 @@ def cmd_tessellate(args) -> int:
     width = args.width if args.target is None else width_for_confidence(per_pair, args.target)
     cfg = McConfig(samples=args.samples, seed=args.seed, chunks=args.chunks)
     estimate = estimate_all_pairs([inst], width, args.mode, cfg)
-    record = {
-        "mode": args.mode,
-        "width": width,
-        "samples": args.samples,
-        "per_pair_exact": per_pair,
-        "predicted": achieved_confidence(per_pair, width),
-        "estimate": estimate.mean,
-        "std_error": estimate.std_error,
-        "target": args.target,
-    }
-    return _write(args, _TESSELLATE_COLUMNS, record)
+    predicted = achieved_confidence(per_pair, width)
+    values = args.mode, width, args.samples, per_pair, predicted, estimate.mean, estimate.std_error
+    record = dict(zip(_TESSELLATE_COLUMNS, (*values, args.target)))
+    return _write(args.out, [_records_text(args, _TESSELLATE_COLUMNS, record)])
 
 
 def cmd_validate(args) -> int:
@@ -312,8 +318,7 @@ def cmd_validate(args) -> int:
         lines.append(f"validation FAILED in {len(failed)} of {len(results)} checks")
     else:
         lines.append(f"all {len(results)} checks passed across {total} cells")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
+    return _write(args.out, ["\n".join(lines) + "\n"], 1 if failed else 0)
 
 
 def _add_instance_flags(sub) -> None:
@@ -399,9 +404,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InternalConsistencyError:
-        # a broken invariant is a bug, not bad input
-        raise
     except BallsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 
 class BallsepError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every bad-input error this package raises; bugs have their own root."""
 
 
 class DimensionMismatch(BallsepError):
@@ -25,13 +25,13 @@ class ArgumentOutOfRange(BallsepError):
     """An argument lies outside its documented domain."""
 
 
-class NoConvergence(BallsepError):
-    """An iterative evaluation hit its iteration cap before converging."""
-
-
 class EmptyInstanceList(BallsepError):
     """An operation over ball pairs received no pairs."""
 
 
-class InternalConsistencyError(BallsepError):
-    """A computed quantity violated an internal invariant; indicates a bug."""
+class InternalConsistencyError(Exception):
+    """A computed quantity violated an internal invariant; indicates a bug, not bad input."""
+
+
+class NoConvergence(InternalConsistencyError):
+    """An iterative evaluation hit its iteration cap, which valid input stays well inside."""

@@ -18,9 +18,10 @@ Each closed form has one entry, which takes Python floats or float64
 columns, one row per cell, with the same bits on both: `_report` of
 `_shape(n)` and `_gap(inst)`, and `_lemma` of `_angle(alpha)` and
 `_shape(n)`.  `separation_report` and `lemma_bounds` are those entries on
-one instance or angle.  The transcendental steps are `math` calls, mapped
-over a column's elements (`specfun._each`), because numpy's `exp`, `log`,
-`lgamma` and `**` differ from `math`'s in the last bit for some arguments.
+one instance or angle, and `_closed_forms` on a block of cells.  The
+transcendental steps are `math` calls, mapped over a column's elements
+(`specfun._each`), because numpy's `exp`, `log`, `lgamma` and `**` differ from
+`math`'s in the last bit for some arguments.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _LGAMMA_HALF = math.lgamma(0.5)
 # the largest dimension `lemma_bounds` and `asymptotic_envelope` take: rounding the lgamma
 # values, about a log a, costs their results a few parts in a million here, and more past it
 _MAX_DIMENSION = 2**30
+_BLOCK = 8192  # cells per column call of sweep and validate; it bounds memory, not values
 
 
 def _improbable(label: str, value: float) -> InternalConsistencyError:
@@ -152,9 +154,9 @@ def asymptotic_envelope(n: int) -> float:
     return _envelope(math.lgamma(0.5 * n), math.lgamma(0.5 * (n + 1)))
 
 
-def _envelope(lgamma_half: float, lgamma_next: float) -> float:
-    # asymptotic_envelope(n) from log Gamma(n/2) and log Gamma((n+1)/2)
-    return math.exp(lgamma_half - lgamma_next) / _SQRT_PI
+def _envelope(lgamma_half, lgamma_next):
+    # asymptotic_envelope(n) from log Gamma(n/2) and log Gamma((n+1)/2): floats or columns
+    return _each(math.exp, lgamma_half - lgamma_next) / _SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -206,23 +208,18 @@ def _cell(dist, r, p, k) -> tuple:
     return *_kappa_logs(q), sin_phi, 0.5 * dist / k, _bias_probability(gap, k)
 
 
-def _grid_columns(dims: list, gaps: list) -> tuple:
-    """The `_report` columns of every (n, gap) with n >= 2 in dims and gap a `_gap(inst)` in
-    gaps, n-major, and the `asymptotic_envelope` list of dims.  Each distinct lgamma argument
-    is taken once, so contiguous dimensions share their Gamma(j/2)."""
+def _closed_forms(dims, gap) -> tuple:
+    """(`_shape(n)`, `_report`, `asymptotic_envelope(n)`) of cells with the int column dims and
+    the six float64 `_gap` columns gap, as columns with the bits of float calls; the report's
+    ordering is left to the caller.  Each distinct lgamma argument is taken once."""
+    ns, at = np.unique(dims, return_inverse=True)
+    a = 0.5 * (ns - 1)
     # the lgamma arguments of `_shape(n)` and `asymptotic_envelope(n)`, as they form them
-    a, halves, nexts = ([0.5 * (n + j) for n in dims] for j in (-1, 0, 1))
-    shifted = [y + 0.5 for y in a]
-    lgamma = {x: math.lgamma(x) for x in {0.5, *a, *shifted, *halves, *nexts}}
-    lgamma_a, lgamma_shifted = (np.array([lgamma[x] for x in xs]) for xs in (a, shifted))
-    a = np.array(a)
-    shape = a, _each(math.log, a), _log_beta_sum(lgamma_a, lgamma[0.5], lgamma_shifted)
-    envelopes = [_envelope(lgamma[x], lgamma[y]) for x, y in zip(halves, nexts)]
-    repeated = [np.repeat(column, len(gaps)) for column in shape]
-    tiled = [np.tile(column, len(dims)) for column in np.array(gaps).reshape(-1, 6).T]
-    report = _report(repeated, tiled)
-    _check_ordering(*report)
-    return report, envelopes
+    args, where = np.unique(np.concatenate([a, a + 0.5, a + 1.0]), return_inverse=True)
+    lgamma_a, lgamma_half, lgamma_next = _each(math.lgamma, args)[where].reshape(3, -1)
+    shape = a, _each(math.log, a), _log_beta_sum(lgamma_a, _LGAMMA_HALF, lgamma_half)
+    shape = tuple(column[at] for column in shape)
+    return shape, _report(shape, gap), _envelope(lgamma_half, lgamma_next)[at]
 
 
 def _report(shape, gap) -> tuple:

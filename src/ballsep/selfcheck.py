@@ -14,16 +14,15 @@ each other, so a sign or factor slip in any one route fails loudly.  The
 first three form their cells as float64 columns, with no per-cell objects
 or tuples, and pass them to the closed forms' own entries, which give a
 column the bits of one call per row; one reducer, `_record`, takes the
-violations of _CHUNK cells at a time.  The chain draws its random instances in
-their two-dimensional core, checks them as `SeparationInstance` would and joins
-the draws into chunks.  The analytic reductions call the public functions on
-single instances.
+violations of `probability._BLOCK` cells at a time.  The chain draws its random
+instances in their two-dimensional core, checks them as `SeparationInstance`
+would and evaluates them a block at a time, as `sweep` does.  The analytic
+reductions call the public functions on single instances.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +38,9 @@ GRID_DIMENSIONS = (2, 3, 5, 10, 50)
 GRID_SIN_PHI = (0.3, 0.5, 0.8)
 GRID_K_FACTORS = (1.0, 2.0)
 
-# cells per sandwich, chain or reflection continued fraction, a multiple of _DRAW; it bounds
-# their memory, not their values: at 8,192 validate's traced peak is below sweep's
-_CHUNK = 8192
-_DRAW = 1024  # chain instances per generator call; it fixes the random stream, not memory
+# chain instances per generator call; it fixes the random stream, not memory, and
+# `probability._BLOCK`, the cells per sandwich, chain or reflection column, is a multiple of it
+_DRAW = 1024
 
 
 @dataclass
@@ -83,8 +81,8 @@ def check_lemma_sandwich(alpha_points: int = 100, n_max: int = 200, tol: float =
     shapes = np.array([probability._shape(n) for n in range(2, n_max + 1)]).T
     result = CheckResult("sandwich bounds", alpha_points * (n_max - 1), tol, -math.inf)
     # cell j is (n, alpha) = (2 + j // alpha_points, alphas[j % alpha_points]), n-major
-    for start in range(0, result.cells, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, result.cells))
+    for start in range(0, result.cells, probability._BLOCK):
+        cells = np.arange(start, min(start + probability._BLOCK, result.cells))
         n_at, alpha_at = np.divmod(cells, alpha_points)
         lower, mid, upper = probability._lemma(angles[:, alpha_at], shapes[:, n_at])
         violations = np.maximum(lower - mid, mid - upper)
@@ -136,13 +134,12 @@ def _checked_draw(rng: np.random.Generator, start: int, m: int) -> tuple:
     return n, dist, r, p, k
 
 
-def _random_cells(rng: np.random.Generator, samples: int):
-    """(start, n, |c - x|, r, p, k) of each chunk of _CHUNK of `samples` random instances
-    from rng, checked _DRAW at a time: the index of its first instance, then its columns."""
-    for chunk in range(0, samples, _CHUNK):
-        starts = range(chunk, min(chunk + _CHUNK, samples), _DRAW)
-        draws = (_checked_draw(rng, start, min(_DRAW, samples - start)) for start in starts)
-        yield chunk, *map(np.concatenate, zip(*draws))
+def _random_block(rng: np.random.Generator, start: int, samples: int) -> tuple:
+    """(n, |c - x|, r, p, k) of the random instances from random[start], drawn next from rng,
+    to the end of its block of `probability._BLOCK` or of `samples`, checked _DRAW at a time."""
+    starts = range(start, min(start + probability._BLOCK, samples), _DRAW)
+    draws = (_checked_draw(rng, i, min(_DRAW, samples - i)) for i in starts)
+    return tuple(map(np.concatenate, zip(*draws)))
 
 
 def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:
@@ -158,30 +155,33 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
     _check_seed(seed)
     fixed = grid_instances()
     result = CheckResult("ordering chain", len(fixed) + samples, tol, -math.inf)
-    # every probability is pulled through the module attribute so a
-    # deliberately broken implementation is observed, not a stale alias
-    shape = functools.cache(probability._shape)
     fields = np.array(
         [(x.center_distance, x.ball_a.radius, x.ball_b.radius, x.bias_half_range) for x in fixed]
     )
-    grid = None, np.array([x.dimension for x in fixed]), *fields.T
-    blocks = itertools.chain([grid], _random_cells(np.random.default_rng(seed), samples))
-    for start, n, dist, r, p, k in blocks:
-        gap = probability._cell(dist, r, p, k)
-        # a grid cell is named by its k, a random one by its index
-        label, first = "grid n={1} sin_phi={2:.3f} k={0:.4g}", k
-        if start is not None:
-            label, first = "random[{0}] n={1} sin_phi={2:.4f}", np.arange(start, start + len(n))
-        dims, index = np.unique(n, return_inverse=True)
-        shapes = np.array([shape(dim) for dim in dims.tolist()]).T[:, index]
-        p_bias, p_weight, p_full = probability._report(shapes, gap)
-        angles = probability._angle(_each(math.asin, gap[3]))
-        lower, mid, _ = probability._lemma(angles, shapes)
-        bracket = mid - lower
-        gaps = (p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias)
-        violations = functools.reduce(np.maximum, gaps, -p_full)
-        _record(result, violations, label, first, n, gap[3])
+    _check_block(result, None, np.array([x.dimension for x in fixed]), *fields.T)
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, probability._BLOCK):
+        _check_block(result, start, *_random_block(rng, start, samples))
     return result
+
+
+def _check_block(result: CheckResult, start, n, dist, r, p, k) -> None:
+    """Record in result the chain's violations on cells of dimension n, radii r and p, centers
+    dist apart and bias half range k: the grid if start is None, else random[start] on."""
+    # every probability is pulled through the module attribute so a
+    # deliberately broken implementation is observed, not a stale alias
+    gap = probability._cell(dist, r, p, k)
+    shape, (p_bias, p_weight, p_full), _ = probability._closed_forms(n, gap)
+    angles = probability._angle(_each(math.asin, gap[3]))
+    lower, mid, _ = probability._lemma(angles, shape)
+    bracket = mid - lower
+    gaps = (p_full - bracket, bracket - mid, mid - p_weight, p_full - p_weight, p_full - p_bias)
+    violations = functools.reduce(np.maximum, gaps, -p_full)
+    # a grid cell is named by its k, a random one by its index
+    label, first = "grid n={1} sin_phi={2:.3f} k={0:.4g}", k
+    if start is not None:
+        label, first = "random[{0}] n={1} sin_phi={2:.4f}", np.arange(start, start + len(n))
+    _record(result, violations, label, first, n, gap[3])
 
 
 def check_beta_symmetry(tol: float = 1e-11) -> CheckResult:
@@ -195,8 +195,8 @@ def check_beta_symmetry(tol: float = 1e-11) -> CheckResult:
     pairs = [(y, z, log_beta(y, z)) for y in shapes for z in shapes]
     params = np.array([((y, z, ln_b), (z, y, ln_b)) for y, z, ln_b in pairs])
     # cell j is kappas[j % 99] at pairs[j // 99]; its rows (kappa, y, z), (1 - kappa, z, y)
-    for start in range(0, result.cells, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, result.cells))
+    for start in range(0, result.cells, probability._BLOCK):
+        cells = np.arange(start, min(start + probability._BLOCK, result.cells))
         pair_at, kappa_at = np.divmod(cells, len(kappas))
         rows = np.concatenate([logs[kappa_at], params[pair_at]], axis=2).reshape(-1, 6)
         values = _reg_inc_betas(*rows.T)

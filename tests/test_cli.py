@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ballsep import cli, geometry, montecarlo, probability, selfcheck, specfun
 from ballsep.cli import main
-from ballsep.errors import InternalConsistencyError
+from ballsep.errors import InternalConsistencyError, NoConvergence
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
 
@@ -226,7 +227,12 @@ class TestExact:
             main(["exact", *CANONICAL])
 
     @pytest.mark.parametrize(
-        "argv", [["exact", "--dim", "2", "--sinphi", "0.5"], ["validate", "--samples", "300"]]
+        "argv",
+        [
+            ["exact", "--dim", "2", "--sinphi", "0.5"],
+            ["validate", "--samples", "300"],
+            ["sweep", "--dim", "2..9000", "--delta", "0.5,2"],
+        ],
     )
     def test_unwritable_out_exits_two(self, capsys, tmp_path, argv):
         target = tmp_path / "missing" / "x.txt"
@@ -554,6 +560,28 @@ class TestSweep:
                 tracemalloc.stop()
         assert peaks["json"] <= 1.5 * peaks["csv"], peaks
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_traced_peak_does_not_grow_with_rows(self, fmt):
+        # rows are evaluated, rendered and written a block of cells at a time, and a written
+        # block is dropped, so ten times the rows, to a sink that keeps nothing, peak alike
+        # (traced, CSV 4.1 and 4.5 MB, JSON 5.6 and 6.0 MB; when the whole grid was evaluated
+        # and its text joined, 3.9 and 40.0 MB, and 5.8 and 53.2 MB)
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        peaks = []
+        for dims in ("2..5001", "2..50001"):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(Sink()):
+                    assert main(["sweep", "--dim", dims, "--delta", "0.5,2", "--format", fmt]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
     def test_row_bound_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 6)
         code, out, _ = run(capsys, ["sweep", "--dim", "2..4", "--delta", "1,2"])
@@ -601,9 +629,10 @@ class TestSweep:
         with pytest.raises(InternalConsistencyError, match="random-weight probability = inf"):
             main(["sweep", "--dim", "2..50", "--delta", "0.5,2"])
 
-    # (iteration cap, argument set, cell in stderr) with exit code 2 and no
-    # stdout, recorded from the sweep that evaluated one scalar fraction per
-    # cell; the cell named is the first unconverged one in row order
+    # (iteration cap, argument set, cell in the error), recorded from the sweep that evaluated
+    # one scalar fraction per cell; the cell named is the first unconverged one in row order.
+    # A fraction that does not converge is a bug, not bad input: NoConvergence propagates
+    # from the first block, before any row is written
     CAPPED = [
         (2, ("--dim", "2..50", "--delta", "0.5,2"), "x=0.3599999999999999, a=0.5, b=0.5"),
         (2, ("--dim", "2,10000,19990..20000", "--delta", "0.1,1,7"),
@@ -623,7 +652,10 @@ class TestSweep:
     def test_iteration_cap_names_the_parents_cell(self, capsys, monkeypatch, cap, argv, cell):
         monkeypatch.setattr(specfun, "_MAX_ITER", cap)
         message = f"incomplete beta continued fraction did not converge in {cap} iterations"
-        assert run(capsys, ["sweep", *argv]) == (2, "", f"error: {message} ({cell})\n")
+        with pytest.raises(NoConvergence) as raised:
+            main(["sweep", *argv])
+        assert str(raised.value) == f"{message} ({cell})"
+        assert capsys.readouterr() == ("", "")
 
     # (exit code, SHA-1 of stdout, stderr) of each argument set, recorded
     # from the sweep that built and validated an n-dimensional instance per cell
@@ -878,9 +910,10 @@ class TestValidate:
         assert peaks[1] < peaks[0]
 
     def test_column_batteries_take_scalars_per_grid_point(self, capsys, monkeypatch):
-        # the sandwich takes its angles as one column and a shape per n, the chain a shape per
-        # distinct n and its gaps and angles as columns, the reflection the logs of its kappa
-        # and 1 - kappa columns; each chunk of cells is one incomplete-beta call per closed form
+        # the sandwich takes its angles as one column and a shape per n, the chain its shapes
+        # (from `probability._closed_forms`, which calls no `_shape`), gaps and angles as
+        # columns, the reflection the logs of its kappa and 1 - kappa columns; each chunk of
+        # cells is one incomplete-beta call per closed form
         owners = {specfun: ("_kappa_logs", "_reg_inc_betas"), probability: ("_angle", "_shape")}
         calls = [counted_calls(monkeypatch, owner, names) for owner, names in owners.items()]
         cones = counted_calls(monkeypatch, geometry, ("_cone",))
@@ -889,11 +922,10 @@ class TestValidate:
         counts = collections.Counter(name for names in calls for name in names)
         # the chain's 10,000 random cells are two chunks of at most 8,192 (8,192 and 1,808),
         # so it has 3 columns: the grid and the two chunks.  1 sandwich and 3 chain angle
-        # columns; 199 n in each of the sandwich and the chain and 18 of the analytic
-        # reductions' reports; kappa logs of the 4 angle columns, 3 chain gap columns,
-        # 2 reflection columns and 18 reports; 3 sandwich chunks, 2 x 3 chain columns,
-        # 1 reflection chunk and 18 reports
-        assert counts == {"_angle": 4, "_shape": 416, "_kappa_logs": 27, "_reg_inc_betas": 28}
+        # columns; 199 n of the sandwich and 18 of the analytic reductions' reports; kappa
+        # logs of the 4 angle columns, 3 chain gap columns, 2 reflection columns and 18
+        # reports; 3 sandwich chunks, 2 x 3 chain columns, 1 reflection chunk and 18 reports
+        assert counts == {"_angle": 4, "_shape": 217, "_kappa_logs": 27, "_reg_inc_betas": 28}
         # one per chain column and per report, and one per instance built: the 30 grid
         # instances and the analytic reductions' 12
         assert len(cones) == 3 + 18 + 30 + 12
@@ -908,16 +940,16 @@ class TestValidate:
     @pytest.mark.parametrize("seed", [3, 1 << 63])
     @pytest.mark.parametrize("flip", [False, True])
     def test_ordering_chain_does_not_depend_on_its_chunk(self, monkeypatch, seed, flip):
-        # the chain's random stream is drawn _DRAW at a time whatever _CHUNK is, and its
-        # column path gives every cell the bits of one float call, so cells, worst and
-        # failures, in order, are the same at every chunk size; the flipped report fails
+        # the chain's random stream is drawn _DRAW at a time whatever the block size is, and
+        # its column path gives every cell the bits of one float call, so cells, worst and
+        # failures, in order, are the same at every block size; the flipped report fails
         # grid cells and, past a single sample, about two in three random cells
         if flip:
             monkeypatch.setattr(probability, "_report", _flipped_report)
         for samples in (0, 1, 1023, 1025, 8192, 8193, 20000):
             results = []
             for chunk in (1024, 2048, 8192):
-                monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
+                monkeypatch.setattr(probability, "_BLOCK", chunk)
                 result = selfcheck.check_ordering_chain(samples=samples, seed=seed)
                 results.append((result.cells, repr(result.worst), result.failures))
             assert results[0] == results[1] == results[2]
@@ -1016,3 +1048,148 @@ class TestOutputPinned:
     def test_output_pinned(self, capsys, argv):
         code, out, err = run(capsys, list(argv))
         assert (code, hashlib.sha1(out.encode()).hexdigest(), err) == self.PINNED[argv]
+
+
+class TestFailedRunWritesNothing:
+    # every input check runs before a command makes its first piece of text, and --out is
+    # opened only then: a run that fails on bad input writes nothing and leaves --out as it was
+    FAILING = {
+        "delta after good ones": (
+            ["sweep", "--dim", "2..9000", "--delta", "0.5,2,-1"],
+            "--delta entries must be positive, got -1.0",
+        ),
+        "rows past the bound": (
+            ["sweep", "--dim", "2..2097153", "--delta", "1,2,3"],
+            "--dim and --delta list 6291456 rows, more than 4194304",
+        ),
+        "radius": (
+            ["sweep", "--dim", "2..9000", "--delta", "0.5,2", "--r", "-1"],
+            "ball radius must be positive and finite, got -1.0",
+        ),
+        "k-factor": (
+            ["sweep", "--dim", "2..9000", "--delta", "0.5,2", "--k-factor", "0.5"],
+            "--k-factor must be >= 1, got 0.5",
+        ),
+        "exact": (
+            ["exact", "--c", "0,0", "--x", "1,0", "--k", "2"],
+            "balls overlap or touch (delta <= 0)",
+        ),
+        "validate": (["validate", "--samples", "-5"], "samples must be a non-negative int, got -5"),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("case", list(FAILING))
+    def test_exits_two_and_writes_nothing(self, capsys, tmp_path, case, existing):
+        argv, message = self.FAILING[case]
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_bytes(b"kept\r\n")
+        code, out, err = run(capsys, [*argv, "--out", str(target)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert target.read_bytes() == b"kept\r\n" if existing else not target.exists()
+
+
+def _mostly(ordinary, edges):
+    # an ordinary value in three of the four branches, else an edge value
+    ordinary = st.sampled_from(ordinary)
+    return st.one_of(ordinary, ordinary, ordinary, st.sampled_from(edges))
+
+
+def _lists(entry):
+    lists = st.lists(entry, min_size=1, max_size=3).map(",".join)
+    return _mostly([None], _MALFORMED).flatmap(lambda bad: lists if bad is None else st.just(bad))
+
+
+# the edges of each flag's domain: 0, +-1, subnormals, the largest doubles, infinities,
+# nan, the dimension bound 2**30 +- 1, and lists that do not parse
+_EDGES = ["0", "1", "-1", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308"]
+_EDGES += ["inf", "-inf", "nan", "1073741823", "1073741825"]
+_MALFORMED = [",", " , ", "x", "1..", "..2", "5..2", "2..x", "1e3..2", "0x10"]
+_FLOATS = _mostly(["0.5", "2", "3", "0.001"], _EDGES)
+_SMALL = _mostly(["1", "10", "100"], ["-1", "0", "x"])
+_SEED = {"--seed": _mostly(["0", "7"], ["-1", "18446744073709551616", "1e308"])}
+_SHAPE = {"--r": _FLOATS, "--p": _FLOATS, "--k": _FLOATS, "--k-factor": _FLOATS}
+_SHAPE["--format"] = st.sampled_from(["csv", "json"])
+# an instance builds n-vectors: at most 10**6, or past 2**30, which is refused before any
+_GENERATED = {
+    "--dim": _mostly(["2", "3", "50", "1000000"], ["0", "1", "-1", "1073741825", "1e308", "x"]),
+    "--sinphi": _mostly(["0.1", "0.5", "0.9"], _EDGES),
+}
+_POINTS = {"--c": _lists(_FLOATS), "--x": _lists(_FLOATS), "--k": _FLOATS}
+_INSTANCE = st.one_of(
+    st.fixed_dictionaries(_GENERATED, optional=_SHAPE),
+    st.fixed_dictionaries(_POINTS, optional={f: _SHAPE[f] for f in _SHAPE if f != "--k"}),
+    st.fixed_dictionaries({}, optional={**_GENERATED, **_POINTS, **_SHAPE}),
+)
+_MONTE_CARLO = st.fixed_dictionaries({"--samples": _SMALL}, optional={**_SEED, "--chunks": _SMALL})
+_MODE = {"--mode": st.sampled_from(["fully-random", "random-bias", "random-weight"])}
+# 2**24 + 1 planes a trial, and past, are refused before any is drawn
+_WIDTH = {"--width": _mostly(["1", "2", "5"], ["-1", "0", "16777217", "1073741825", "x"])}
+_PLANES = st.one_of(
+    st.fixed_dictionaries(_WIDTH, optional=_MODE),
+    st.fixed_dictionaries({"--target": _mostly(["0.5", "0.9"], _EDGES)}, optional=_MODE),
+    st.fixed_dictionaries({}, optional={"--width": st.just("2"), "--target": st.just("0.5")}),
+)
+_DIMS = _mostly(["2", "3", "7", "50"], ["0", "1", "-1", "1073741823", "1073741824", "1073741825"])
+_SWEEP = {"--dim": _lists(_DIMS | st.tuples(_DIMS, _DIMS).map("..".join))}
+_SWEEP["--delta"] = _lists(_FLOATS)
+_FLAGS = {
+    "exact": [_INSTANCE],
+    "estimate": [_INSTANCE, _MONTE_CARLO],
+    "tessellate": [_INSTANCE, _MONTE_CARLO, _PLANES],
+    "sweep": [st.fixed_dictionaries(_SWEEP, optional=_SHAPE)],
+    "validate": [st.fixed_dictionaries({}, optional={"--samples": _SMALL, **_SEED})],
+}
+_ARGV = st.sampled_from(list(_FLAGS)).flatmap(
+    lambda command: st.tuples(*_FLAGS[command]).map(
+        lambda parts: [command, *(f"{flag}={v}" for part in parts for flag, v in part.items())]
+    )
+)
+
+
+def _raising(bug):
+    def report(shape, gap):
+        raise bug("injected")
+
+    return report
+
+
+class TestBugsAreNotBadInput:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(_ARGV)
+    def test_every_run_exits_zero_or_names_one_error(self, capsys, argv):
+        # bad input exits 2 with one error line, and nothing else ends a run but success; a
+        # bug, an InternalConsistencyError or its NoConvergence, raised by the closed forms,
+        # propagates unless the run exits 2 on its input first
+        code = main(argv)
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert (code, err) == (0, "") or (code, out, len(errors)) == (2, "", 1), (code, err)
+        for bug in (InternalConsistencyError, NoConvergence):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(probability, "_report", _raising(bug))
+                try:
+                    patched = main(argv)
+                except bug:
+                    patched = None
+            assert patched is None or (patched, code, capsys.readouterr().err) == (2, 2, err)
+
+    @pytest.mark.parametrize("bug", [InternalConsistencyError, NoConvergence])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", *CANONICAL],
+            ["estimate", *CANONICAL, "--samples", "10"],
+            ["tessellate", *CANONICAL, "--target", "0.9", "--samples", "10"],
+            ["sweep", "--dim", "2..9000", "--delta", "0.5,2", "--format", "json"],
+            ["validate", "--samples", "10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_bug_is_raised_before_any_output(self, capsys, monkeypatch, argv, bug):
+        monkeypatch.setattr(probability, "_report", _raising(bug))
+        with pytest.raises(bug, match="injected"):
+            main(argv)
+        assert capsys.readouterr() == ("", "")

@@ -476,13 +476,17 @@ class TestColumnCore:
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     def test_grid_equals_scalar_rows(self, grid):
-        # sweep's grid, n-major, and the same rows as columns, as the validate chain forms them
+        # sweep's grid, n-major, through the block evaluator sweep and the validate chain
+        # call, and the same rows as columns of `_shape` and `_gap`
         dims, gaps = grid
         rows = [(probability._shape(n), gap) for n in dims for gap in gaps]
         want = _float_rows(rows)
-        columns, envelopes = probability._grid_columns(dims, gaps)
-        assert list(zip(*(column.tolist() for column in columns))) == want
-        assert envelopes == [asymptotic_envelope(n) for n in dims]
+        cells = np.repeat(dims, len(gaps)), np.tile(np.array(gaps).T, len(dims))
+        shape, report, envelopes = probability._closed_forms(*cells)
+        probability._check_ordering(*report)
+        assert list(zip(*(column.tolist() for column in report))) == want
+        assert list(zip(*(column.tolist() for column in shape))) == [shape for shape, _ in rows]
+        assert envelopes.tolist() == [asymptotic_envelope(n) for n in dims for _ in gaps]
         assert _report_rows(rows) == want
 
     # I(q; a, 1/2) moved on the rows with sin phi above 1/2, on floats and columns: past 1,

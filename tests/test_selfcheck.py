@@ -70,9 +70,10 @@ def _chain_instances(seed, samples):
 
 
 def _cells(rng, samples):
-    # the (i, n, k, `_gap`) of each random instance of the chain, from `_random_cells`' columns
+    # the (i, n, k, `_gap`) of each random instance of the chain, from `_random_block`'s columns
     cells = []
-    for start, n, dist, r, p, k in selfcheck._random_cells(rng, samples):
+    for start in range(0, samples, probability._BLOCK):
+        n, dist, r, p, k = selfcheck._random_block(rng, start, samples)
         gap = probability._cell(dist, r, p, k)
         rows = zip(n.tolist(), k.tolist(), *(column.tolist() for column in gap))
         cells += [(i, dim, k_i, tuple(fields)) for i, (dim, k_i, *fields) in enumerate(rows, start)]
@@ -156,14 +157,14 @@ def test_random_cells_check_k_against_both_centers(monkeypatch, near, far):
     draw = _one_draw(centers[near], centers[far], 0.5, 2.0)
     monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: draw)
     with pytest.raises(InternalConsistencyError) as raised:
-        next(selfcheck._random_cells(np.random.default_rng(0), 1))
+        selfcheck._random_block(np.random.default_rng(0), 0, 1)
     assert str(raised.value) == "random[0] n=3: bias half range 2.0 is below max(|c|, |x|) = 3.0"
 
 
 def test_random_cells_check_k_is_finite(monkeypatch):
     monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: _one_draw([0.5, 0.0], [2.0, 0.0], 0.5, math.inf))
     with pytest.raises(InternalConsistencyError) as raised:
-        next(selfcheck._random_cells(np.random.default_rng(0), 1))
+        selfcheck._random_block(np.random.default_rng(0), 0, 1)
     assert str(raised.value) == "random[0] n=3: bias half range must be finite, got inf"
 
 
@@ -176,14 +177,14 @@ def test_random_cells_name_a_failing_cell_by_its_index(monkeypatch, chunk):
     pair = tuple(np.concatenate([v, v], axis=-1) for v in good)
     draws = iter([pair, _one_draw([0.5, 0.0], [2.0, 0.0], 1.0, 2.0, n=7)])
     monkeypatch.setattr(selfcheck, "_DRAW", 2)
-    monkeypatch.setattr(selfcheck, "_CHUNK", chunk)
+    monkeypatch.setattr(probability, "_BLOCK", chunk)
     monkeypatch.setattr(selfcheck, "_draw", lambda rng, m: next(draws))
-    blocks = selfcheck._random_cells(np.random.default_rng(0), 3)
+    rng = np.random.default_rng(0)
     if chunk == 2:
-        start, n, *_ = next(blocks)
-        assert (start, n.tolist()) == (0, [3, 3])
+        n, *_ = selfcheck._random_block(rng, 0, 3)
+        assert n.tolist() == [3, 3]
     with pytest.raises(InternalConsistencyError) as raised:
-        next(blocks)
+        selfcheck._random_block(rng, 2 if chunk == 2 else 0, 3)
     assert str(raised.value) == "random[2] n=7: balls overlap or touch (delta <= 0)"
 
 
@@ -353,15 +354,13 @@ def test_every_cell_of_the_grid_batteries_is_pinned(monkeypatch):
 
 
 def test_ordering_chain_memory_does_not_grow_with_samples():
-    # the chain evaluates its cells in chunks of _CHUNK and keeps no instances, so two
-    # runs of full chunks peak alike; each run spans two chunks or more, since a chunk's
-    # columns are still held while the next one is evaluated (traced, 3.05 MB for one
-    # chunk, 3.77 MB for two or four); a full collection inside a run would empty the
-    # float and tuple free lists and trace their refill, so each run starts from a
-    # collected heap
+    # the chain evaluates its cells in blocks of probability._BLOCK, each in one call that
+    # keeps nothing of it, and keeps no instances, so one block and eight peak alike; a full
+    # collection inside a run would empty the float and tuple free lists and trace their
+    # refill, so each run starts from a collected heap
     check_ordering_chain(samples=10)
     peaks = []
-    for samples in (2 * selfcheck._CHUNK, 8 * selfcheck._CHUNK):
+    for samples in (probability._BLOCK, 8 * probability._BLOCK):
         gc.collect()
         tracemalloc.start()
         try:
@@ -369,4 +368,4 @@ def test_ordering_chain_memory_does_not_grow_with_samples():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
