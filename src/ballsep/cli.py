@@ -233,7 +233,8 @@ def _estimate_table(records) -> str:
 
 def cmd_sweep(args) -> int:
     ranges = _parse_list(args.dim, "--dim", _dim_range)
-    deltas = sorted(set(_parse_list(args.delta, "--delta", float)))
+    # a NaN hashes by identity and compares false, so it is placed first, not by memory layout
+    deltas = sorted(set(_parse_list(args.delta, "--delta", float)), key=lambda d: (d == d, d))
     rows = sum(map(len, ranges)) * len(deltas)
     if rows > _MAX_SWEEP_ROWS:
         raise ArgumentOutOfRange(f"--dim and --delta list {rows} rows, more than {_MAX_SWEEP_ROWS}")

@@ -1,15 +1,17 @@
-"""Euclidean balls, ball pairs, and the strict separation predicate.
+"""Euclidean balls, ball pairs, and the two strict separation predicates.
 
 A hyperplane H[w; b] is the zero locus of u -> (w|u) - b with unit
 normal (the "weight" w) and scalar offset (the "bias" b); H[w; b] and
-H[-w; -b] are the same point set.  The predicates take planes as the
-rows of a weight array and a bias vector, and two balls of one
-dimension: a `Ball` may have any n >= 1 coordinates, as in the Monte
-Carlo core, while an instance needs n >= 2.  An open ball pair with a
-positive gap between the spheres admits a unique double cone tangent to
-both balls; its half angle and the derived quantity q = 1 - sin^2(phi)
-are what the closed-form separation probabilities consume, so they are
-computed once per validated instance.
+H[-w; -b] are the same point set.  `separates_batch` asks whether each
+plane splits two balls, `exists_separating_bias_batch` whether each
+weight admits a bias that does.  Both take planes as the rows of a
+weight array and two balls of one dimension: a `Ball` may have any
+n >= 1 coordinates, as in the Monte Carlo cores; an instance needs
+n >= 2.  An open ball pair with a positive gap between the spheres
+admits a unique double cone tangent to both balls; its half angle and
+the derived quantity q = 1 - sin^2(phi) are what the closed-form
+separation probabilities consume, so they are computed once per
+validated instance.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads or processes.
@@ -217,7 +219,14 @@ def separates_batch(
     off_a -= biases
     _project(weights, ball_b.center, off_b)
     off_b -= biases
-    return separates_offsets(off_a, off_b, ball_a.radius, ball_b.radius, masks)
+    hit, low, high = masks
+    # with r, p the radii: ((off_a > r) & (off_b < -p)) | ((off_a < -r) & (off_b > p))
+    np.greater(off_a, ball_a.radius, out=hit)
+    hit &= np.less(off_b, -ball_b.radius, out=low)
+    np.less(off_a, -ball_a.radius, out=low)
+    low &= np.greater(off_b, ball_b.radius, out=high)
+    hit |= low
+    return hit
 
 
 def _weights(weights, ball_a: Ball, ball_b: Ball) -> np.ndarray:
@@ -246,23 +255,6 @@ def _project(weights: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.nda
     if weights.shape[1] == 1:
         return np.multiply(weights[:, 0], vector[0], out=out)
     return np.matmul(weights, vector, out=out)
-
-
-def separates_offsets(off_a, off_b, r: float, p: float, out: np.ndarray) -> np.ndarray:
-    """The separation predicate on the offsets (w|c) - b and (w|x) - b of
-    balls of radii r and p.
-
-    `out` is a bool array of shape (3, >= m) whose leading m columns take
-    the comparisons; the result is a view of it.
-    """
-    hit, low, high = out[:, : len(off_a)]
-    # ((off_a > r) & (off_b < -p)) | ((off_a < -r) & (off_b > p))
-    np.greater(off_a, r, out=hit)
-    hit &= np.less(off_b, -p, out=low)
-    np.less(off_a, -r, out=low)
-    low &= np.greater(off_b, p, out=high)
-    hit |= low
-    return hit
 
 
 def exists_separating_bias_batch(

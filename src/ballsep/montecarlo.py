@@ -8,8 +8,9 @@ Within every block the draw order is weights first, then biases.  The
 random-weight and fully random estimates of one run share each block's
 weights, drawn once before the biases, so the fully random estimate
 stays below the random-weight one sample by sample.  A random-bias
-block draws only biases, from the start of its stream, so that mode
-runs its own pass.
+plane is the weight +1 in the pair's one-dimensional axis core, tested
+by `separates_batch` like a fully random plane; its block draws only
+biases, from the start of its stream, in a pass of its own.
 
 One sampler runs every experiment: `estimate_modes` draws `width` planes
 per trial in each requested mode and asks whether every listed pair has a
@@ -54,9 +55,9 @@ from .errors import ArgumentOutOfRange, DimensionMismatch, EmptyInstanceList
 from .geometry import (
     Ball,
     SeparationInstance,
+    _norm,
     exists_separating_bias_batch,
     separates_batch,
-    separates_offsets,
 )
 
 DEFAULT_SEED = 42
@@ -180,17 +181,18 @@ def _planar_core(instances: Sequence[SeparationInstance]) -> list[tuple[Ball, Ba
     """
     n = instances[0].dimension
     centers = np.array([ball.center for inst in instances for ball in (inst.ball_a, inst.ball_b)])
-    scale = float(np.max(np.linalg.norm(centers, axis=1)))
-    floor = max(centers.shape) * np.finfo(float).eps * scale
-    basis = np.empty((0, n))
-    for center in centers:
-        if len(basis) == n:
-            break
-        residual = center - basis.T @ (basis @ center)
-        residual -= basis.T @ (basis @ residual)
-        norm = float(np.linalg.norm(residual))
-        if norm > floor:
-            basis = np.vstack([basis, residual / norm])
+    with np.errstate(over="ignore"):  # _norm rescales a square that overflows or underflows
+        scale = max(map(_norm, centers))
+        floor = max(centers.shape) * np.finfo(float).eps * scale
+        basis = np.empty((0, n))
+        for center in centers:
+            if len(basis) == n:
+                break
+            residual = center - basis.T @ (basis @ center)
+            residual -= basis.T @ (basis @ residual)
+            norm = _norm(residual)
+            if norm > floor:
+                basis = np.vstack([basis, residual / norm])
     if len(basis) == n:
         return [(inst.ball_a, inst.ball_b) for inst in instances]
     coords = centers @ basis.T
@@ -244,19 +246,40 @@ def _trial_hits(per_pair: Iterable[np.ndarray], m: int, width: int, out: np.ndar
     return np.count_nonzero(joint)
 
 
-def _axis_projections(inst: SeparationInstance) -> tuple[float, float]:
-    """(axis|c) and (axis|x) along the axis direction (x - c)/|c - x|, its
+def _axis_core(inst: SeparationInstance) -> tuple[Ball, Ball]:
+    """The pair's balls in the coordinate along the axis (x - c)/|c - x|, its
     first nonzero component made positive.
 
     Fixing the sign convention makes the random-bias estimate invariant
     under swapping the two balls, which flips the axis and so only swaps
-    the two projections.
+    the two balls' centers.
     """
     c, x = inst.ball_a.center, inst.ball_b.center
     axis = (x - c) / inst.center_distance
     if axis[np.flatnonzero(axis)[0]] < 0.0:
         axis = -axis
-    return float(axis @ c), float(axis @ x)
+    return Ball([axis @ c], inst.ball_a.radius), Ball([axis @ x], inst.ball_b.radius)
+
+
+def _axis_weights(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """The weight +1 of each random-bias plane in the axis core: a broadcast, no draw, no memory."""
+    return np.broadcast_to(1.0, (rows, 1))
+
+
+def _block_hits(modes, cores, weights, k: float, width: int, work, rng, m: int) -> tuple[int, ...]:
+    """Each mode's count of the block's m trials whose `width` planes split every core pair.
+
+    `weights(rng, rows)` gives the planes' unit weights in core coordinates; the biases,
+    uniform on [-k, k], follow.  `work` holds the biases, predicate scratch and trial masks.
+    """
+    biases, scratch, trials = work
+    unit = weights(rng, m * width)
+    split = {"random-weight": partial(exists_separating_bias_batch, unit, out=scratch)}
+    if any(mode != "random-weight" for mode in modes):
+        drawn = _uniform(rng, k, biases[: m * width])
+        split["fully-random"] = partial(separates_batch, unit, drawn, out=scratch)
+        split["random-bias"] = split["fully-random"]  # a fully random plane, its weight fixed
+    return tuple(_trial_hits(starmap(split[mode], cores), m, width, trials) for mode in modes)
 
 
 def estimate_modes(
@@ -272,9 +295,11 @@ def estimate_modes(
     whose direction admits a separating bias, and each plane may take a different bias for
     each pair, so the pairs need not share one tessellation.  Biases share the widest of the
     instances' ranges, so one bias stream serves them all.  Random-bias mode takes a single
-    pair: its planes are normal to the pair's own axis, and several pairs share no axis.  One
-    pair at width 1 is the single-pair experiment.  The estimates come back in the order of
-    `modes`, each as it would alone.
+    pair: its planes are normal to the pair's own axis, and several pairs share no axis.  A
+    random-bias plane is the weight +1 in the pair's axis core with a drawn bias, tested by
+    `separates_batch` like a fully random one, in a pass of its own that draws only biases.
+    One pair at width 1 is the single-pair experiment.  The estimates come back in the order
+    of `modes`, each as it would alone.
     """
     if len(instances) == 0:
         raise EmptyInstanceList("at least one instance is required")
@@ -307,38 +332,18 @@ def estimate_modes(
     # One workspace serves every block of both passes; a short block uses
     # its leading rows.  The predicates' (offsets, masks) pair is `scratch`,
     # and its offsets are also `_sphere_block`'s scratch for the norms.
-    biases, weights = np.empty(rows), np.empty((rows, d))
     scratch = (np.empty((2, rows)), np.empty((3, rows), dtype=bool))
-    trials = np.empty((2, block), dtype=bool)
-    estimates = {}
+    work = (np.empty(rows), scratch, np.empty((2, block), dtype=bool))
+    passes = []
     if "random-bias" in modes:
-        (inst,) = instances
-        proj_a, proj_b = _axis_projections(inst)
-        radii = inst.ball_a.radius, inst.ball_b.radius
-
-        def bias_hits(rng: np.random.Generator, m: int) -> tuple[int]:
-            drawn = _uniform(rng, k_draw, biases[: m * width])
-            off_a, off_b = scratch[0][:, : m * width]
-            np.subtract(proj_a, drawn, out=off_a)
-            np.subtract(proj_b, drawn, out=off_b)
-            split = separates_offsets(off_a, off_b, *radii, scratch[1])
-            return (_trial_hits([split], m, width, trials),)
-
-        (estimates["random-bias"],) = bernoulli_estimate(cfg, bias_hits, block)
+        passes.append((["random-bias"], [_axis_core(*instances)], _axis_weights))
     if weight_modes:
-
-        def hits(rng: np.random.Generator, m: int) -> tuple[int, ...]:
-            unit = _sphere_block(rng, m * width, d, n, out=(weights, scratch[0]))
-            split = {"random-weight": partial(exists_separating_bias_batch, unit, out=scratch)}
-            if "fully-random" in weight_modes:
-                # drawn after the weights, so both modes share them
-                drawn = _uniform(rng, k_draw, biases[: m * width])
-                split["fully-random"] = partial(separates_batch, unit, drawn, out=scratch)
-            return tuple(
-                _trial_hits(starmap(split[mode], cores), m, width, trials) for mode in weight_modes
-            )
-
-        estimates.update(zip(weight_modes, bernoulli_estimate(cfg, hits, block)))
+        unit = partial(_sphere_block, d=d, n=n, out=(np.empty((rows, d)), scratch[0]))
+        passes.append((weight_modes, cores, unit))
+    estimates = {}
+    for pass_modes, pass_cores, unit in passes:
+        hits = partial(_block_hits, pass_modes, pass_cores, unit, k_draw, width, work)
+        estimates.update(zip(pass_modes, bernoulli_estimate(cfg, hits, block)))
     return tuple(estimates[mode] for mode in modes)
 
 

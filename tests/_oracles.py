@@ -5,7 +5,9 @@ incomplete beta oracle integrates the defining integral with endpoint-
 weighted adaptive quadrature, the bias oracle counts separating
 hyperplanes over a deterministic grid of offsets, and the sphere oracle
 samples weights in the full space R^n; both apply the separation test
-written out from its definition.
+written out from its definition.  The random-bias oracle replays the
+package's block streams (`_block_rng`, the one thing it imports) with
+the bias sampler's original arithmetic.
 """
 
 import math
@@ -13,6 +15,8 @@ import warnings
 
 import numpy as np
 from scipy import integrate
+
+from ballsep.montecarlo import _block_rng
 
 _QUAD_TOL = 1e-13
 
@@ -108,3 +112,29 @@ def full_space_rates(instances, width: int, samples: int, seed: int) -> tuple[fl
         full += int(all_full.sum())
         weight += int(all_weight.sum())
     return full / samples, weight / samples
+
+
+def random_bias_block_rate(inst, width: int, samples: int, seed: int) -> float:
+    """Random-bias all-pairs rate of one pair on the package's block streams.
+
+    Block i of a run draws its trials' biases, uniform on [-k, k], from
+    `_block_rng(seed, i)`; a block holds 65536 // width trials of `width`
+    planes normal to the axis (x - c)/|c - x|, its first nonzero component
+    made positive.  Each plane is tested on the offsets (axis|c) - b and
+    (axis|x) - b, and a trial hits when one of its planes separates.
+    """
+    c, x = inst.ball_a.center, inst.ball_b.center
+    axis = (x - c) / np.linalg.norm(x - c)
+    if axis[np.flatnonzero(axis)[0]] < 0.0:
+        axis = -axis
+    proj_a, proj_b = float(axis @ c), float(axis @ x)
+    ra, rb, k = inst.ball_a.radius, inst.ball_b.radius, inst.bias_half_range
+    block = max(1, (1 << 16) // width)
+    hits = 0
+    for index, start in enumerate(range(0, samples, block)):
+        m = min(block, samples - start)
+        b = _block_rng(seed, index).uniform(-k, k, m * width)
+        off_a, off_b = proj_a - b, proj_b - b
+        split = ((off_a > ra) & (off_b < -rb)) | ((off_a < -ra) & (off_b > rb))
+        hits += int(split.reshape(m, width).any(axis=1).sum())
+    return hits / samples

@@ -107,7 +107,7 @@ def test_public_names_are_used_by_another_module_or_the_benchmark():
 # Ceilings on the library's size, which should only go down: lower one when a
 # change shrinks its count, and raise it only for a change that states why.
 MAX_PUBLIC_NAMES = 33
-MAX_SOURCE_LINES = 1946
+MAX_SOURCE_LINES = 1944
 
 
 def test_library_size_does_not_grow():

@@ -423,6 +423,13 @@ class TestSweep:
         assert keys == sorted(keys)
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("delta", ["2,nan", "nan,2", "1,nan,3", "nan,nan,2", "3,2,nan"])
+    def test_nan_gap_is_named_before_the_dimension(self, capsys, delta):
+        # a NaN's hash is its identity, so a set of gaps used to order it by memory layout
+        for _ in range(20):
+            code, out, err = run(capsys, ["sweep", "--delta", delta, "--dim", "3,0"])
+            assert (code, out, err) == (2, "", "error: --delta entries must be numbers, got nan\n")
+
     def test_dimension_range_syntax(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--dim", "2..6", "--delta", "1"])
         assert code == 0
@@ -763,6 +770,35 @@ class TestCsvRendering:
         records = _json_records(run(capsys, [*argv, "--format", "json"])[1])
         expected = _writer_text(cli._SWEEP_COLUMNS, records)
         assert target.read_bytes() == expected.encode("utf-8")
+
+
+class TestCoreNormsPastTheSquareRange:
+    """Centers whose squared norms overflow or underflow a double still get their core."""
+
+    INSTANCES = [
+        ["--c", "1e200,0", "--x", "-1e200,0", "--k", "1e201"],
+        ["--c", "1e-200,0", "--x", "-1e-200,0", "--r", "1e-201", "--p", "1e-201", "--k", "1e-199"],
+        ["--c", "1e154,1e154,1", "--x", "1e154,-1e154,1", "--k", "1e155"],
+    ]
+
+    @pytest.mark.parametrize("instance", INSTANCES, ids=["1e200", "1e-200", "1e154"])
+    @pytest.mark.parametrize("mode, which", [("fully-random", "full"), ("random-weight", "weight")])
+    def test_estimate_and_tessellate_match_exact(self, capsys, instance, mode, which):
+        code, out, err = run(capsys, ["exact", *instance, "--format", "json"])
+        assert (code, err) == (0, "")
+        exact = json.loads(out)[f"p_{which}"]
+        shared = [*instance, "--samples", "2000", "--seed", "3", "--format", "json"]
+        code, out, err = run(capsys, ["estimate", *shared, "--which", which])
+        assert (code, err) == (0, "")
+        row = json.loads(out)
+        assert row["exact"] == exact
+        assert abs(row["z"]) <= 4.0
+        code, out, err = run(capsys, ["tessellate", *shared, "--mode", mode, "--width", "1"])
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["per_pair_exact"] == exact
+        miss = record["estimate"] - exact
+        assert miss == 0.0 if record["std_error"] == 0.0 else abs(miss / record["std_error"]) <= 4.0
 
 
 class TestTessellate:

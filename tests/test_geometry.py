@@ -23,9 +23,15 @@ from ballsep.geometry import (
     separates_batch,
     symmetric_instance,
 )
-from ballsep.montecarlo import _axis_projections
+from ballsep.montecarlo import _axis_core
 
 from _oracles import bias_scan_fraction, separates_oracle
+
+
+def _axis_centers(inst):
+    """The centers of the pair's axis core, (axis|c) and (axis|x)."""
+    ball_a, ball_b = _axis_core(inst)
+    return float(*ball_a.center), float(*ball_b.center)
 
 
 def canonical_plane():
@@ -109,7 +115,7 @@ class TestInstanceValidation:
         assert inst.sin_phi == 0.5
         assert inst.q_value == 0.75
         # the centers along the axis (x - c)/|c - x|
-        assert _axis_projections(inst) == (-2.0, 2.0)
+        assert _axis_centers(inst) == (-2.0, 2.0)
 
     def test_asymmetric_radii_geometry(self):
         inst = make_instance(Ball([0.0, 0.0], 2.0), Ball([6.0, 0.0], 1.0), 6.0)
@@ -216,8 +222,8 @@ class TestInstanceValidation:
         assert swapped.gap == inst.gap
         assert swapped.sin_phi == inst.sin_phi
         assert swapped.q_value == inst.q_value
-        # the axis flips, and its sign convention only swaps the projections
-        assert _axis_projections(swapped) == _axis_projections(inst)[::-1]
+        # the axis flips, and its sign convention only swaps the core's centers
+        assert _axis_centers(swapped) == _axis_centers(inst)[::-1]
 
 
 class TestSymmetricGenerator:

@@ -26,7 +26,7 @@ from ballsep.montecarlo import (
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
 from ballsep.tessellation import estimate_all_pairs
 
-from _oracles import full_space_rates
+from _oracles import full_space_rates, random_bias_block_rate
 
 
 def canonical_plane():
@@ -216,7 +216,21 @@ class TestDrawIdentities:
 class TestWorkspace:
     """One call draws and tests every block in the same buffers."""
 
-    def test_every_block_reuses_the_call_buffers(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "pairs, modes, calls",
+        [
+            # each predicate runs once per pair in each block
+            (
+                2,
+                ("fully-random", "random-weight"),
+                {"_sphere_block": 4, "separates_batch": 8, "exists_separating_bias_batch": 8},
+            ),
+            # the bias pass tests its axis core with the fully random predicate and draws no weights
+            (1, ("random-bias",), {"separates_batch": 4}),
+        ],
+        ids=["weight-modes", "random-bias"],
+    )
+    def test_every_block_reuses_the_call_buffers(self, monkeypatch, pairs, modes, calls):
         owners = {}
 
         def recording(name, fn):
@@ -235,12 +249,11 @@ class TestWorkspace:
         for name in ("_sphere_block", "separates_batch", "exists_separating_bias_batch"):
             recording(name, getattr(montecarlo, name))
         rng = np.random.default_rng(4)
-        instances = [general_pose(rng, 5, 0.3) for _ in range(2)]
+        instances = [general_pose(rng, 5, 0.3) for _ in range(pairs)]
         cfg = McConfig(samples=3 * 21845 + 7, seed=2)
-        montecarlo.estimate_modes(instances, 3, ("fully-random", "random-weight"), cfg)
-        # four blocks, the last one short; each predicate runs once per pair in each
-        counts = {name: len(seen) for name, seen in owners.items()}
-        assert counts == {"_sphere_block": 4, "separates_batch": 8, "exists_separating_bias_batch": 8}
+        montecarlo.estimate_modes(instances, 3, modes, cfg)
+        # four blocks, the last one short
+        assert {name: len(seen) for name, seen in owners.items()} == calls
         for name, seen in owners.items():
             assert all(all(a is b for a, b in zip(call, seen[0])) for call in seen), name
 
@@ -487,12 +500,31 @@ class TestSharedSampler:
         inst = general_pose(np.random.default_rng(8), 6, 0.4)
         cfg = McConfig(samples=1000, seed=3)
 
-        def no_core(instances):
-            raise AssertionError("random-bias mode reduced the instance to its core")
+        def forbidden(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"random-bias mode ran {name}")
 
-        monkeypatch.setattr(montecarlo, "_planar_core", no_core)
+            monkeypatch.setattr(montecarlo, name, fail)
+
+        # no planar core and no sphere draw: the weight is the axis core's +1
+        forbidden("_planar_core")
+        forbidden("_sphere_block")
         assert 0.0 < estimate_all_pairs([inst], 1, "random-bias", cfg).mean < 1.0
         assert 0.0 < estimate_all_pairs([inst], 3, "random-bias", cfg).mean < 1.0
+
+
+class TestBiasPassAgainstOracle:
+    """The bias pass equals the offsets (axis|c) - b tested directly, on the same streams."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("width, sin_phi", [(1, 0.3), (3, 0.3), (96, 0.97)])
+    def test_means_equal_the_offset_arithmetic(self, n, width, sin_phi):
+        inst = general_pose(np.random.default_rng([n, width, 27]), n, sin_phi)
+        # two full blocks and a short one
+        cfg = McConfig(samples=2 * (65536 // width) + 5, seed=19)
+        mean = estimate_all_pairs([inst], width, "random-bias", cfg).mean
+        assert 0.0 < mean < 1.0
+        assert mean == random_bias_block_rate(inst, width, cfg.samples, cfg.seed)
 
 
 def _two_sample_z(a, n_a, b, n_b):
