@@ -1,16 +1,6 @@
 """Separation probabilities for ball pairs under partly random hyperplanes."""
 
-from .errors import (
-    ArgumentOutOfRange,
-    BallsepError,
-    BallsOverlapOrTouch,
-    DimensionMismatch,
-    DimensionTooSmall,
-    EmptyInstanceList,
-    InternalConsistencyError,
-    KInsufficient,
-    NoConvergence,
-)
+from .errors import BallsepError, InternalConsistencyError
 from .geometry import (
     Ball,
     SeparationInstance,
@@ -41,20 +31,13 @@ from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentOutOfRange",
     "Ball",
-    "BallsOverlapOrTouch",
     "BallsepError",
     "DEFAULT_SEED",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "EmptyInstanceList",
     "Estimate",
     "InternalConsistencyError",
-    "KInsufficient",
     "MODES",
     "McConfig",
-    "NoConvergence",
     "SeparationInstance",
     "SeparationReport",
     "achieved_confidence",

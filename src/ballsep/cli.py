@@ -25,10 +25,12 @@ import sys
 import numpy as np
 
 from . import probability, selfcheck
-from .errors import ArgumentOutOfRange, BallsepError, DimensionTooSmall
-from .geometry import Ball, SeparationInstance, _radius, make_instance, symmetric_instance
+from .errors import BallsepError
+from .geometry import (
+    _MAX_DIMENSION, Ball, SeparationInstance, _dimension, _radius, make_instance, symmetric_instance
+)
 from .montecarlo import DEFAULT_SEED, McConfig, estimate_modes
-from .probability import _MAX_DIMENSION, _dimension, _gap, separation_report
+from .probability import _gap, separation_report
 from .tessellation import MODES, achieved_confidence, estimate_all_pairs, width_for_confidence
 
 # sweep rows, counted before any range is expanded: about 100 MB traced, to sort the dimensions
@@ -69,9 +71,9 @@ def _parse_list(text: str, name: str, entry) -> list:
     try:
         values = [entry(part) for part in map(str.strip, text.split(",")) if part]
     except ValueError:
-        raise ArgumentOutOfRange(f"could not parse {name} list from {text!r}")
+        raise BallsepError(f"could not parse {name} list from {text!r}")
     if not values:
-        raise ArgumentOutOfRange(f"{name} list is empty")
+        raise BallsepError(f"{name} list is empty")
     return values
 
 
@@ -89,21 +91,17 @@ def _instance_from_args(args) -> SeparationInstance:
     explicit = args.c is not None or args.x is not None
     generated = args.dim is not None or args.sinphi is not None
     if explicit and generated:
-        raise ArgumentOutOfRange("give either --c/--x or --dim/--sinphi, not both")
+        raise BallsepError("give either --c/--x or --dim/--sinphi, not both")
     if explicit:
         if args.c is None or args.x is None:
-            raise ArgumentOutOfRange("explicit instances need both --c and --x")
+            raise BallsepError("explicit instances need both --c and --x")
         if args.k is None:
-            raise ArgumentOutOfRange("explicit instances need --k")
+            raise BallsepError("explicit instances need --k")
         ball_a = Ball(_parse_list(args.c, "--c", float), args.r)
         ball_b = Ball(_parse_list(args.x, "--x", float), args.p)
         return make_instance(ball_a, ball_b, args.k)
     if args.dim is None or args.sinphi is None:
-        raise ArgumentOutOfRange(
-            "specify an instance with --c/--x/--k or with --dim/--sinphi"
-        )
-    if args.dim > _MAX_DIMENSION:  # _dimension's error, before centers of that length are built
-        _dimension(args.dim)
+        raise BallsepError("specify an instance with --c/--x/--k or with --dim/--sinphi")
     if args.k is None:
         return symmetric_instance(args.dim, args.sinphi, args.r, args.p, args.k_factor)
     inst = symmetric_instance(args.dim, args.sinphi, args.r, args.p)
@@ -129,10 +127,13 @@ def _json_safe(record) -> dict:
     }
 
 
+# json.dumps(..., allow_nan=False) builds an encoder per call; one per layout does for all
+_JSON_ENCODERS = {indent: json.JSONEncoder(indent=indent, allow_nan=False) for indent in (None, 2)}
+
+
 def _json_lines(records, indent=None) -> str:
-    return "".join(
-        json.dumps(_json_safe(record), indent=indent, allow_nan=False) + "\n" for record in records
-    )
+    encode = _JSON_ENCODERS[indent].encode
+    return "".join(encode(_json_safe(record)) + "\n" for record in records)
 
 
 def _table_value(value) -> str:
@@ -237,10 +238,10 @@ def cmd_sweep(args) -> int:
     deltas = sorted(set(_parse_list(args.delta, "--delta", float)), key=lambda d: (d == d, d))
     rows = sum(map(len, ranges)) * len(deltas)
     if rows > _MAX_SWEEP_ROWS:
-        raise ArgumentOutOfRange(f"--dim and --delta list {rows} rows, more than {_MAX_SWEEP_ROWS}")
+        raise BallsepError(f"--dim and --delta list {rows} rows, more than {_MAX_SWEEP_ROWS}")
     dims = np.unique(np.concatenate([np.arange(listed.start, listed.stop) for listed in ranges]))
     if args.k is None and not args.k_factor >= 1.0:
-        raise ArgumentOutOfRange(f"--k-factor must be >= 1, got {args.k_factor!r}")
+        raise BallsepError(f"--k-factor must be >= 1, got {args.k_factor!r}")
     # the closed forms see the dimension only through the incomplete beta's
     # shape, and |c - x|, |c|, |x| of a center on the first axis are the same
     # in R^2 as in R^n, so each gap is validated once as a planar instance
@@ -250,18 +251,18 @@ def cmd_sweep(args) -> int:
     for delta in deltas:
         if not 0.0 < delta < math.inf:
             bound = "finite" if delta > 0.0 else "positive" if delta <= 0.0 else "numbers"
-            raise ArgumentOutOfRange(f"--delta entries must be {bound}, got {delta!r}")
+            raise BallsepError(f"--delta entries must be {bound}, got {delta!r}")
         if dims[0] < 2:
-            raise DimensionTooSmall(f"balls need dimension >= 2, got {dims[0]}")
+            raise BallsepError(f"balls need dimension >= 2, got {dims[0]}")
         distance = args.r + args.p + delta
         if distance == math.inf:
-            raise ArgumentOutOfRange("|c - x| overflows double precision")
+            raise BallsepError("|c - x| overflows double precision")
         if distance <= args.r + args.p:
-            raise ArgumentOutOfRange(f"--delta {delta!r} is lost in r + p + delta = {distance!r}")
+            raise BallsepError(f"--delta {delta!r} is lost in r + p + delta = {distance!r}")
         k = args.k if args.k is not None else args.k_factor * 0.5 * distance
         if k == math.inf and args.k is None:
             message = f"--k-factor {args.k_factor!r} overflows k = --k-factor * max(|c|, |x|)"
-            raise ArgumentOutOfRange(message)
+            raise BallsepError(message)
         ball_a = Ball([-0.5 * distance, 0.0], args.r)
         planar.append(make_instance(ball_a, Ball([0.5 * distance, 0.0], args.p), k))
     logs = [_gap(inst) for inst in planar]
@@ -295,7 +296,7 @@ def _sweep_block(json_rows: bool, dims, logs, gaps, start: int) -> str:
 
 def cmd_tessellate(args) -> int:
     if (args.width is None) == (args.target is None):
-        raise ArgumentOutOfRange("exactly one of --width or --target is required")
+        raise BallsepError("exactly one of --width or --target is required")
     inst = _instance_from_args(args)
     per_pair = getattr(separation_report(inst), _MODE_TABLE[args.mode][1])
     width = args.width if args.target is None else width_for_confidence(per_pair, args.target)

@@ -1,37 +1,12 @@
-"""Exception types shared across the package."""
+"""The package's two exception roots: bad input, and bugs."""
 
 
 class BallsepError(Exception):
-    """Base class for every bad-input error this package raises; bugs have their own root."""
-
-
-class DimensionMismatch(BallsepError):
-    """Operands live in Euclidean spaces of different dimensions."""
-
-
-class DimensionTooSmall(BallsepError):
-    """Ambient dimension below 2 is not supported."""
-
-
-class BallsOverlapOrTouch(BallsepError):
-    """The two balls intersect or are tangent; no positive gap exists."""
-
-
-class KInsufficient(BallsepError):
-    """The bias half range is smaller than max(|c|, |x|)."""
-
-
-class ArgumentOutOfRange(BallsepError):
-    """An argument lies outside its documented domain."""
-
-
-class EmptyInstanceList(BallsepError):
-    """An operation over ball pairs received no pairs."""
+    """Every bad-input error this package raises: an argument outside its domain, balls of
+    different or too small dimensions, balls that overlap or touch, a bias half range below
+    max(|c|, |x|), or an empty list of pairs.  Its message names the case."""
 
 
 class InternalConsistencyError(Exception):
-    """A computed quantity violated an internal invariant; indicates a bug, not bad input."""
-
-
-class NoConvergence(InternalConsistencyError):
-    """An iterative evaluation hit its iteration cap, which valid input stays well inside."""
+    """A bug, not bad input: a computed quantity broke an internal invariant, or an iterative
+    evaluation hit its iteration cap, which valid input stays well inside."""

@@ -25,21 +25,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ArgumentOutOfRange,
-    BallsOverlapOrTouch,
-    DimensionMismatch,
-    DimensionTooSmall,
-    KInsufficient,
-)
+from .errors import BallsepError
+
+# the largest dimension `symmetric_instance`, `lemma_bounds` and `asymptotic_envelope` take:
+# rounding the lgamma values, about a log a, costs the closed forms a few parts in a million
+# here, and more past it
+_MAX_DIMENSION = 2**30
+
+
+def _dimension(n) -> int:
+    """n as an int if it is an int or numpy integer (not bool) from 2 to `_MAX_DIMENSION`."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 2 <= n <= _MAX_DIMENSION:
+        return int(n)
+    raise BallsepError(f"dimension must be an integer from 2 to 2**30, got {n!r}")
 
 
 def _as_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ArgumentOutOfRange(f"{name} must be a one-dimensional real vector")
+        raise BallsepError(f"{name} must be a one-dimensional real vector")
     if not np.all(np.isfinite(arr)):
-        raise ArgumentOutOfRange(f"{name} must contain only finite values")
+        raise BallsepError(f"{name} must contain only finite values")
     arr.flags.writeable = False
     return arr
 
@@ -57,7 +63,7 @@ def _norm(v: np.ndarray) -> float:
 def _radius(value) -> float:
     radius = float(value)
     if not 0.0 < radius < math.inf:
-        raise ArgumentOutOfRange(f"ball radius must be positive and finite, got {value!r}")
+        raise BallsepError(f"ball radius must be positive and finite, got {value!r}")
     return radius
 
 
@@ -97,10 +103,10 @@ class SeparationInstance:
     def __post_init__(self):
         a, b = self.ball_a, self.ball_b
         if not isinstance(a, Ball) or not isinstance(b, Ball):
-            raise ArgumentOutOfRange("ball_a and ball_b must be Ball instances")
+            raise BallsepError("ball_a and ball_b must be Ball instances")
         low = min(a.dimension, b.dimension)
         if low < 2:
-            raise DimensionTooSmall(f"balls need dimension >= 2, got {low}")
+            raise BallsepError(f"balls need dimension >= 2, got {low}")
         _common_dimension(a, b)
         with np.errstate(over="ignore"):
             dist, k = _pair_checks(a.center, a.radius, b.center, b.radius, self.bias_half_range)
@@ -115,9 +121,9 @@ class SeparationInstance:
 
 
 def _common_dimension(a: Ball, b: Ball) -> int:
-    """The dimension of balls a and b, or the DimensionMismatch of balls in different ones."""
+    """The dimension of balls a and b, or the BallsepError of balls in different ones."""
     if a.dimension != b.dimension:
-        raise DimensionMismatch(f"balls have different dimensions {a.dimension} and {b.dimension}")
+        raise BallsepError(f"balls have different dimensions {a.dimension} and {b.dimension}")
     return a.dimension
 
 
@@ -128,18 +134,18 @@ def _pair_checks(c: np.ndarray, r: float, x: np.ndarray, p: float, k):
     norms = [_norm(v) for v in (c - x, c, x)]
     for label, norm in zip(("|c - x|", "|c|", "|x|"), norms):
         if norm == math.inf:
-            raise ArgumentOutOfRange(f"{label} overflows double precision")
+            raise BallsepError(f"{label} overflows double precision")
         if norm != norm:
-            raise ArgumentOutOfRange(f"{label} is not a number")
+            raise BallsepError(f"{label} is not a number")
     dist, norm_c, norm_x = norms
     if dist <= r + p:
-        raise BallsOverlapOrTouch("balls overlap or touch (delta <= 0)")
+        raise BallsepError("balls overlap or touch (delta <= 0)")
     k = float(k)
     if not math.isfinite(k):
-        raise ArgumentOutOfRange(f"bias half range must be finite, got {k!r}")
+        raise BallsepError(f"bias half range must be finite, got {k!r}")
     k_min = max(norm_c, norm_x)
     if not k >= k_min:
-        raise KInsufficient(f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}")
+        raise BallsepError(f"bias half range {k!r} is below max(|c|, |x|) = {k_min!r}")
     return dist, k
 
 
@@ -152,9 +158,8 @@ def _cone(dist: float, r: float, p: float) -> tuple[float, float, float]:
 def make_instance(ball_a: Ball, ball_b: Ball, k: float) -> SeparationInstance:
     """Validate a ball pair and bias half range; return the instance.
 
-    Raises DimensionMismatch for unequal dimensions, BallsOverlapOrTouch
-    when the closed balls intersect, and KInsufficient when k is below
-    max(|c|, |x|).
+    Raises BallsepError for unequal dimensions, for closed balls that
+    intersect, and for k below max(|c|, |x|).
     """
     return SeparationInstance(ball_a, ball_b, k)
 
@@ -170,23 +175,23 @@ def symmetric_instance(
 
     The centers sit at distance (r + p)/sin_phi apart, so the gap is
     (r + p)(1 - sin_phi)/sin_phi, and the bias half range is k_factor
-    times max(|c|, |x|).  Requires 0 < sin_phi < 1 and k_factor >= 1.
+    times max(|c|, |x|).  Requires an int dim from 2 to 2**30, 0 < sin_phi < 1
+    and k_factor >= 1.
     """
+    dim = _dimension(dim)
     if not 0.0 < sin_phi < 1.0:
-        raise ArgumentOutOfRange(f"sin_phi must lie strictly in (0, 1), got {sin_phi!r}")
+        raise BallsepError(f"sin_phi must lie strictly in (0, 1), got {sin_phi!r}")
     if not k_factor >= 1.0:
-        raise ArgumentOutOfRange(f"k_factor must be >= 1, got {k_factor!r}")
-    if dim < 2:
-        raise DimensionTooSmall(f"dimension must be >= 2, got {dim}")
+        raise BallsepError(f"k_factor must be >= 1, got {k_factor!r}")
     half = 0.5 * (_radius(r) + _radius(p)) / sin_phi
     if half == math.inf:  # named before the centers are built from it
-        raise ArgumentOutOfRange("|c - x| overflows double precision")
+        raise BallsepError("|c - x| overflows double precision")
     if k_factor * half == math.inf:  # named here, not as the bias half range it makes
-        raise ArgumentOutOfRange(f"k_factor {k_factor!r} overflows k = k_factor * max(|c|, |x|)")
+        raise BallsepError(f"k_factor {k_factor!r} overflows k = k_factor * max(|c|, |x|)")
     try:
         c, x = np.zeros((2, dim))
-    except (ValueError, MemoryError) as exc:  # how numpy refuses a size it cannot allocate
-        raise ArgumentOutOfRange(f"dimension {dim} is too large to allocate") from exc
+    except MemoryError as exc:  # a host without overcommit may refuse even a size below 2**30
+        raise BallsepError(f"dimension {dim} is too large to allocate") from exc
     c[0], x[0] = -half, half
     return make_instance(Ball(c, r), Ball(x, p), k_factor * half)
 
@@ -210,7 +215,7 @@ def separates_batch(
     weights = _weights(weights, ball_a, ball_b)
     biases = np.asarray(biases, dtype=float)
     if biases.shape != (weights.shape[0],):
-        raise DimensionMismatch(
+        raise BallsepError(
             f"biases shape {biases.shape} does not match {weights.shape[0]} weights"
         )
     offsets, masks = _scratch(out, weights.shape[0])
@@ -230,11 +235,11 @@ def separates_batch(
 
 
 def _weights(weights, ball_a: Ball, ball_b: Ball) -> np.ndarray:
-    """weights as a float array of shape (m, n) for balls in R^n, or a DimensionMismatch."""
+    """weights as a float array of shape (m, n) for balls in R^n, or a BallsepError."""
     n = _common_dimension(ball_a, ball_b)
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != n:
-        raise DimensionMismatch(f"weights shape {weights.shape} does not match ball dimension {n}")
+        raise BallsepError(f"weights shape {weights.shape} does not match ball dimension {n}")
     return weights
 
 

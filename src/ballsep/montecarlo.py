@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, DimensionMismatch, EmptyInstanceList
+from .errors import BallsepError
 from .geometry import (
     Ball,
     SeparationInstance,
@@ -84,7 +84,7 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
 
 def _check_seed(seed) -> None:
     if type(seed) is not int or not 0 <= seed <= _MASK64:
-        raise ArgumentOutOfRange(f"seed must be a 64-bit unsigned int, got {seed!r}")
+        raise BallsepError(f"seed must be a 64-bit unsigned int, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,10 @@ class McConfig:
     def __post_init__(self):
         # bool is an int subclass, and True is no count
         if type(self.samples) is not int or self.samples < 1:
-            raise ArgumentOutOfRange("samples must be >= 1")
+            raise BallsepError("samples must be >= 1")
         _check_seed(self.seed)
         if type(self.chunks) is not int or not 1 <= self.chunks <= self.samples:
-            raise ArgumentOutOfRange(
-                f"chunks must be between 1 and samples, got {self.chunks!r}"
-            )
+            raise BallsepError(f"chunks must be between 1 and samples, got {self.chunks!r}")
 
 
 @dataclass(frozen=True)
@@ -302,26 +300,26 @@ def estimate_modes(
     of `modes`, each as it would alone.
     """
     if len(instances) == 0:
-        raise EmptyInstanceList("at least one instance is required")
+        raise BallsepError("at least one instance is required")
     dims = {inst.dimension for inst in instances}
     if len(dims) != 1:
-        raise DimensionMismatch(f"instances mix dimensions {sorted(dims)}")
+        raise BallsepError(f"instances mix dimensions {sorted(dims)}")
     n = dims.pop()
     if type(width) is not int or width < 1:
-        raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
+        raise BallsepError(f"width must be a positive int, got {width!r}")
     if width > _MAX_TRIAL_PLANES:
-        raise ArgumentOutOfRange(f"width {width} exceeds 2**24, the most planes one trial draws")
+        raise BallsepError(f"width {width} exceeds 2**24, the most planes one trial draws")
     for mode in modes:
         if mode not in MODES:
-            raise ArgumentOutOfRange(f"mode must be one of {MODES}, got {mode!r}")
+            raise BallsepError(f"mode must be one of {MODES}, got {mode!r}")
     if "random-bias" in modes and len(instances) > 1:
-        raise ArgumentOutOfRange(
+        raise BallsepError(
             f"random-bias mode takes one pair, got {len(instances)}: "
             "each pair's planes follow its own axis, so they share no tessellation"
         )
     k_draw = max(inst.bias_half_range for inst in instances)
     if any(mode != "random-weight" for mode in modes) and not math.isfinite(2.0 * k_draw):
-        raise ArgumentOutOfRange(
+        raise BallsepError(
             f"bias half range {k_draw!r} is too wide to draw biases from: 2k overflows"
         )
     weight_modes = [mode for mode in modes if mode != "random-bias"]

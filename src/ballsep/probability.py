@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, InternalConsistencyError
-from .geometry import SeparationInstance, _cone
+from .errors import BallsepError, InternalConsistencyError
+from .geometry import SeparationInstance, _cone, _dimension
 from .specfun import _clamp, _each, _kappa_logs, _log_beta_sum, _reg_inc_betas
 
 # probabilities assembled from independently rounded pieces may land a
@@ -42,9 +42,6 @@ from .specfun import _clamp, _each, _kappa_logs, _log_beta_sum, _reg_inc_betas
 _CONSISTENCY_SLACK = 1e-12
 _SQRT_PI = math.sqrt(math.pi)
 _LGAMMA_HALF = math.lgamma(0.5)
-# the largest dimension `lemma_bounds` and `asymptotic_envelope` take: rounding the lgamma
-# values, about a log a, costs their results a few parts in a million here, and more past it
-_MAX_DIMENSION = 2**30
 _BLOCK = 8192  # cells per column call of sweep and validate; it bounds memory, not values
 
 
@@ -109,7 +106,7 @@ def lemma_bounds(alpha: float, n: int) -> tuple[float, float, float]:
     and lower <= mid <= upper holds for every alpha in (0, pi/2), n >= 2.
     """
     if not 0.0 < alpha < 0.5 * math.pi:
-        raise ArgumentOutOfRange(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
+        raise BallsepError(f"alpha must lie strictly in (0, pi/2), got {alpha!r}")
     return _lemma(_angle(alpha), _shape(_dimension(n)))
 
 
@@ -134,13 +131,6 @@ def _shape(n: int) -> tuple:
     """(a, log a, log B(a, 1/2)), a = (n - 1)/2, of a checked dimension n >= 2."""
     a = 0.5 * float(n - 1)
     return a, math.log(a), _log_beta_sum(math.lgamma(a), _LGAMMA_HALF, math.lgamma(a + 0.5))
-
-
-def _dimension(n) -> int:
-    """n as an int if it is an int or numpy integer (not bool) from 2 to `_MAX_DIMENSION`."""
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 2 <= n <= _MAX_DIMENSION:
-        return int(n)
-    raise ArgumentOutOfRange(f"dimension must be an integer from 2 to 2**30, got {n!r}")
 
 
 def asymptotic_envelope(n: int) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import probability
 from .geometry import Ball, _pair_checks, make_instance, symmetric_instance
-from .errors import ArgumentOutOfRange, BallsepError, InternalConsistencyError
+from .errors import BallsepError, InternalConsistencyError
 from .montecarlo import DEFAULT_SEED, _check_seed
 from .specfun import _each, _kappa_logs, _reg_inc_betas, log_beta
 
@@ -151,7 +151,7 @@ def check_ordering_chain(samples: int = 10000, seed: int = DEFAULT_SEED, tol: fl
     as the columns its lemma bounds and report read.
     """
     if type(samples) is not int or samples < 0:
-        raise ArgumentOutOfRange(f"samples must be a non-negative int, got {samples!r}")
+        raise BallsepError(f"samples must be a non-negative int, got {samples!r}")
     _check_seed(seed)
     fixed = grid_instances()
     result = CheckResult("ordering chain", len(fixed) + samples, tol, -math.inf)

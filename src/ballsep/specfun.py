@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, NoConvergence
+from .errors import BallsepError, InternalConsistencyError
 
 _MAX_ITER = 500
 _CF_EPS = 1e-15
@@ -39,7 +39,7 @@ _KAPPA_SLACK = 1e-14
 def log_beta(y: float, z: float) -> float:
     """log B(y, z) = log Gamma(y) + log Gamma(z) - log Gamma(y+z) for y, z > 0."""
     if not (y > 0.0 and z > 0.0):
-        raise ArgumentOutOfRange(f"log_beta requires y, z > 0, got y={y!r}, z={z!r}")
+        raise BallsepError(f"log_beta requires y, z > 0, got y={y!r}, z={z!r}")
     return _log_beta_sum(math.lgamma(y), math.lgamma(z), math.lgamma(y + z))
 
 
@@ -79,8 +79,8 @@ def _kappa_logs(values) -> tuple:
     return kappa, ln_kappa, _log_where(math.log1p, -kappa, kappa < 1.0)
 
 
-def _kappa_error(label: str, value) -> ArgumentOutOfRange:
-    return ArgumentOutOfRange(f"{label} must lie in [0, 1], got {value!r}")
+def _kappa_error(label: str, value) -> BallsepError:
+    return BallsepError(f"{label} must lie in [0, 1], got {value!r}")
 
 
 def _log_where(function, values, inside):
@@ -177,7 +177,7 @@ def _lentz_steps(a: float, b: float, x: float, m: float, c: float, d: float, h: 
         h *= delta
         if -eps < delta - 1.0 < eps:
             return h
-    raise NoConvergence(
+    raise InternalConsistencyError(
         f"incomplete beta continued fraction did not converge in {last} "
         f"iterations (x={x!r}, a={a!r}, b={b!r})"
     )

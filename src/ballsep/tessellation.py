@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ArgumentOutOfRange
+from .errors import BallsepError
 from .montecarlo import MODES, estimate_all_pairs  # noqa: F401 (re-exported)
 
 _MAX_WIDTH = 2**63 - 1  # the largest width a signed 64-bit count holds
@@ -23,14 +23,14 @@ _MAX_WIDTH = 2**63 - 1  # the largest width a signed 64-bit count holds
 def _log_miss(per_pair_p: float) -> float:
     """log(1 - p), the log chance that one plane misses the pair; -inf at p = 1."""
     if not 0.0 <= per_pair_p <= 1.0:
-        raise ArgumentOutOfRange(f"per-pair probability must lie in [0, 1], got {per_pair_p!r}")
+        raise BallsepError(f"per-pair probability must lie in [0, 1], got {per_pair_p!r}")
     return -math.inf if per_pair_p == 1.0 else math.log1p(-per_pair_p)
 
 
 def achieved_confidence(per_pair_p: float, width: int) -> float:
     """1 - (1 - p)^width: the chance that one of `width` independent planes splits the pair."""
     if type(width) is not int or width < 1:  # bool is an int subclass
-        raise ArgumentOutOfRange(f"width must be a positive int, got {width!r}")
+        raise BallsepError(f"width must be a positive int, got {width!r}")
     return -math.expm1(width * _log_miss(per_pair_p))
 
 
@@ -39,17 +39,17 @@ def width_for_confidence(per_pair_p: float, target: float) -> int:
 
     Comparisons run in log space, so the answer is exact wherever the
     logs are; a short walk around the closed-form guess absorbs any
-    ceiling-edge rounding.  Raises ArgumentOutOfRange when no width up
+    ceiling-edge rounding.  Raises BallsepError when no width up
     to 2^63 - 1 reaches the target, p = 0 included.
     """
     log_miss = _log_miss(per_pair_p)
     if not 0.0 < target < 1.0:
-        raise ArgumentOutOfRange(f"target confidence must lie in (0, 1), got {target!r}")
+        raise BallsepError(f"target confidence must lie in (0, 1), got {target!r}")
     log_allowed = math.log1p(-target)
     # a step of the walk below moves the product by about 1/width of it,
     # so far past this bound one ulp takes more steps than can be walked
     if _MAX_WIDTH * log_miss > log_allowed:
-        raise ArgumentOutOfRange(
+        raise BallsepError(
             f"per-pair probability {per_pair_p!r} needs more than 2**63 - 1 planes "
             f"to reach confidence {target!r}"
         )

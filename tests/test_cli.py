@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 
 from ballsep import cli, geometry, montecarlo, probability, selfcheck, specfun
 from ballsep.cli import main
-from ballsep.errors import InternalConsistencyError, NoConvergence
+from ballsep.errors import InternalConsistencyError
 from ballsep.geometry import Ball, make_instance
 from ballsep.probability import p_fully_random, p_random_bias, p_random_weight
 
@@ -638,8 +638,8 @@ class TestSweep:
 
     # (iteration cap, argument set, cell in the error), recorded from the sweep that evaluated
     # one scalar fraction per cell; the cell named is the first unconverged one in row order.
-    # A fraction that does not converge is a bug, not bad input: NoConvergence propagates
-    # from the first block, before any row is written
+    # A fraction that does not converge is a bug, not bad input: its InternalConsistencyError
+    # propagates from the first block, before any row is written
     CAPPED = [
         (2, ("--dim", "2..50", "--delta", "0.5,2"), "x=0.3599999999999999, a=0.5, b=0.5"),
         (2, ("--dim", "2,10000,19990..20000", "--delta", "0.1,1,7"),
@@ -659,7 +659,7 @@ class TestSweep:
     def test_iteration_cap_names_the_parents_cell(self, capsys, monkeypatch, cap, argv, cell):
         monkeypatch.setattr(specfun, "_MAX_ITER", cap)
         message = f"incomplete beta continued fraction did not converge in {cap} iterations"
-        with pytest.raises(NoConvergence) as raised:
+        with pytest.raises(InternalConsistencyError, match=message) as raised:
             main(["sweep", *argv])
         assert str(raised.value) == f"{message} ({cell})"
         assert capsys.readouterr() == ("", "")
@@ -1183,11 +1183,8 @@ _ARGV = st.sampled_from(list(_FLAGS)).flatmap(
 )
 
 
-def _raising(bug):
-    def report(shape, gap):
-        raise bug("injected")
-
-    return report
+def _raise_bug(shape, gap):
+    raise InternalConsistencyError("injected")
 
 
 class TestBugsAreNotBadInput:
@@ -1197,22 +1194,20 @@ class TestBugsAreNotBadInput:
     @given(_ARGV)
     def test_every_run_exits_zero_or_names_one_error(self, capsys, argv):
         # bad input exits 2 with one error line, and nothing else ends a run but success; a
-        # bug, an InternalConsistencyError or its NoConvergence, raised by the closed forms,
-        # propagates unless the run exits 2 on its input first
+        # bug, an InternalConsistencyError raised by the closed forms, propagates unless the
+        # run exits 2 on its input first
         code = main(argv)
         out, err = capsys.readouterr()
         errors = [line for line in err.splitlines() if "error:" in line]
         assert (code, err) == (0, "") or (code, out, len(errors)) == (2, "", 1), (code, err)
-        for bug in (InternalConsistencyError, NoConvergence):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(probability, "_report", _raising(bug))
-                try:
-                    patched = main(argv)
-                except bug:
-                    patched = None
-            assert patched is None or (patched, code, capsys.readouterr().err) == (2, 2, err)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probability, "_report", _raise_bug)
+            try:
+                patched = main(argv)
+            except InternalConsistencyError:
+                patched = None
+        assert patched is None or (patched, code, capsys.readouterr().err) == (2, 2, err)
 
-    @pytest.mark.parametrize("bug", [InternalConsistencyError, NoConvergence])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1224,8 +1219,8 @@ class TestBugsAreNotBadInput:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_a_bug_is_raised_before_any_output(self, capsys, monkeypatch, argv, bug):
-        monkeypatch.setattr(probability, "_report", _raising(bug))
-        with pytest.raises(bug, match="injected"):
+    def test_a_bug_is_raised_before_any_output(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(probability, "_report", _raise_bug)
+        with pytest.raises(InternalConsistencyError, match="injected"):
             main(argv)
         assert capsys.readouterr() == ("", "")

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ballsep.errors import (
-    ArgumentOutOfRange,
-    BallsOverlapOrTouch,
-    DimensionMismatch,
-    DimensionTooSmall,
-    KInsufficient,
-)
+from ballsep.errors import BallsepError
 from ballsep.geometry import (
     Ball,
     SeparationInstance,
@@ -78,17 +72,17 @@ class TestBall:
 
     @pytest.mark.parametrize("center", [[], [[1.0, 2.0]], 3.0])
     def test_rejects_center_that_is_not_a_vector(self, center):
-        with pytest.raises(ArgumentOutOfRange, match="^ball center must be a one-dimensional"):
+        with pytest.raises(BallsepError, match="^ball center must be a one-dimensional"):
             Ball(center, 1.0)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ArgumentOutOfRange):
-            Ball([1.0, 2.0], 0.0)
-        with pytest.raises(ArgumentOutOfRange):
-            Ball([1.0, 2.0], -1.0)
+        for radius in (0.0, -1.0):
+            message = f"^ball radius must be positive and finite, got {radius}$"
+            with pytest.raises(BallsepError, match=message):
+                Ball([1.0, 2.0], radius)
 
     def test_rejects_nonfinite_center(self):
-        with pytest.raises(ArgumentOutOfRange):
+        with pytest.raises(BallsepError, match="^ball center must contain only finite values$"):
             Ball([1.0, math.inf], 1.0)
 
     def test_center_is_read_only(self):
@@ -123,40 +117,41 @@ class TestInstanceValidation:
         assert inst.sin_phi == 0.5
 
     def test_overlap_and_touch_rejected(self):
-        with pytest.raises(BallsOverlapOrTouch, match=r"balls overlap or touch \(delta <= 0\)"):
+        with pytest.raises(BallsepError, match=r"balls overlap or touch \(delta <= 0\)"):
             make_instance(Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0), 5.0)
-        with pytest.raises(BallsOverlapOrTouch):
+        with pytest.raises(BallsepError, match=r"^balls overlap or touch \(delta <= 0\)$"):
             make_instance(Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), 5.0)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(BallsepError, match="^balls have different dimensions 2 and 3$"):
             make_instance(Ball([0.0, 0.0], 1.0), Ball([9.0, 0.0, 0.0], 1.0), 20.0)
 
     @pytest.mark.parametrize("c, x", [([0.0], [9.0]), ([0.0], [9.0, 0.0]), ([0.0, 0.0], [9.0])])
     def test_dimension_one_rejected(self, c, x):
         # named before the mismatch of a pair that has both faults
-        with pytest.raises(DimensionTooSmall, match=r"^balls need dimension >= 2, got 1$"):
+        with pytest.raises(BallsepError, match=r"^balls need dimension >= 2, got 1$"):
             make_instance(Ball(c, 1.0), Ball(x, 1.0), 20.0)
 
     @pytest.mark.parametrize("other", [[9.0, 0.0], None])
     def test_balls_that_are_not_balls_rejected(self, other):
-        with pytest.raises(ArgumentOutOfRange, match="^ball_a and ball_b must be Ball instances$"):
+        with pytest.raises(BallsepError, match="^ball_a and ball_b must be Ball instances$"):
             SeparationInstance(Ball([0.0, 0.0], 1.0), other, 20.0)
 
     @pytest.mark.parametrize("c, x", [([math.nan, 0.0], [3.0, 0.0]), ([0.0, 0.0], [3.0, math.nan])])
     def test_pair_checks_name_a_center_that_is_not_a_number(self, c, x):
         # a Ball holds finite centers only, so this is reached by calling the checks
         # directly, as selfcheck's chain does with its drawn columns
-        with pytest.raises(ArgumentOutOfRange, match=re.escape("|c - x| is not a number")):
+        with pytest.raises(BallsepError, match=re.escape("|c - x| is not a number")):
             _pair_checks(np.array(c), 1.0, np.array(x), 1.0, 5.0)
 
     def test_insufficient_k_rejected(self):
-        with pytest.raises(KInsufficient):
+        below = "bias half range 1.9 is below max(|c|, |x|) = 2.0"
+        with pytest.raises(BallsepError, match=f"^{re.escape(below)}$"):
             make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), 1.9)
 
     @pytest.mark.parametrize("k", [math.inf, math.nan])
     def test_nonfinite_k_rejected(self, k):
-        with pytest.raises(ArgumentOutOfRange, match=r"must be finite"):
+        with pytest.raises(BallsepError, match=r"^bias half range must be finite, got "):
             make_instance(Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), k)
 
     @pytest.mark.parametrize(
@@ -171,7 +166,7 @@ class TestInstanceValidation:
     def test_overflowing_norm_rejected_without_warning(self, c, x, label):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArgumentOutOfRange, match=re.escape(f"{label} overflows")):
+            with pytest.raises(BallsepError, match=re.escape(f"{label} overflows")):
                 make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e307)
 
     @pytest.mark.parametrize(
@@ -195,7 +190,7 @@ class TestInstanceValidation:
             inst = make_instance(Ball(c, radius), Ball(x, radius), k)
         assert inst.center_distance == pytest.approx(dist, rel=4e-16, abs=0.0)
         # |c| and |x| are right too: k passes and a k just below it does not
-        with pytest.raises(KInsufficient):
+        with pytest.raises(BallsepError, match=re.escape("is below max(|c|, |x|) = ")):
             make_instance(Ball(c, radius), Ball(x, radius), 0.999 * k)
 
     def test_large_finite_norms_unchanged(self):
@@ -204,7 +199,8 @@ class TestInstanceValidation:
             warnings.simplefilter("error")
             inst = make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e154)
         assert inst.center_distance == np.linalg.norm(c - x)
-        with pytest.raises(KInsufficient, match=re.escape(repr(float(np.linalg.norm(x))))):
+        below = f"is below max(|c|, |x|) = {float(np.linalg.norm(x))!r}"
+        with pytest.raises(BallsepError, match=re.escape(below)):
             make_instance(Ball(c, 1.0), Ball(x, 1.0), 1e153)
 
     def test_center_distance_is_the_validated_norm(self):
@@ -226,6 +222,9 @@ class TestInstanceValidation:
         assert _axis_centers(swapped) == _axis_centers(inst)[::-1]
 
 
+DIMENSION_RULE = "dimension must be an integer from 2 to 2**30, got "
+
+
 class TestSymmetricGenerator:
     def test_realizes_requested_geometry(self):
         inst = symmetric_instance(5, 0.3, r=2.0, p=0.5, k_factor=2.0)
@@ -236,21 +235,32 @@ class TestSymmetricGenerator:
         assert_allclose(inst.ball_a.center, [-half, 0, 0, 0, 0], rtol=1e-14)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ArgumentOutOfRange):
-            symmetric_instance(3, 0.0)
-        with pytest.raises(ArgumentOutOfRange):
-            symmetric_instance(3, 1.0)
-        with pytest.raises(ArgumentOutOfRange):
+        for sin_phi in (0.0, 1.0):
+            message = f"sin_phi must lie strictly in (0, 1), got {sin_phi}"
+            with pytest.raises(BallsepError, match=f"^{re.escape(message)}$"):
+                symmetric_instance(3, sin_phi)
+        with pytest.raises(BallsepError, match=r"^k_factor must be >= 1, got 0\.5$"):
             symmetric_instance(3, 0.5, k_factor=0.5)
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(BallsepError, match=f"^{re.escape(DIMENSION_RULE)}1$"):
             symmetric_instance(1, 0.5)
 
     @pytest.mark.parametrize("dim", [1 << 61, 1 << 63])
     def test_unallocatable_dimension_is_bad_input(self, dim):
-        # numpy refuses both sizes without allocating: 2^61 doubles overflow the
-        # byte count and 2^63 is past its largest dimension
-        with pytest.raises(ArgumentOutOfRange, match=f"^dimension {dim} is too large to allocate$"):
+        # both sizes are past the 2^30 bound, so they are refused before any allocation
+        with pytest.raises(BallsepError, match=f"^{re.escape(DIMENSION_RULE)}{dim}$"):
             symmetric_instance(dim, 0.5)
+
+    def test_numpy_int_dimension_is_accepted(self):
+        assert symmetric_instance(np.int64(3), 0.5).dimension == 3
+
+    def test_refused_allocation_is_bad_input(self, monkeypatch):
+        # a host without overcommit may refuse a size below the 2^30 bound
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(BallsepError, match="^dimension 5 is too large to allocate$"):
+            symmetric_instance(5, 0.5)
 
 
 class TestSeparationPredicate:
@@ -277,20 +287,20 @@ class TestSeparationPredicate:
     def test_batch_shape_validation(self):
         balls = canonical_plane().ball_a, canonical_plane().ball_b
         for weights in (np.ones((4, 3)), np.ones(2), np.ones((4, 2, 1))):
-            with pytest.raises(DimensionMismatch, match=r"does not match ball dimension 2$"):
+            with pytest.raises(BallsepError, match=r"does not match ball dimension 2$"):
                 separates_batch(weights, np.zeros(len(weights)), *balls)
-            with pytest.raises(DimensionMismatch, match=r"does not match ball dimension 2$"):
+            with pytest.raises(BallsepError, match=r"does not match ball dimension 2$"):
                 exists_separating_bias_batch(weights, *balls)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(BallsepError, match=r"^biases shape \(5,\) does not match 4 weights$"):
             separates_batch(np.ones((4, 2)), np.zeros(5), *balls)
 
     def test_balls_of_different_dimensions_rejected(self):
         message = "^balls have different dimensions 2 and 3$"
         balls = Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0, 0.0], 1.0)
         for weights in (np.ones((4, 2)), np.ones((4, 3))):
-            with pytest.raises(DimensionMismatch, match=message):
+            with pytest.raises(BallsepError, match=message):
                 separates_batch(weights, np.zeros(4), *balls)
-            with pytest.raises(DimensionMismatch, match=message):
+            with pytest.raises(BallsepError, match=message):
                 exists_separating_bias_batch(weights, *balls)
 
     def test_separates_implies_bias_exists(self):

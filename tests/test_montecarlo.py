@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsep import montecarlo
-from ballsep.errors import ArgumentOutOfRange
+from ballsep.errors import BallsepError
 from ballsep.geometry import (
     Ball,
     exists_separating_bias_batch,
@@ -56,28 +56,31 @@ def collinear_pose(rng, n, sin_phi):
 
 class TestConfig:
     def test_samples_validation_message(self):
-        with pytest.raises(ArgumentOutOfRange, match=r"samples must be >= 1"):
-            McConfig(samples=0)
-        with pytest.raises(ArgumentOutOfRange):
-            McConfig(samples=-5)
+        for samples in (0, -5):
+            with pytest.raises(BallsepError, match=r"^samples must be >= 1$"):
+                McConfig(samples=samples)
 
     def test_chunks_validation(self):
-        with pytest.raises(ArgumentOutOfRange):
-            McConfig(samples=10, chunks=0)
-        with pytest.raises(ArgumentOutOfRange):
-            McConfig(samples=10, chunks=11)
+        for chunks in (0, 11):
+            message = f"^chunks must be between 1 and samples, got {chunks}$"
+            with pytest.raises(BallsepError, match=message):
+                McConfig(samples=10, chunks=chunks)
         assert McConfig(samples=10, chunks=10).chunks == 10
 
     def test_seed_validation(self):
-        with pytest.raises(ArgumentOutOfRange):
-            McConfig(samples=10, seed=-1)
-        with pytest.raises(ArgumentOutOfRange):
-            McConfig(samples=10, seed=1 << 64)
+        for seed in (-1, 1 << 64):
+            message = f"^seed must be a 64-bit unsigned int, got {seed}$"
+            with pytest.raises(BallsepError, match=message):
+                McConfig(samples=10, seed=seed)
 
     def test_bools_are_not_counts(self):
         # bool is an int subclass; samples=True once ran one sample
-        for fields in ({"samples": True}, {"samples": 10, "seed": False}, {"samples": 10, "chunks": True}):
-            with pytest.raises(ArgumentOutOfRange):
+        for fields, message in (
+            ({"samples": True}, "samples must be >= 1"),
+            ({"samples": 10, "seed": False}, "seed must be a 64-bit unsigned int, got False"),
+            ({"samples": 10, "chunks": True}, "chunks must be between 1 and samples, got True"),
+        ):
+            with pytest.raises(BallsepError, match=f"^{message}$"):
                 McConfig(**fields)
 
     def test_estimate_std_error(self):
@@ -427,6 +430,43 @@ class TestMultiPairStreams:
         cfg = McConfig(samples=3 * (65536 // width) + 5, seed=11)
         assert estimate_all_pairs(instances, width, "fully-random", cfg).mean == full
         assert estimate_all_pairs(instances, width, "random-weight", cfg).mean == weight
+
+
+class TestAllPairsBracket:
+    """All-pairs means against a bracket from the single-pair closed forms.
+
+    A plane separates pair i with probability p_i, independently of the trial's other
+    planes, so pair i stays unseparated by all m of them with probability (1 - p_i)^m.
+    The chance that every pair is separated is then at most the least of the pairs' own
+    chances, and at least 1 minus the sum of their misses.  In fully random mode the
+    biases span the widest range k_draw, so p_i = p_full,i k_i / k_draw.
+    """
+
+    SAMPLES = 1 << 13
+    SIN_PHI = {("fully-random", 3): 0.1, ("fully-random", 50): 0.03}
+    SIN_PHI |= {("random-weight", 3): 0.8, ("random-weight", 50): 0.3}
+
+    @pytest.mark.parametrize("width", [1, 8, 96])
+    @pytest.mark.parametrize("pairs", [2, 5, 8])
+    @pytest.mark.parametrize("n", [3, 50])
+    @pytest.mark.parametrize("mode", ["fully-random", "random-weight"])
+    def test_mean_lies_in_the_bracket(self, mode, n, pairs, width):
+        rng = np.random.default_rng([n, pairs, 28])
+        instances = [general_pose(rng, n, self.SIN_PHI[mode, n]) for _ in range(pairs)]
+        k_draw = max(inst.bias_half_range for inst in instances)
+        if mode == "fully-random":
+            per_plane = [p_fully_random(inst) * inst.bias_half_range / k_draw for inst in instances]
+        else:
+            per_plane = [p_random_weight(inst) for inst in instances]
+        misses = [(1.0 - p) ** width for p in per_plane]
+        low, high = 1.0 - sum(misses), 1.0 - max(misses)
+        mean = estimate_all_pairs(instances, width, mode, McConfig(samples=self.SAMPLES)).mean
+
+        def slack(bound):  # 5 standard errors of a mean of SAMPLES draws at the bound
+            bound = min(max(bound, 0.0), 1.0)
+            return 5.0 * math.sqrt(bound * (1.0 - bound) / self.SAMPLES)
+
+        assert low - slack(low) <= mean <= high + slack(high), (low, mean, high)
 
 
 class TestRankOneCore:

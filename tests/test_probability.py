@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ballsep import geometry, probability
-from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
+from ballsep.errors import BallsepError, InternalConsistencyError
 from ballsep.geometry import Ball, make_instance, symmetric_instance
 from ballsep.probability import (
     SeparationReport,
@@ -137,11 +137,10 @@ class TestLemmaBounds:
                 assert mid <= upper + 1e-12
 
     def test_domain_validation(self):
-        with pytest.raises(ArgumentOutOfRange):
-            lemma_bounds(0.0, 3)
-        with pytest.raises(ArgumentOutOfRange):
-            lemma_bounds(math.pi / 2.0, 3)
-        with pytest.raises(ArgumentOutOfRange):
+        for alpha in (0.0, math.pi / 2.0):
+            with pytest.raises(BallsepError, match=r"^alpha must lie strictly in \(0, pi/2\)"):
+                lemma_bounds(alpha, 3)
+        with pytest.raises(BallsepError, match=r"^dimension must be an integer .*, got 1$"):
             lemma_bounds(0.5, 1)
 
 
@@ -169,12 +168,12 @@ class TestEnvelope:
             assert_allclose(asymptotic_envelope(n), coeff, rtol=1e-13)
 
     def test_rejects_small_dimension(self):
-        with pytest.raises(ArgumentOutOfRange):
+        with pytest.raises(BallsepError, match=r"^dimension must be an integer .*, got 1$"):
             asymptotic_envelope(1)
 
 
-# what the closed forms take as a dimension: an int or numpy integer from 2 to 2**30, and
-# nothing else
+# what the closed forms and symmetric_instance take as a dimension: an int or numpy integer
+# from 2 to 2**30, and nothing else
 _BAD_DIMENSIONS = {
     "one": (1, "1"),
     "zero": (0, "0"),
@@ -185,20 +184,26 @@ _BAD_DIMENSIONS = {
     "past a double": (10**400, str(10**400)),
     "half-integer": (2.5, "2.5"),
     "integral float": (3.0, "3.0"),
+    "numpy float": (np.float64(3), "np.float64(3.0)"),
     "nan": (math.nan, "nan"),
     "inf": (math.inf, "inf"),
     "string": ("7", "'7'"),
     "bool": (True, "True"),
+    "numpy bool": (np.True_, "np.True_"),
     "unhashable": ([3], "[3]"),
 }
-_DIMENSION_TAKERS = [functools.partial(lemma_bounds, 0.4), asymptotic_envelope]
+_DIMENSION_TAKERS = [
+    functools.partial(lemma_bounds, 0.4),
+    asymptotic_envelope,
+    functools.partial(symmetric_instance, sin_phi=0.5),
+]
 
 
 class TestDimension:
     @pytest.mark.parametrize("value, shown", _BAD_DIMENSIONS.values(), ids=_BAD_DIMENSIONS)
     @pytest.mark.parametrize("closed_form", _DIMENSION_TAKERS)
     def test_rejects(self, closed_form, value, shown):
-        with pytest.raises(ArgumentOutOfRange) as error:
+        with pytest.raises(BallsepError) as error:
             closed_form(value)
         assert str(error.value) == f"dimension must be an integer from 2 to 2**30, got {shown}"
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from ballsep import probability, selfcheck
-from ballsep.errors import ArgumentOutOfRange, InternalConsistencyError
+from ballsep.errors import BallsepError, InternalConsistencyError
 from ballsep.selfcheck import (
     check_analytic_reductions,
     check_beta_symmetry,
@@ -218,7 +218,9 @@ def test_reductions_battery_names_a_failing_case(monkeypatch):
     "kwargs", [{"samples": -1}, {"samples": True}, {"seed": -1}, {"seed": 1 << 64}, {"seed": False}]
 )
 def test_ordering_chain_rejects_bad_samples_and_seed(kwargs):
-    with pytest.raises(ArgumentOutOfRange):
+    (name, value), = kwargs.items()
+    rule = {"samples": "a non-negative int", "seed": "a 64-bit unsigned int"}[name]
+    with pytest.raises(BallsepError, match=f"^{name} must be {rule}, got {value!r}$"):
         check_ordering_chain(**kwargs)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballsep.errors import ArgumentOutOfRange, DimensionMismatch, EmptyInstanceList
+from ballsep.errors import BallsepError
 from ballsep.geometry import Ball, make_instance, symmetric_instance
 from ballsep.montecarlo import McConfig
 from ballsep.probability import p_fully_random
@@ -100,20 +100,20 @@ class TestEstimateAllPairs:
     def test_input_validation(self):
         inst = canonical_plane()
         cfg = McConfig(samples=10)
-        with pytest.raises(EmptyInstanceList):
+        with pytest.raises(BallsepError, match="^at least one instance is required$"):
             estimate_all_pairs([], 1, "fully-random", cfg)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(BallsepError, match=r"^instances mix dimensions \[2, 3\]$"):
             estimate_all_pairs([inst, symmetric_instance(3, 0.5)], 1, "fully-random", cfg)
         for width in (0, True):
-            with pytest.raises(ArgumentOutOfRange, match="width must be a positive int"):
+            with pytest.raises(BallsepError, match="width must be a positive int"):
                 estimate_all_pairs([inst], width, "fully-random", cfg)
-        with pytest.raises(ArgumentOutOfRange):
+        with pytest.raises(BallsepError, match="^mode must be one of .*, got 'sideways'$"):
             estimate_all_pairs([inst], 1, "sideways", cfg)
         # checked before any plane is drawn
-        with pytest.raises(ArgumentOutOfRange, match="width 16777217 exceeds 2\\*\\*24"):
+        with pytest.raises(BallsepError, match="width 16777217 exceeds 2\\*\\*24"):
             estimate_all_pairs([inst], 2**24 + 1, "fully-random", cfg)
         # each pair's random-bias planes follow its own axis
-        with pytest.raises(ArgumentOutOfRange, match="random-bias mode takes one pair, got 2"):
+        with pytest.raises(BallsepError, match="random-bias mode takes one pair, got 2"):
             estimate_all_pairs([inst, vertical_pair()], 1, "random-bias", cfg)
 
 
@@ -125,13 +125,12 @@ class TestWidthPlanning:
         assert width_for_confidence(0.5, 1e-12) == 1
 
     def test_validation(self):
-        with pytest.raises(ArgumentOutOfRange):
+        with pytest.raises(BallsepError, match="^per-pair probability 0.0 needs more than 2"):
             width_for_confidence(0.0, 0.9)
-        with pytest.raises(ArgumentOutOfRange):
-            width_for_confidence(0.5, 1.0)
-        with pytest.raises(ArgumentOutOfRange):
-            width_for_confidence(1.0, 1.0)
-        with pytest.raises(ArgumentOutOfRange):
+        for p in (0.5, 1.0):
+            with pytest.raises(BallsepError, match=r"^target confidence must lie in \(0, 1\)"):
+                width_for_confidence(p, 1.0)
+        with pytest.raises(BallsepError, match=r"^per-pair probability must lie in \[0, 1\]"):
             width_for_confidence(1.2, 0.9)
 
     @settings(max_examples=300, deadline=None)
@@ -152,10 +151,10 @@ class TestWidthPlanning:
         # p_full of symmetric_instance(1000, 0.5): the guess is 7.8e66
         # planes, where the walk would step down by one forever
         start = time.perf_counter()
-        with pytest.raises(ArgumentOutOfRange, match="more than 2\\*\\*63 - 1 planes"):
+        with pytest.raises(BallsepError, match="more than 2\\*\\*63 - 1 planes"):
             width_for_confidence(2.9375131677128833e-67, 0.9)
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(ArgumentOutOfRange, match="more than 2\\*\\*63 - 1 planes"):
+        with pytest.raises(BallsepError, match="more than 2\\*\\*63 - 1 planes"):
             width_for_confidence(1e-30, 0.5)
         # below the bound the walk still ends, at the minimal width
         for p in (1e-18, 2.5e-19):
@@ -182,12 +181,12 @@ class TestWidthPlanning:
 
     def test_bad_probability_rejected(self):
         for p in (-0.1, 1.2, math.nan):
-            with pytest.raises(ArgumentOutOfRange, match="per-pair probability must lie in"):
+            with pytest.raises(BallsepError, match="per-pair probability must lie in"):
                 achieved_confidence(p, 4)
-            with pytest.raises(ArgumentOutOfRange, match="per-pair probability must lie in"):
+            with pytest.raises(BallsepError, match="per-pair probability must lie in"):
                 width_for_confidence(p, 0.9)
 
     def test_bad_width_rejected(self):
         for width in (0, -3, 2.0, True):
-            with pytest.raises(ArgumentOutOfRange, match="width must be a positive int"):
+            with pytest.raises(BallsepError, match="width must be a positive int"):
                 achieved_confidence(1.0, width)
